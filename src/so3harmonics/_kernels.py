@@ -1,120 +1,25 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Associated-Legendre table, the one numeric kernel behind the transforms.
 
-The associated-Legendre and Wigner small-d evaluations sit inside every
-harmonic transform in this package, so they get two interchangeable
-implementations: explicit loops compiled with numba, and a vectorized
-numpy path.  The backend is chosen once at import time; set
-``SO3HARMONICS_NO_NUMBA=1`` to force the numpy path (also the reference
-side of ``benchmarks/bench_kernels.py``).
-
-Both backends are exact to the last few ulps of each other; the test
-suite asserts agreement.
+``BACKEND`` names the implementation; it is recorded in benchmark
+reports.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from functools import lru_cache
-
 import numpy as np
 
-_NO_NUMBA = os.environ.get("SO3HARMONICS_NO_NUMBA", "0") == "1"
-
-if not _NO_NUMBA:
-    try:
-        import numba
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover - numba is an optional speedup
-        numba = None
-else:
-    numba = None
-
-BACKEND = "numba" if numba is not None else "numpy"
-
-_EXACT_FACTORIAL_MAX_L = 10
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# Wigner small-d term tables
-# ---------------------------------------------------------------------------
+def legendre_table(x: np.ndarray, lmax: int) -> np.ndarray:
+    """Associated Legendre values P_l^m(x) for an array of x.
 
-def _small_d_coef(l: int, m: int, n: int, k: int) -> float:
-    """Coefficient of (cos b/2)^p (sin b/2)^q in the small-d sum at index k.
-
-    Exact integer factorials up to l=10; log-space with sign tracking
-    beyond that (the sign is (-1)^k, every factorial is positive).
+    Returns shape (len(x), lmax+1, lmax+1) with [i, l, m] = P_l^m(x_i) for
+    0 <= m <= l (other cells zero).  Includes the (-1)^m Condon-Shortley
+    factor; computed by stable upward recurrence.
     """
-    if l <= _EXACT_FACTORIAL_MAX_L:
-        num = (math.factorial(l + m) * math.factorial(l - m)
-               * math.factorial(l + n) * math.factorial(l - n))
-        den = (math.factorial(l - m - k) * math.factorial(l + n - k)
-               * math.factorial(k) * math.factorial(k + m - n))
-        return (-1) ** k * math.sqrt(num) / den
-    log_num = 0.5 * (math.lgamma(l + m + 1) + math.lgamma(l - m + 1)
-                     + math.lgamma(l + n + 1) + math.lgamma(l - n + 1))
-    log_den = (math.lgamma(l - m - k + 1) + math.lgamma(l + n - k + 1)
-               + math.lgamma(k + 1) + math.lgamma(k + m - n + 1))
-    return (-1) ** k * math.exp(log_num - log_den)
-
-
-@lru_cache(maxsize=64)
-def small_d_terms(l: int):
-    """Flattened term table for the degree-l small-d matrix.
-
-    Returns (cell, coef, cpow, spow): per term, the flat index
-    (m+l)*(2l+1)+(n+l) of the matrix cell it contributes to, its constant
-    coefficient, and the cos(b/2) / sin(b/2) exponents.  k runs over the
-    values keeping every factorial argument non-negative.
-    """
-    if l > 20:
-        raise ValueError("small-d evaluation supports degrees up to 20")
-    cells, coefs, cpows, spows = [], [], [], []
-    dim = 2 * l + 1
-    for m in range(-l, l + 1):
-        for n in range(-l, l + 1):
-            kmin = max(0, n - m)
-            kmax = min(l - m, l + n)
-            for k in range(kmin, kmax + 1):
-                cells.append((m + l) * dim + (n + l))
-                coefs.append(_small_d_coef(l, m, n, k))
-                cpows.append(2 * l - 2 * k + n - m)
-                spows.append(2 * k + m - n)
-    return (np.asarray(cells, dtype=np.int64),
-            np.asarray(coefs, dtype=np.float64),
-            np.asarray(cpows, dtype=np.int64),
-            np.asarray(spows, dtype=np.int64))
-
-
-@lru_cache(maxsize=64)
-def _small_d_scatter(l: int) -> np.ndarray:
-    """0/1 matrix mapping term index -> flat matrix cell (numpy path)."""
-    cell, coef, _, _ = small_d_terms(l)
-    dim = 2 * l + 1
-    scatter = np.zeros((len(cell), dim * dim))
-    scatter[np.arange(len(cell)), cell] = 1.0
-    return scatter
-
-
-def _small_d_stack_numpy(l: int, beta: np.ndarray) -> np.ndarray:
-    cell, coef, cpow, spow = small_d_terms(l)
-    dim = 2 * l + 1
-    out = np.empty((len(beta), dim, dim))
-    scatter = _small_d_scatter(l)
-    # the (rows, terms) intermediate is dense; bound it to ~30 MB
-    chunk = max(1, 4_000_000 // max(1, len(coef)))
-    for start in range(0, len(beta), chunk):
-        b = beta[start:start + chunk]
-        c = np.cos(0.5 * b)[:, None]
-        s = np.sin(0.5 * b)[:, None]
-        vals = coef[None, :] * c ** cpow[None, :] * s ** spow[None, :]
-        out[start:start + chunk] = (vals @ scatter).reshape(len(b), dim, dim)
-    return out
-
-
-def _legendre_table_numpy(x: np.ndarray, lmax: int) -> np.ndarray:
-    n = len(x)
-    out = np.zeros((n, lmax + 1, lmax + 1))
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros((len(x), lmax + 1, lmax + 1))
     sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     out[:, 0, 0] = 1.0
     for m in range(1, lmax + 1):
@@ -126,64 +31,3 @@ def _legendre_table_numpy(x: np.ndarray, lmax: int) -> np.ndarray:
             out[:, l, m] = ((2 * l - 1) * x * out[:, l - 1, m]
                             - (l + m - 1) * out[:, l - 2, m]) / (l - m)
     return out
-
-
-if numba is not None:
-
-    @njit(cache=True, parallel=True)
-    def _small_d_stack_jit(beta, cell, coef, cpow, spow, dim):  # pragma: no cover
-        n = beta.shape[0]
-        out = np.zeros((n, dim * dim))
-        for i in prange(n):
-            c = np.cos(0.5 * beta[i])
-            s = np.sin(0.5 * beta[i])
-            for t in range(cell.shape[0]):
-                out[i, cell[t]] += coef[t] * c ** cpow[t] * s ** spow[t]
-        return out.reshape(n, dim, dim)
-
-    @njit(cache=True, parallel=True)
-    def _legendre_table_jit(x, lmax):  # pragma: no cover
-        n = x.shape[0]
-        out = np.zeros((n, lmax + 1, lmax + 1))
-        for i in prange(n):
-            xi = x[i]
-            sx = math.sqrt(max(0.0, 1.0 - xi * xi))
-            out[i, 0, 0] = 1.0
-            for m in range(1, lmax + 1):
-                out[i, m, m] = -(2 * m - 1) * sx * out[i, m - 1, m - 1]
-            for m in range(lmax):
-                out[i, m + 1, m] = (2 * m + 1) * xi * out[i, m, m]
-            for m in range(lmax + 1):
-                for l in range(m + 2, lmax + 1):
-                    out[i, l, m] = ((2 * l - 1) * xi * out[i, l - 1, m]
-                                    - (l + m - 1) * out[i, l - 2, m]) / (l - m)
-        return out
-
-    def small_d_stack(l: int, beta: np.ndarray) -> np.ndarray:
-        cell, coef, cpow, spow = small_d_terms(l)
-        beta = np.ascontiguousarray(beta, dtype=np.float64)
-        return _small_d_stack_jit(beta, cell, coef, cpow, spow, 2 * l + 1)
-
-    def legendre_table(x: np.ndarray, lmax: int) -> np.ndarray:
-        return _legendre_table_jit(np.ascontiguousarray(x, dtype=np.float64), lmax)
-
-else:
-
-    def small_d_stack(l: int, beta: np.ndarray) -> np.ndarray:
-        return _small_d_stack_numpy(l, np.asarray(beta, dtype=np.float64))
-
-    def legendre_table(x: np.ndarray, lmax: int) -> np.ndarray:
-        return _legendre_table_numpy(np.asarray(x, dtype=np.float64), lmax)
-
-
-small_d_stack.__doc__ = """Small-d matrices d^l(beta) for an array of beta values.
-
-Returns shape (len(beta), 2l+1, 2l+1) indexed [i, m+l, n+l], evaluated
-from the closed-form sum over k with all factorial arguments kept
-non-negative."""
-
-legendre_table.__doc__ = """Associated Legendre values P_l^m(x) for an array of x.
-
-Returns shape (len(x), lmax+1, lmax+1) with [i, l, m] = P_l^m(x_i) for
-0 <= m <= l (other cells zero).  Includes the (-1)^m Condon-Shortley
-factor; computed by stable upward recurrence."""

@@ -9,6 +9,8 @@ different file families apart.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -49,29 +51,62 @@ def write_blob(path: str, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
 
 
 def read_blob(path: str, expect_kind: str | None = None):
-    """Returns (kind, meta, arrays)."""
+    """Returns (kind, meta, arrays).
+
+    Every length, shape and count in the file is checked against the
+    bytes still unread, so a truncated or corrupt file raises
+    IncompatibleFileError instead of a parser error.
+    """
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
+        left = os.fstat(fh.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            nonlocal left
+            if n > left:
+                raise IncompatibleFileError(
+                    f"{path}: {what} needs {n} bytes, {left} left")
+            left -= n
+            return fh.read(n)
+
+        def u32(what: str) -> int:
+            return struct.unpack("<I", take(4, what))[0]
+
+        if left < len(MAGIC) or take(len(MAGIC), "magic") != MAGIC:
             raise IncompatibleFileError(f"{path}: not a recognized container")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        version = u32("format version")
         if version != FORMAT_VERSION:
             raise IncompatibleFileError(
                 f"{path}: format version {version}, expected {FORMAT_VERSION}")
-        meta = json.loads(fh.read(header_len))
+        header = take(u32("header length"), "header")
+        try:
+            meta = json.loads(header)
+        except ValueError as exc:
+            raise IncompatibleFileError(f"{path}: corrupt header: {exc}") from None
+        if not isinstance(meta, dict):
+            raise IncompatibleFileError(f"{path}: header is not an object")
         kind = meta.pop("kind", None)
         if expect_kind is not None and kind != expect_kind:
             raise IncompatibleFileError(
                 f"{path}: kind {kind!r}, expected {expect_kind!r}")
-        (n_arrays,) = struct.unpack("<I", fh.read(4))
         arrays = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode()
-            (dtype_len,) = struct.unpack("<I", fh.read(4))
-            dtype = np.dtype(fh.read(dtype_len).decode())
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            data = np.fromfile(fh, dtype=dtype, count=count)
-            arrays[name] = data.reshape(shape)
+        for _ in range(u32("array count")):
+            name_b = take(u32("name length"), "array name")
+            dtype_b = take(u32("dtype length"), "dtype")
+            try:
+                name = name_b.decode()
+                dtype = np.dtype(dtype_b.decode())
+            except (TypeError, ValueError) as exc:
+                raise IncompatibleFileError(
+                    f"{path}: corrupt array record: {exc}") from None
+            if dtype.hasobject or dtype.itemsize == 0:
+                raise IncompatibleFileError(f"{path}: unsupported dtype {dtype}")
+            ndim = u32("array rank")
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, "array shape"))
+            count = math.prod(shape)
+            if count * dtype.itemsize > left:
+                raise IncompatibleFileError(
+                    f"{path}: array {name!r} of shape {shape} needs "
+                    f"{count * dtype.itemsize} bytes, {left} left")
+            left -= count * dtype.itemsize
+            arrays[name] = np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
         return kind, meta, arrays

@@ -12,7 +12,9 @@ Grids are immutable once constructed and safe to share across threads.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +123,11 @@ class SO3Grid:
     @property
     def size(self) -> int:
         return len(self.rotations)
+
+    @cached_property
+    def content_digest(self) -> bytes:
+        """Digest of the rotation stack, computed once per grid object."""
+        return hashlib.blake2b(self.rotations.tobytes(), digest_size=16).digest()
 
     def with_psi_table(self, bandlimit: int) -> "SO3Grid":
         """Copy of the grid carrying precomputed harmonic vectors."""

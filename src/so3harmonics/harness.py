@@ -32,8 +32,7 @@ from .rotations import (RotationMatrix, matrices_to_zyz, matrix_to_axis_angle,
                         matrix_to_quat, quats_to_matrices,
                         sample_uniform_matrices, zyz_to_matrices)
 from .specconv import (S2FilterBank, backward_head_wigner, backward_trunk,
-                       forward_trunk, head_wigner, init_toy_model, load_model,
-                       save_model)
+                       forward_trunk, head_wigner, init_toy_model, save_model)
 
 DATASET_LAYOUT_VERSION = 1
 
@@ -521,20 +520,14 @@ def save_checkpoint(path: str, model, cfg: RunConfig) -> None:
 
 def load_checkpoint(path: str):
     """Returns (model, RunConfig)."""
-    _, meta, arrays = read_blob(path, expect_kind="checkpoint")
-    if meta.get("layout_version") != specconv.CHECKPOINT_LAYOUT_VERSION:
-        from .binio import IncompatibleFileError
-        raise IncompatibleFileError(f"{path}: unsupported checkpoint layout")
+    meta, arrays = specconv.read_checkpoint(path)
     cfg = RunConfig(**meta["config"])
     if meta.get("head", "wigner") == "wigner":
-        model, _ = load_model(path)
-        return model, cfg
-    spectra = tuple(arrays[f"s2_spectra_{l}"]
-                    for l in range(meta["bandlimit"] + 1))
-    model = SpatialHeadModel(meta["bandlimit"], arrays["mixer"],
-                             S2FilterBank(meta["bandlimit"], spectra),
-                             meta["head"], arrays["head_w"],
-                             meta["nonlin_level"])
+        return specconv.model_from_arrays(meta, arrays), cfg
+    model = SpatialHeadModel(
+        meta["bandlimit"], arrays["mixer"],
+        specconv.s2_bank_from_arrays(meta["bandlimit"], arrays),
+        meta["head"], arrays["head_w"], meta["nonlin_level"])
     return model, cfg
 
 

@@ -4,7 +4,7 @@ Conventions
 -----------
 - Euler angles are ZYZ with ``matrix = Rz(gamma) @ Ry(beta) @ Rz(alpha)``;
   beta in [0, pi], alpha and gamma wrapped to [-pi, pi).  At gimbal lock
-  (beta ~ 0 or pi) the full in-plane angle is folded into alpha and
+  (sin beta < 1e-12) the full in-plane angle is folded into alpha and
   gamma is set to 0.
 - Quaternions are (w, x, y, z) with canonical sign: w >= 0, ties broken
   by the first nonzero component positive.  Canonicalization happens at
@@ -136,16 +136,7 @@ def euler_to_matrix(e: EulerZYZ) -> RotationMatrix:
 
 def matrix_to_euler(r: RotationMatrix) -> EulerZYZ:
     """ZYZ angles of a rotation matrix; gamma = 0 at gimbal lock."""
-    m = r.m
-    zz = np.clip(m[2, 2], -1.0, 1.0)
-    if zz > 1.0 - 1e-12:
-        return EulerZYZ(np.arctan2(m[1, 0], m[0, 0]), 0.0, 0.0)
-    if zz < -1.0 + 1e-12:
-        return EulerZYZ(np.arctan2(m[1, 0], m[1, 1]), np.pi, 0.0)
-    beta = np.arccos(zz)
-    gamma = np.arctan2(m[1, 2], m[0, 2])
-    alpha = np.arctan2(m[2, 1], -m[2, 0])
-    return EulerZYZ(alpha, beta, gamma)
+    return EulerZYZ(*(float(angle) for angle in matrices_to_zyz(r.m)))
 
 
 def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
@@ -256,19 +247,25 @@ def zyz_to_matrices(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> n
 
 
 def matrices_to_zyz(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched inverse of zyz_to_matrices with the gimbal convention."""
-    zz = np.clip(m[..., 2, 2], -1.0, 1.0)
-    beta = np.arccos(zz)
+    """Batched inverse of zyz_to_matrices with the gimbal convention.
+
+    beta = atan2(sin beta, cos beta) with sin beta = |(m02, m12)| keeps
+    full precision next to the poles.  Only where sin beta < 1e-12 does
+    beta snap to the pole and the in-plane angle fold into alpha with
+    gamma = 0.
+    """
+    sin_beta = np.hypot(m[..., 0, 2], m[..., 1, 2])
+    beta = np.arctan2(sin_beta, m[..., 2, 2])
     gamma = np.arctan2(m[..., 1, 2], m[..., 0, 2])
     alpha = np.arctan2(m[..., 2, 1], -m[..., 2, 0])
-    top = zz > 1.0 - 1e-12
-    bot = zz < -1.0 + 1e-12
-    if np.any(top):
-        alpha = np.where(top, np.arctan2(m[..., 1, 0], m[..., 0, 0]), alpha)
-        gamma = np.where(top, 0.0, gamma)
-    if np.any(bot):
-        alpha = np.where(bot, np.arctan2(m[..., 1, 0], m[..., 1, 1]), alpha)
-        gamma = np.where(bot, 0.0, gamma)
+    lock = sin_beta < 1e-12
+    if np.any(lock):
+        top = m[..., 2, 2] > 0
+        in_plane = np.where(top, np.arctan2(m[..., 1, 0], m[..., 0, 0]),
+                            np.arctan2(m[..., 1, 0], m[..., 1, 1]))
+        alpha = np.where(lock, in_plane, alpha)
+        beta = np.where(lock, np.where(top, 0.0, np.pi), beta)
+        gamma = np.where(lock, 0.0, gamma)
     return alpha, beta, gamma
 
 

@@ -40,13 +40,10 @@ def run_property_suite(verbose: bool = True) -> list[str]:
     errs = []
     for i in range(20):
         r1, r2 = rotations.sample_uniform_matrices(i, 2)
-        e1 = rotations.matrix_to_euler(rotations.RotationMatrix(r1))
-        e2 = rotations.matrix_to_euler(rotations.RotationMatrix(r2))
-        e12 = rotations.matrix_to_euler(rotations.RotationMatrix(r1 @ r2))
         for l in range(L + 1):
-            d1 = wigner.wigner_D_real(l, e1).entries
-            d2 = wigner.wigner_D_real(l, e2).entries
-            d12 = wigner.wigner_D_real(l, e12).entries
+            d1 = wigner.wigner_D_real(l, r1).entries
+            d2 = wigner.wigner_D_real(l, r2).entries
+            d12 = wigner.wigner_D_real(l, r1 @ r2).entries
             errs.append(np.max(np.abs(d1 @ d2 - d12)))
             errs.append(np.max(np.abs(d1 @ d1.T - np.eye(2 * l + 1))))
     _check("Wigner block homomorphism + orthogonality", max(errs), 1e-9,
@@ -71,13 +68,12 @@ def run_property_suite(verbose: bool = True) -> list[str]:
     model = specconv.init_toy_model(0, L, in_channels=2, mid_channels=3,
                                     hidden_channels=4, tap_count=8)
     c = harmonics.SphericalCoeffs(L, rng.normal(size=(3, (L + 1) ** 2)))
-    e = rotations.matrix_to_euler(rotations.RotationMatrix(r))
     out0 = specconv.s2_conv(c, model.s2)
     out1 = specconv.s2_conv(wigner.rotate_coeffs(c, r), model.s2)
     err = max(
         float(np.max(np.abs(out1.blocks[l]
                             - np.einsum("mn,cnk->cmk",
-                                        wigner.wigner_D_real(l, e).entries,
+                                        wigner.wigner_D_real(l, r).entries,
                                         out0.blocks[l]))))
         for l in range(L + 1))
     _check("sphere-convolution left equivariance", err, 1e-9, results, verbose)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mapper as mapper_mod
-from .binio import read_blob, write_blob
+from .binio import IncompatibleFileError, read_blob, write_blob
 from .grids import SO3Grid, so3_healpix
 from .harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
                         design_matrix, ridge_solver)
@@ -217,12 +217,16 @@ def so3_conv(x: SO3Coeffs, f: LocalSO3Filter) -> SO3Coeffs:
     return SO3Coeffs(x.bandlimit, tuple(blocks))
 
 
-_nonlin_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_nonlin_cache: dict[tuple[bytes, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _grid_operators(grid: SO3Grid, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sampling matrix A, ridge re-analysis P) for a grid at a band limit."""
-    key = (id(grid.rotations), grid.size, bandlimit)
+    """(sampling matrix A, ridge re-analysis P) for a grid at a band limit.
+
+    Keyed on the grid's rotation content, so a new grid never receives
+    the operators of a freed one that happened to share its address.
+    """
+    key = (grid.content_digest, bandlimit)
     got = _nonlin_cache.get(key)
     if got is None:
         g = grid.with_psi_table(bandlimit)
@@ -526,18 +530,32 @@ def save_model(path: str, model: ToyModel, extra_meta: dict | None = None) -> No
     write_blob(path, "checkpoint", meta, arrays)
 
 
-def load_model(path: str) -> tuple[ToyModel, dict]:
-    kind, meta, arrays = read_blob(path, expect_kind="checkpoint")
+def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a checkpoint file of either head kind."""
+    _, meta, arrays = read_blob(path, expect_kind="checkpoint")
     if meta.get("layout_version") != CHECKPOINT_LAYOUT_VERSION:
-        from .binio import IncompatibleFileError
         raise IncompatibleFileError(f"{path}: unsupported checkpoint layout")
+    return meta, arrays
+
+
+def s2_bank_from_arrays(bandlimit: int, arrays: dict) -> S2FilterBank:
+    """Sphere-convolution filters stored in a checkpoint."""
+    return S2FilterBank(bandlimit, tuple(arrays[f"s2_spectra_{l}"]
+                                         for l in range(bandlimit + 1)))
+
+
+def model_from_arrays(meta: dict, arrays: dict) -> ToyModel:
+    """Wigner-head model from the contents of a checkpoint."""
     bandlimit = meta["bandlimit"]
-    spectra = tuple(arrays[f"s2_spectra_{l}"] for l in range(bandlimit + 1))
-    model = ToyModel(
+    return ToyModel(
         bandlimit=bandlimit,
         mixer=arrays["mixer"],
-        s2=S2FilterBank(bandlimit, spectra),
+        s2=s2_bank_from_arrays(bandlimit, arrays),
         so3=LocalSO3Filter(bandlimit, meta["support_angle"],
                            arrays["so3_taps"], arrays["so3_weights"]),
         nonlin_level=meta["nonlin_level"])
-    return model, meta
+
+
+def load_model(path: str) -> tuple[ToyModel, dict]:
+    meta, arrays = read_checkpoint(path)
+    return model_from_arrays(meta, arrays), meta

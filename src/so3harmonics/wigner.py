@@ -1,4 +1,4 @@
-"""Wigner small-d and D blocks, harmonic rotation vectors, coefficient shift.
+"""Wigner D blocks, harmonic rotation vectors, coefficient shift.
 
 A degree-l block is the (2l+1)-dimensional irreducible representation of
 a rotation acting on harmonic coefficients: rotating a band-limited
@@ -7,8 +7,19 @@ coefficient vector by the block of R.  Blocks compose homomorphically,
 D(R1) D(R2) = D(R1 R2), and are unitary (complex basis) or orthogonal
 (real basis).
 
-Phase convention: for ZYZ angles with matrix Rz(gamma) Ry(beta) Rz(alpha),
-the row-index phase carries the leftmost z-angle,
+Construction: real-basis blocks come straight from the rotation matrix
+by the Ivanic-Ruedenberg recursion (J. Phys. Chem. 100, 6342 (1996);
+erratum 102, 9099 (1998)), vectorized over a stack of matrices.  The
+seed is D^1 = R with rows and columns permuted to the real l = 1 basis
+order (y, z, x) and not transposed, i.e. ``R[:, [1, 2, 0]][:, :, [1, 2, 0]]``;
+each higher degree is a few batched matrix products with D^{l-1} and
+D^1.  No Euler angles are involved, so the blocks are equally accurate
+everywhere on SO(3), gimbal lock included.  Complex blocks and small-d
+matrices are derived views of the real block.
+
+Phase convention (unchanged from the closed-form construction this
+recursion replaces): for ZYZ angles with matrix Rz(gamma) Ry(beta)
+Rz(alpha), the row-index phase carries the leftmost z-angle,
 
     D^l[m, n] = exp(-i m gamma) * dT^l[m, n](beta) * exp(-i n alpha),
 
@@ -28,13 +39,12 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import rotations
-from ._kernels import small_d_stack, small_d_terms
 from .harmonics import SphericalCoeffs, complex_to_real_matrix
-from .rotations import EulerZYZ, RotationMatrix
 
 PSI_LAYOUT_VERSION = 1
 
@@ -90,83 +100,82 @@ class HarmonicVector:
 
 
 # ---------------------------------------------------------------------------
-# small-d and full blocks
+# Real blocks by recursion over the degree
 # ---------------------------------------------------------------------------
 
-def small_d(l: int, m: int, n: int, beta: float) -> float:
-    """d^l_{m,n}(beta) from the closed-form sum over k.
+# Rows per recursion pass in rotations_to_psi: the degree-l temporaries
+# take 3 (2l-1)(2l+1) floats per row, ~3.5 MB per pass at l = 6, so a
+# pass stays cache-sized and a whole-grid pass would not.
+_CHUNK_ROWS = 1024
 
-    The sum is restricted to k with every factorial argument >= 0;
-    factorials switch to log-space above degree 10.
+
+@lru_cache(maxsize=None)
+def _recursion_constants(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constant factors (A, E, s) of the degree-l recursion step, l >= 2.
+
+    D^l = (sum_i A_i D^{l-1} M_i) diag(s) with M_i = sum_k D^1[i, k] E_k,
+    where i, k in {-1, 0, 1} index D^1 and A is stored as the row
+    concatenation [A_-1 A_0 A_1].  A carries the u, v, w numerators of
+    Ivanic & Ruedenberg's P-function combination, E places D^{l-1}'s
+    columns (|m'| < l) and its two edge columns (m' = +-l), and s is the
+    column normalization 1/sqrt(d(m')).
     """
-    if abs(m) > l or abs(n) > l:
-        raise ValueError(f"need |m|,|n| <= l, got l={l}, m={m}, n={n}")
-    d = small_d_stack(l, np.array([float(beta)]))[0]
-    return float(d[m + l, n + l])
+    a, b = 2 * l - 1, 2 * l + 1
+    # column m' of D^{l-1} M_i:  D^1[i, 0] D^{l-1}[:, m']  for |m'| < l,
+    # D^1[i, 1] D^{l-1}[:, l-1] - D^1[i, -1] D^{l-1}[:, 1-l]  for m' = l,
+    # D^1[i, 1] D^{l-1}[:, 1-l] + D^1[i, -1] D^{l-1}[:, l-1]  for m' = -l
+    e = np.zeros((3, a, b))
+    e[1, np.arange(a), np.arange(1, b - 1)] = 1.0
+    e[2, a - 1, b - 1] = e[2, 0, 0] = e[0, a - 1, 0] = 1.0
+    e[0, 0, b - 1] = -1.0
+    coef = np.zeros((b, 3, a))
+
+    def put(m: int, i: int, mu: int, c: float) -> None:
+        if c:
+            coef[m + l, i + 1, mu + l - 1] += c
+
+    for m in range(-l, l + 1):
+        am, zero = abs(m), float(m == 0)
+        u = np.sqrt((l + m) * (l - m))
+        v = 0.5 * np.sqrt((1 + zero) * (l + am - 1) * (l + am)) * (1 - 2 * zero)
+        w = -0.5 * np.sqrt((l - am - 1) * (l - am)) * (1 - zero)
+        put(m, 0, m, u)
+        if m == 0:
+            put(m, 1, 1, v)
+            put(m, -1, -1, v)
+        elif m > 0:
+            put(m, 1, m - 1, v * np.sqrt(1 + (m == 1)))
+            put(m, -1, 1 - m, -v * (m != 1))
+            put(m, 1, m + 1, w)
+            put(m, -1, -m - 1, w)
+        else:
+            put(m, 1, m + 1, v * (m != -1))
+            put(m, -1, -m - 1, v * np.sqrt(1 + (m == -1)))
+            put(m, 1, m - 1, w)
+            put(m, -1, 1 - m, -w)
+    mp = np.arange(-l, l + 1)
+    d = np.where(np.abs(mp) < l, (l + mp) * (l - mp), 2 * l * (2 * l - 1))
+    return coef.reshape(b, 3 * a), e, 1.0 / np.sqrt(d)
 
 
-def small_d_matrix(l: int, beta: float) -> np.ndarray:
-    """Full (2l+1)x(2l+1) small-d matrix indexed [m+l, n+l]."""
-    small_d_terms(l)  # validates l <= 20
-    return small_d_stack(l, np.array([float(beta)]))[0]
-
-
-def wigner_D_complex(l: int, e: EulerZYZ) -> WignerBlock:
-    """Unitary degree-l block of the rotation with ZYZ angles e."""
-    ms = np.arange(-l, l + 1)
-    d_t = small_d_matrix(l, e.beta).T
-    entries = (np.exp(-1j * ms * e.gamma)[:, None] * d_t
-               * np.exp(-1j * ms * e.alpha)[None, :])
-    return WignerBlock(l, entries, "complex")
-
-
-def wigner_D_real(l: int, e: EulerZYZ) -> WignerBlock:
-    """Orthogonal degree-l block in the real harmonic basis.
-
-    Conjugation of the complex block by the coefficient basis change:
-    D_real = U_l D_complex U_l^dagger.
-    """
-    u = complex_to_real_matrix(l)
-    d = wigner_D_complex(l, e).entries
-    dr = u @ d @ u.conj().T
-    resid = float(np.max(np.abs(dr.imag)))
-    if resid > 1e-10:
-        raise AssertionError(f"real-basis block has imaginary residue {resid}")
-    return WignerBlock(l, np.ascontiguousarray(dr.real), "real")
-
-
-def _euler_of(r) -> EulerZYZ:
-    if isinstance(r, EulerZYZ):
-        return r
-    if isinstance(r, RotationMatrix):
-        return rotations.matrix_to_euler(r)
-    return rotations.matrix_to_euler(RotationMatrix(np.asarray(r, dtype=float)))
-
-
-def wigner_block_stacks_real(matrices: np.ndarray, bandlimit: int,
-                             chunk: int = 65536) -> list[np.ndarray]:
+def wigner_block_stacks_real(matrices: np.ndarray, bandlimit: int) -> list[np.ndarray]:
     """Real-basis blocks for a stack of rotation matrices.
 
-    Returns one array per degree l, shape (n, 2l+1, 2l+1).  Work is
-    chunked so multi-million-rotation grids stream without a blow-up in
-    temporaries.
+    Returns one array per degree l, shape (n, 2l+1, 2l+1).  Temporaries
+    grow as n * 3 (2l-1)(2l+1); ``rotations_to_psi`` feeds large grids
+    through in row chunks.
     """
     matrices = np.asarray(matrices, dtype=float)
-    n = matrices.shape[0]
-    alpha, beta, gamma = rotations.matrices_to_zyz(matrices)
-    out = [np.empty((n, 2 * l + 1, 2 * l + 1)) for l in range(bandlimit + 1)]
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        a, b, g = alpha[sl], beta[sl], gamma[sl]
-        for l in range(bandlimit + 1):
-            ms = np.arange(-l, l + 1)
-            d_t = small_d_stack(l, b).transpose(0, 2, 1)
-            dc = (np.exp(-1j * np.outer(g, ms))[:, :, None] * d_t
-                  * np.exp(-1j * np.outer(a, ms))[:, None, :])
-            u = complex_to_real_matrix(l)
-            out[l][sl] = np.einsum("mi,cij,jn->cmn", u, dc, u.conj().T,
-                                   optimize=True).real
-    return out
+    n = len(matrices)
+    d1 = matrices[:, [1, 2, 0]][:, :, [1, 2, 0]]
+    blocks = [np.ones((n, 1, 1)), d1][:bandlimit + 1]
+    for l in range(2, bandlimit + 1):
+        coef, e, s = _recursion_constants(l)
+        a, b = 2 * l - 1, 2 * l + 1
+        m = (d1.reshape(3 * n, 3) @ e.reshape(3, a * b)).reshape(n, 3, a, b)
+        x = (blocks[-1][:, None] @ m).reshape(n, 3 * a, b)
+        blocks.append((coef @ x) * s)
+    return blocks
 
 
 def rotations_to_psi(matrices: np.ndarray, bandlimit: int) -> np.ndarray:
@@ -175,19 +184,64 @@ def rotations_to_psi(matrices: np.ndarray, bandlimit: int) -> np.ndarray:
     squeeze = matrices.ndim == 2
     if squeeze:
         matrices = matrices[None]
-    blocks = wigner_block_stacks_real(matrices, bandlimit)
-    flat = np.concatenate([b.reshape(b.shape[0], -1) for b in blocks], axis=1)
+    n = len(matrices)
+    flat = np.empty((n, m_total(bandlimit)))
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = matrices[start:start + _CHUNK_ROWS]
+        blocks = wigner_block_stacks_real(rows, bandlimit)
+        flat[start:start + len(rows)] = np.concatenate(
+            [b.reshape(len(rows), -1) for b in blocks], axis=1)
     return flat[0] if squeeze else flat
 
 
+# ---------------------------------------------------------------------------
+# Views of single rotations: full blocks, complex blocks, small-d
+# ---------------------------------------------------------------------------
+
+def _matrix_of(r) -> np.ndarray:
+    """3x3 array for a raw matrix or any rotation value in ``rotations``."""
+    if isinstance(r, (np.ndarray, list, tuple)):
+        return np.asarray(r, dtype=float)
+    return rotations.as_matrix(r).m
+
+
+def _real_to_complex_block(l: int, d: np.ndarray) -> np.ndarray:
+    """U_l^dagger D_real U_l, the block acting on complex coefficients."""
+    u = complex_to_real_matrix(l)
+    return u.conj().T @ d @ u
+
+
+def wigner_D_real(l: int, r) -> WignerBlock:
+    """Orthogonal degree-l block in the real harmonic basis."""
+    d = wigner_block_stacks_real(_matrix_of(r)[None], l)[l][0]
+    return WignerBlock(l, d, "real")
+
+
+def wigner_D_complex(l: int, r) -> WignerBlock:
+    """Unitary degree-l block: D_complex = U_l^dagger D_real U_l."""
+    return WignerBlock(
+        l, _real_to_complex_block(l, wigner_D_real(l, r).entries), "complex")
+
+
+def small_d_matrix(l: int, beta: float) -> np.ndarray:
+    """Full (2l+1)x(2l+1) small-d matrix indexed [m+l, n+l].
+
+    The complex block of Ry(beta) is its transpose.
+    """
+    d = wigner_D_complex(l, rotations.rot_y(beta)).entries
+    return np.ascontiguousarray(d.real.T)
+
+
+def small_d(l: int, m: int, n: int, beta: float) -> float:
+    """d^l_{m,n}(beta)."""
+    if abs(m) > l or abs(n) > l:
+        raise ValueError(f"need |m|,|n| <= l, got l={l}, m={m}, n={n}")
+    return float(small_d_matrix(l, beta)[m + l, n + l])
+
+
 def rotation_to_psi(r, bandlimit: int) -> HarmonicVector:
-    """Harmonic vector of a single rotation (matrix or ZYZ angles)."""
-    if isinstance(r, EulerZYZ):
-        blocks = [wigner_D_real(l, r).entries for l in range(bandlimit + 1)]
-        return HarmonicVector(
-            bandlimit, np.concatenate([b.ravel() for b in blocks]))
-    m = r.m if isinstance(r, RotationMatrix) else np.asarray(r, dtype=float)
-    return HarmonicVector(bandlimit, rotations_to_psi(m, bandlimit))
+    """Harmonic vector of a single rotation (matrix, angles, quaternion...)."""
+    return HarmonicVector(bandlimit, rotations_to_psi(_matrix_of(r), bandlimit))
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +255,12 @@ def rotate_coeffs(coeffs: SphericalCoeffs, r) -> SphericalCoeffs:
     input signal pulled back through r^-1.  The Wigner basis follows the
     coefficient basis.
     """
-    e = _euler_of(r)
+    blocks = wigner_block_stacks_real(_matrix_of(r)[None], coeffs.bandlimit)
     out = np.empty_like(coeffs.data)
-    for l in range(coeffs.bandlimit + 1):
+    for l, d in enumerate(blocks):
+        d = d[0]
         if coeffs.basis == "complex":
-            d = wigner_D_complex(l, e).entries
-        else:
-            d = wigner_D_real(l, e).entries
+            d = _real_to_complex_block(l, d)
         out[:, l * l:(l + 1) ** 2] = coeffs.block(l) @ d.T
     return SphericalCoeffs(coeffs.bandlimit, out, coeffs.basis)
 

@@ -39,11 +39,10 @@ def test_criterion_01_wigner_correctness():
     worst_eye = 0.0
     worst_orth = 0.0
     betas = rng.uniform(0, np.pi, 1000)
-    from so3harmonics._kernels import small_d_stack
     for l in range(7):
-        d0 = small_d_stack(l, np.array([0.0]))[0]
+        d0 = wigner.small_d_matrix(l, 0.0)
         worst_eye = max(worst_eye, float(np.max(np.abs(d0 - np.eye(2 * l + 1)))))
-        ds = small_d_stack(l, betas)
+        ds = np.array([wigner.small_d_matrix(l, b) for b in betas])
         eye = np.einsum("nij,nkj->nik", ds, ds)
         worst_orth = max(worst_orth, float(np.max(np.abs(eye - np.eye(2 * l + 1)))))
 

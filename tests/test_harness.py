@@ -179,6 +179,21 @@ class TestCheckpointIO:
         rep2 = evaluate(back, spherical_ds, cfg2)["metrics"]
         assert rep1 == rep2
 
+    def test_checkpoint_file_is_read_once(self, tmp_path, spherical_ds,
+                                          monkeypatch):
+        from so3harmonics import specconv
+        cfg = fast_cfg(epochs=1)
+        model, _ = train(cfg, spherical_ds)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, model, cfg)
+        reads = []
+        real = specconv.read_blob
+        monkeypatch.setattr(specconv, "read_blob",
+                            lambda *a, **k: reads.append(a) or real(*a, **k))
+        back, _ = load_checkpoint(path)
+        assert len(reads) == 1
+        assert np.array_equal(back.so3.weights, model.so3.weights)
+
     def test_incompatible_file_rejected(self, tmp_path, spherical_ds):
         from so3harmonics.binio import IncompatibleFileError
         path = str(tmp_path / "ds.bin")

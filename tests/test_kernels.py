@@ -1,11 +1,11 @@
-"""Backend equivalence and oracle checks for the numeric kernels."""
+"""Oracle checks for the numeric kernels."""
 
 import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from so3harmonics._kernels import (_legendre_table_numpy, _small_d_stack_numpy,
-                                   legendre_table, small_d_stack, small_d_terms)
+from so3harmonics._kernels import legendre_table
+from so3harmonics.wigner import small_d_matrix
 
 
 class TestLegendreTable:
@@ -26,35 +26,9 @@ class TestLegendreTable:
             for m in range(1, l + 1):
                 assert table[:, l, m] == pytest.approx([0.0, 0.0])
 
-    def test_active_backend_matches_numpy_path(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(-1, 1, 200)
-        assert np.allclose(legendre_table(x, 10), _legendre_table_numpy(x, 10),
-                           atol=1e-13)
-
 
 class TestSmallDStack:
     def test_identity_at_beta_zero(self):
         for l in range(7):
-            d = small_d_stack(l, np.array([0.0]))[0]
+            d = small_d_matrix(l, 0.0)
             assert np.allclose(d, np.eye(2 * l + 1), atol=1e-14)
-
-    def test_active_backend_matches_numpy_path(self):
-        rng = np.random.default_rng(2)
-        beta = rng.uniform(0, np.pi, 100)
-        for l in (1, 3, 6):
-            assert np.allclose(small_d_stack(l, beta),
-                               _small_d_stack_numpy(l, beta), atol=1e-12)
-
-    def test_log_space_matches_exact_at_degree_boundary(self):
-        # degree 10 uses exact integer factorials; degree 11+ switches to
-        # lgamma.  Orthogonality at high degree validates the log path.
-        beta = np.array([0.7, 2.1])
-        d = small_d_stack(12, beta)
-        for i in range(2):
-            err = np.max(np.abs(d[i] @ d[i].T - np.eye(25)))
-            assert err < 1e-10
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            small_d_terms(21)

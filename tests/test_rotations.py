@@ -11,10 +11,11 @@ from so3harmonics.rotations import (AxisAngle, EulerZYZ, RotationMatrix,
                                     UnitQuaternion, axis_angle_to_matrix,
                                     euler_to_matrix, geodesic_distance,
                                     geodesic_distances, matrix_to_axis_angle,
-                                    matrix_to_euler, matrix_to_quat,
-                                    quat_to_matrix, rot_y, rot_z,
-                                    rotation_from_json, rotation_to_json,
-                                    sample_uniform, sample_uniform_matrices)
+                                    matrices_to_zyz, matrix_to_euler,
+                                    matrix_to_quat, quat_to_matrix, rot_y,
+                                    rot_z, rotation_from_json,
+                                    rotation_to_json, sample_uniform,
+                                    sample_uniform_matrices, zyz_to_matrices)
 
 
 class TestEulerMatrix:
@@ -83,6 +84,18 @@ class TestMatrixToEuler:
             r = RotationMatrix(m)
             back = euler_to_matrix(matrix_to_euler(r)).m
             assert np.max(np.abs(back - m)) < 1e-9
+
+    def test_round_trip_near_both_poles(self):
+        rng = np.random.default_rng(43)
+        offset = np.logspace(-13, -3, 200)
+        for beta in (offset, np.pi - offset):
+            alpha, gamma = rng.uniform(-np.pi, np.pi, (2, len(beta)))
+            mats = zyz_to_matrices(alpha, beta, gamma)
+            back = zyz_to_matrices(*matrices_to_zyz(mats))
+            assert np.max(np.abs(back - mats)) <= 1e-12
+            for m in mats:
+                single = euler_to_matrix(matrix_to_euler(RotationMatrix(m))).m
+                assert np.max(np.abs(single - m)) <= 1e-12
 
 
 class TestQuaternionAndAxisAngle:

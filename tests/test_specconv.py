@@ -126,6 +126,17 @@ class TestNonlinearity:
         out = so3_nonlinearity(x, default_nonlin_grid(2))
         assert np.max(np.abs(out.flatten())) < 1e-12
 
+    def test_freed_grids_never_share_operators(self):
+        # a freed grid's rotation array can leave its address to the next
+        # grid of the same size; each grid must still get its own sampling
+        from so3harmonics.specconv import _grid_operators
+        stacks = [grids.so3_random(seed, 300).rotations for seed in range(8)]
+        expect = [wigner.rotations_to_psi(m, 2) for m in stacks]
+        for i, mats in enumerate(stacks):
+            grid = grids.SO3Grid("random", mats.copy(), 1.0)
+            assert np.array_equal(_grid_operators(grid, 2)[0], expect[i]), i
+            del grid
+
     def test_approximate_equivariance(self):
         rng = np.random.default_rng(5)
         grid = default_nonlin_grid(2)

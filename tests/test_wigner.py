@@ -1,5 +1,7 @@
 """Wigner blocks, harmonic vectors, and the coefficient shift law."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,27 @@ class TestSmallD:
                 d = small_d_matrix(l, beta)
                 err = np.max(np.abs(d @ d.T - np.eye(2 * l + 1)))
                 assert err < 1e-10
+
+    def test_matches_closed_form_sum(self):
+        # Wigner's factorial sum over k, every factorial argument >= 0
+        def closed_form(l, m, n, beta):
+            c, s = np.cos(beta / 2), np.sin(beta / 2)
+            pre = math.sqrt(math.factorial(l + m) * math.factorial(l - m)
+                            * math.factorial(l + n) * math.factorial(l - n))
+            return sum(
+                (-1) ** k * pre
+                / (math.factorial(l - m - k) * math.factorial(l + n - k)
+                   * math.factorial(k) * math.factorial(k + m - n))
+                * c ** (2 * l - 2 * k + n - m) * s ** (2 * k + m - n)
+                for k in range(max(0, n - m), min(l - m, l + n) + 1))
+
+        for beta in (0.0, 0.4, 1.3, 2.9, np.pi):
+            for l in range(7):
+                d = small_d_matrix(l, beta)
+                for m in range(-l, l + 1):
+                    for n in range(-l, l + 1):
+                        assert d[m + l, n + l] == pytest.approx(
+                            closed_form(l, m, n, beta), abs=1e-12), (l, m, n)
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
@@ -98,6 +121,40 @@ class TestWignerBlocks:
                 d = wigner_D_real(l, e).entries
                 d_inv = wigner_D_real(l, e_inv).entries
                 assert np.max(np.abs(d_inv - d.T)) < 1e-10
+
+
+def near_pole_matrices(seed, n):
+    """Rotations within 1e-12..1e-3 rad of beta = 0 and of beta = pi."""
+    rng = np.random.default_rng(seed)
+    offset = np.logspace(-12, -3, n)
+    beta = np.concatenate([offset, np.pi - offset])
+    alpha, gamma = rng.uniform(-np.pi, np.pi, (2, 2 * n))
+    return rotations.zyz_to_matrices(alpha, beta, gamma)
+
+
+class TestRecursionAccuracy:
+    def test_homomorphism_near_both_poles(self):
+        near = near_pole_matrices(14, 60)
+        other = sample_uniform_matrices(14, len(near))
+        for m1, m2 in ((near, other), (other, near), (near, near[::-1])):
+            b1 = wigner.wigner_block_stacks_real(m1, 6)
+            b2 = wigner.wigner_block_stacks_real(m2, 6)
+            b12 = wigner.wigner_block_stacks_real(m1 @ m2, 6)
+            for l in range(7):
+                assert np.max(np.abs(b1[l] @ b2[l] - b12[l])) <= 1e-12, l
+
+    def test_orthogonality_every_degree_to_20(self):
+        mats = np.concatenate([sample_uniform_matrices(15, 100),
+                               near_pole_matrices(15, 20)])
+        blocks = wigner.wigner_block_stacks_real(mats, 20)
+        for l, d in enumerate(blocks):
+            eye = d @ d.transpose(0, 2, 1)
+            assert np.max(np.abs(eye - np.eye(2 * l + 1))) <= 1e-12, l
+
+    def test_degree_one_is_the_permuted_matrix(self):
+        mats = sample_uniform_matrices(16, 5)
+        d1 = wigner.wigner_block_stacks_real(mats, 1)[1]
+        assert np.array_equal(d1, mats[:, [1, 2, 0]][:, :, [1, 2, 0]])
 
 
 class TestHarmonicVector:
