@@ -23,6 +23,17 @@ class IncompatibleFileError(ValueError):
     """File magic, version, or kind does not match what the reader expects."""
 
 
+class _Fields(dict):
+    """Header or array map whose missing keys raise the typed error."""
+
+    def __init__(self, path: str, items):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key):
+        raise IncompatibleFileError(f"{self.path}: missing field {key!r}")
+
+
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
@@ -37,7 +48,7 @@ def write_blob(path: str, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
         fh.write(header_bytes)
         fh.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
+            arr = np.asarray(arrays[name], order="C")  # keeps 0-d arrays 0-d
             dtype = arr.dtype.newbyteorder("<")
             name_b = name.encode()
             dtype_b = dtype.str.encode()
@@ -55,7 +66,8 @@ def read_blob(path: str, expect_kind: str | None = None):
 
     Every length, shape and count in the file is checked against the
     bytes still unread, so a truncated or corrupt file raises
-    IncompatibleFileError instead of a parser error.
+    IncompatibleFileError instead of a parser error.  Looking up a field
+    the file lacks in ``meta`` or ``arrays`` raises it too.
     """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
@@ -109,4 +121,4 @@ def read_blob(path: str, expect_kind: str | None = None):
                     f"{count * dtype.itemsize} bytes, {left} left")
             left -= count * dtype.itemsize
             arrays[name] = np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
-        return kind, meta, arrays
+        return kind, _Fields(path, meta), _Fields(path, arrays)

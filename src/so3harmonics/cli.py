@@ -101,16 +101,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grids(args) -> int:
-    if args.kind == "healpix_hopf":
-        g = grids.so3_healpix(args.level, allow_large=args.allow_large)
-    elif args.kind == "random":
-        g = grids.so3_random(args.data_seed or 0,
-                             args.count or grids.so3_healpix_count(args.level))
-    elif args.kind == "super_fibonacci":
-        g = grids.so3_super_fibonacci(
-            args.count or grids.so3_healpix_count(args.level))
-    else:
-        raise SystemExit(f"unknown grid kind {args.kind!r}")
+    g = grids.so3_grid(args.kind, args.level, args.count, args.data_seed or 0,
+                       args.allow_large)
     if args.bandlimit:
         g = g.with_psi_table(args.bandlimit)
     grids.save_grid(args.out, g)

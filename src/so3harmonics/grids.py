@@ -12,13 +12,13 @@ Grids are immutable once constructed and safe to share across threads.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import rotations, wigner
+from ._cache import digest
 from .binio import read_blob, write_blob
 from .harmonics import PointSet
 
@@ -127,7 +127,7 @@ class SO3Grid:
     @cached_property
     def content_digest(self) -> bytes:
         """Digest of the rotation stack, computed once per grid object."""
-        return hashlib.blake2b(self.rotations.tobytes(), digest_size=16).digest()
+        return digest(self.rotations)
 
     def with_psi_table(self, bandlimit: int) -> "SO3Grid":
         """Copy of the grid carrying precomputed harmonic vectors."""
@@ -168,6 +168,20 @@ def so3_healpix(level: int, allow_large: bool = False) -> SO3Grid:
     mats = rotations.zyz_to_matrices(alpha, beta, gamma)
     return SO3Grid(kind="healpix_hopf", rotations=mats,
                    nominal_resolution_deg=60.0 / nside, level=level)
+
+
+def so3_grid(kind: str, level: int, count: int | None = None, seed: int = 0,
+             allow_large: bool = False) -> SO3Grid:
+    """SO(3) grid by kind name; ``count`` (default: the HEALPix count at
+    ``level``) sizes a random or super-Fibonacci grid."""
+    if kind == "healpix_hopf":
+        return so3_healpix(level, allow_large)
+    n = count or so3_healpix_count(level)
+    if kind == "random":
+        return so3_random(seed, n)
+    if kind == "super_fibonacci":
+        return so3_super_fibonacci(n)
+    raise ValueError(f"unknown grid kind {kind!r}")
 
 
 def _equivalent_resolution_deg(n: int) -> float:

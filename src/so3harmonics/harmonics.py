@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._cache import LRUCache, digest
 from ._kernels import legendre_table
 
 RIDGE_LAMBDA = 1e-8
@@ -72,8 +73,10 @@ class PointSet:
     def take(self, indices: np.ndarray) -> "PointSet":
         return PointSet(self.theta[indices], self.phi[indices])
 
-    def cache_token(self) -> bytes:
-        return self.theta.tobytes() + self.phi.tobytes()
+    @cached_property
+    def content_digest(self) -> bytes:
+        """Digest of the point angles, computed once per point set."""
+        return digest(self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -215,15 +218,17 @@ def complex_to_real_matrix(l: int) -> np.ndarray:
 # Design matrices / analysis / synthesis
 # ---------------------------------------------------------------------------
 
-_design_cache: dict[tuple, np.ndarray] = {}
+design_cache = LRUCache(64)
+analysis_cache = LRUCache(64)
 
 
 def design_matrix(grid: PointSet, bandlimit: int, basis: str = "real") -> np.ndarray:
     """Evaluation matrix A with A[i, (l,m)] = Y_lm(x_i)."""
-    key = (hash(grid.cache_token()), grid.size, bandlimit, basis)
-    cached = _design_cache.get(key)
-    if cached is not None:
-        return cached
+    return design_cache.get((grid.content_digest, bandlimit, basis),
+                            lambda: _build_design(grid, bandlimit, basis))
+
+
+def _build_design(grid: PointSet, bandlimit: int, basis: str) -> np.ndarray:
     p = grid.size
     table = legendre_table(np.cos(grid.theta), bandlimit)
     out = np.zeros((p, n_coeffs(bandlimit)),
@@ -247,9 +252,6 @@ def design_matrix(grid: PointSet, bandlimit: int, basis: str = "real") -> np.nda
                     out[:, base + l + m] = sqrt2 * sign * norm * plm * np.cos(m * grid.phi)
                     out[:, base + l - m] = sqrt2 * sign * norm * plm * np.sin(m * grid.phi)
     out.flags.writeable = False
-    if len(_design_cache) > 64:
-        _design_cache.clear()
-    _design_cache[key] = out
     return out
 
 
@@ -268,6 +270,16 @@ def ridge_solver(a: np.ndarray, ridge: float = RIDGE_LAMBDA,
     return (vh.conj().T * filt) @ u.conj().T
 
 
+def analysis_matrix(grid: PointSet, bandlimit: int,
+                    basis: str = "real") -> np.ndarray:
+    """Ridge inverse G of the design matrix: coeffs = values @ G.T."""
+    def build() -> np.ndarray:
+        g = ridge_solver(design_matrix(grid, bandlimit, basis))
+        g.flags.writeable = False
+        return g
+    return analysis_cache.get((grid.content_digest, bandlimit, basis), build)
+
+
 def analyze(signal: SphericalSignal, bandlimit: int,
             basis: str = "real") -> SphericalCoeffs:
     """Least-squares harmonic coefficients of a sampled signal.
@@ -276,9 +288,7 @@ def analyze(signal: SphericalSignal, bandlimit: int,
     where the design matrix has full column rank; on underdetermined
     grids it returns the minimum-norm ridge solution.
     """
-    a = design_matrix(signal.grid, bandlimit, basis)
-    g = ridge_solver(a)
-    coeffs = signal.values @ g.T
+    coeffs = signal.values @ analysis_matrix(signal.grid, bandlimit, basis).T
     return SphericalCoeffs(bandlimit, coeffs, basis)
 
 

@@ -23,14 +23,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__, estimation, grids, harmonics, mapper, specconv, wigner
+from ._cache import LRUCache
 from .binio import read_blob, write_blob
 from .estimation import LossConfig
 from .grids import SO3Grid
 from .harmonics import PointSet, SphericalCoeffs
 from .mapper import MapperConfig
-from .rotations import (RotationMatrix, matrices_to_zyz, matrix_to_axis_angle,
-                        matrix_to_quat, quats_to_matrices,
-                        sample_uniform_matrices, zyz_to_matrices)
+from .rotations import (RotationMatrix, axis_angles_to_matrices,
+                        matrices_to_zyz, matrix_to_axis_angle, matrix_to_quat,
+                        quats_to_matrices, sample_uniform_matrices,
+                        zyz_to_matrices)
 from .specconv import (S2FilterBank, backward_head_wigner, backward_trunk,
                        forward_trunk, head_wigner, init_toy_model, save_model)
 
@@ -286,16 +288,12 @@ def params_to_matrices(params: np.ndarray, head_kind: str) -> np.ndarray:
         norms[bad] = 1.0
         return quats_to_matrices(q / norms)
     if head_kind == "axis_angle":
-        for i in range(n):
-            axis = params[i, :3]
-            norm = np.linalg.norm(axis)
-            axis = axis / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
-            ang = float(np.clip(params[i, 3], 0.0, np.pi))
-            c, s = np.cos(ang), np.sin(ang)
-            ux = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
-                           [-axis[1], axis[0], 0]])
-            out[i] = c * np.eye(3) + s * ux + (1 - c) * np.outer(axis, axis)
-        return out
+        axes = params[:, :3]
+        # a stacked matmul rounds each squared norm like np.linalg.norm
+        norms = np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
+        ok = norms > 1e-12
+        axes = np.where(ok, axes / np.where(ok, norms, 1.0), [0.0, 0.0, 1.0])
+        return axis_angles_to_matrices(axes, np.clip(params[:, 3], 0.0, np.pi))
     if head_kind == "rotmat":
         for i in range(n):
             u, _, vt = np.linalg.svd(params[i].reshape(3, 3))
@@ -311,17 +309,11 @@ def params_to_matrices(params: np.ndarray, head_kind: str) -> np.ndarray:
 
 def _forward_batch(model, ds: SyntheticDataset, idx: np.ndarray,
                    cfg: RunConfig, mode: str, seed: int):
-    values = ds.subset_inputs(idx)
-    if ds.kind == "spherical":
-        hidden, state = forward_trunk(model, "spherical", values,
-                                      grid=ds.grid, mode=mode, seed=seed)
-    else:
-        mcfg = MapperConfig(grids.healpix_s2(cfg.mapper_level, "hemisphere"),
-                            cfg.dropout_fraction, cfg.edge_decay,
-                            cfg.sample_count)
-        hidden, state = forward_trunk(model, "image", values, cfg=mcfg,
-                                      mode=mode, seed=seed)
-    return hidden, state
+    mcfg = None if ds.kind == "spherical" else MapperConfig(
+        grids.healpix_s2(cfg.mapper_level, "hemisphere"),
+        cfg.dropout_fraction, cfg.edge_decay, cfg.sample_count)
+    return forward_trunk(model, ds.kind, ds.subset_inputs(idx), grid=ds.grid,
+                         cfg=mcfg, mode=mode, seed=seed)
 
 
 def _wigner_batch_loss(psis: np.ndarray, gt_mats: np.ndarray,
@@ -429,27 +421,18 @@ def train(cfg: RunConfig, ds: SyntheticDataset):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_infer_grid_cache: dict[tuple, SO3Grid] = {}
+inference_grid_cache = LRUCache(6)
 
 
 def inference_grid(level: int, bandlimit: int, kind: str = "healpix_hopf",
                    count: int | None = None, seed: int = 0) -> SO3Grid:
-    key = (kind, level, bandlimit, count, seed)
-    got = _infer_grid_cache.get(key)
-    if got is None:
-        if kind == "healpix_hopf":
-            g = grids.so3_healpix(level)
-        elif kind == "random":
-            g = grids.so3_random(seed, count or grids.so3_healpix_count(level))
-        elif kind == "super_fibonacci":
-            g = grids.so3_super_fibonacci(count or grids.so3_healpix_count(level))
-        else:
-            raise ValueError(f"unknown grid kind {kind!r}")
-        got = g.with_psi_table(bandlimit)
-        if len(_infer_grid_cache) > 6:
-            _infer_grid_cache.clear()
-        _infer_grid_cache[key] = got
-    return got
+    """``grids.so3_grid`` carrying its psi table at ``bandlimit``."""
+    n = count or grids.so3_healpix_count(level)
+    # only the parameters the grid kind uses enter the key
+    key = {"healpix_hopf": (level,), "random": (n, seed)}.get(kind, (n,))
+    def build() -> SO3Grid:
+        return grids.so3_grid(kind, level, count, seed).with_psi_table(bandlimit)
+    return inference_grid_cache.get((kind, bandlimit, *key), build)
 
 
 def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
@@ -504,18 +487,13 @@ def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: str, model, cfg: RunConfig) -> None:
+    config = json.loads(cfg.to_json())
     if isinstance(model, SpatialHeadModel):
-        meta = {"layout_version": specconv.CHECKPOINT_LAYOUT_VERSION,
-                "bandlimit": model.bandlimit, "head": model.head_kind,
-                "nonlin_level": model.nonlin_level,
-                "config": json.loads(cfg.to_json())}
-        arrays = {"mixer": model.mixer, "head_w": model.head_w}
-        for l, s in enumerate(model.s2.spectra):
-            arrays[f"s2_spectra_{l}"] = s
-        write_blob(path, "checkpoint", meta, arrays)
+        specconv.write_checkpoint(
+            path, model, {"head": model.head_kind, "config": config},
+            {"head_w": model.head_w})
     else:
-        save_model(path, model, {"head": "wigner",
-                                 "config": json.loads(cfg.to_json())})
+        save_model(path, model, {"head": "wigner", "config": config})
 
 
 def load_checkpoint(path: str):

@@ -62,15 +62,6 @@ class MapperConfig:
         return ceil((1.0 - self.dropout_fraction) * self.grid.size)
 
 
-def dropout_mask(grid_size: int, fraction: float, seed: int) -> np.ndarray:
-    """Sorted indices of the ceil((1 - fraction) * grid_size) kept points."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must lie in [0, 1)")
-    keep = ceil((1.0 - fraction) * grid_size)
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.permutation(grid_size)[:keep])
-
-
 def sample_mask(cfg: MapperConfig, seed: int) -> np.ndarray:
     """Kept-vertex indices for one training projection."""
     keep = cfg.kept_count()
@@ -111,24 +102,30 @@ def edge_weights(points_xyz: np.ndarray, edge_decay: str) -> np.ndarray:
     return w
 
 
-def project(f: FeatureMap, cfg: MapperConfig, rng_seed: int = 0,
-            mode: str = "eval") -> SphericalSignal:
-    """Lift a feature map to a spherical signal on the kept grid vertices.
+def lift(cfg: MapperConfig, height: int, width: int, mode: str = "eval",
+         seed: int = 0) -> tuple[PointSet, np.ndarray, np.ndarray]:
+    """Kept points, (p, H*W) bilinear matrix and (p,) edge weights.
 
-    Eval mode keeps all vertices; train mode keeps a seeded random
-    subset.  Vertices cannot project outside the image: the hemisphere
-    is contained in the unit disk.
+    Eval mode keeps all vertices; train mode keeps the seeded subset of
+    ``sample_mask``.  Vertices cannot project outside the image: the
+    hemisphere is contained in the unit disk.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval': {mode!r}")
     if mode == "train":
-        kept = sample_mask(cfg, rng_seed)
+        kept = sample_mask(cfg, seed)
     else:
         kept = np.arange(cfg.grid.size)
     pts = cfg.grid.xyz[kept]
+    return (cfg.grid.take(kept), bilinear_matrix(pts[:, :2], height, width),
+            edge_weights(pts, cfg.edge_decay))
+
+
+def project(f: FeatureMap, cfg: MapperConfig, rng_seed: int = 0,
+            mode: str = "eval") -> SphericalSignal:
+    """Lift a feature map to a spherical signal on the kept grid vertices."""
     _, height, width = f.values.shape
-    b = bilinear_matrix(pts[:, :2], height, width)
+    points, b, edge = lift(cfg, height, width, mode, rng_seed)
     values = f.values.reshape(f.channels, -1) @ b.T
-    values *= edge_weights(pts, cfg.edge_decay)[None, :]
-    sub = PointSet(cfg.grid.theta[kept], cfg.grid.phi[kept])
-    return SphericalSignal(sub, values)
+    values *= edge[None, :]
+    return SphericalSignal(points, values)

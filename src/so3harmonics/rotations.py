@@ -181,10 +181,8 @@ def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
 
 def axis_angle_to_matrix(aa: AxisAngle) -> RotationMatrix:
     """Rodrigues' formula."""
-    u = aa.axis
-    c, s = np.cos(aa.angle), np.sin(aa.angle)
-    ux = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
-    return RotationMatrix(c * np.eye(3) + s * ux + (1 - c) * np.outer(u, u))
+    return RotationMatrix(
+        axis_angles_to_matrices(aa.axis[None], np.array([aa.angle]))[0])
 
 
 def matrix_to_axis_angle(r: RotationMatrix) -> AxisAngle:
@@ -226,6 +224,19 @@ def quats_to_matrices(q: np.ndarray) -> np.ndarray:
     m[:, 2, 1] = 2 * (y * z + w * x)
     m[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return m
+
+
+def axis_angles_to_matrices(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Batched Rodrigues' formula for (n, 3) unit axes and (n,) angles:
+    c I + s [u]x + (1 - c) u u^T."""
+    u = np.asarray(axes, dtype=float)
+    c = np.cos(angles)[:, None, None]
+    s = np.sin(angles)[:, None, None]
+    zero = np.zeros(len(u))
+    ux = np.stack([zero, -u[:, 2], u[:, 1],
+                   u[:, 2], zero, -u[:, 0],
+                   -u[:, 1], u[:, 0], zero], axis=1).reshape(-1, 3, 3)
+    return c * np.eye(3) + s * ux + (1 - c) * (u[:, :, None] * u[:, None, :])
 
 
 def zyz_to_matrices(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:

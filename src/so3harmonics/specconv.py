@@ -24,16 +24,18 @@ linear) stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mapper as mapper_mod
+from ._cache import LRUCache
 from .binio import IncompatibleFileError, read_blob, write_blob
-from .grids import SO3Grid, so3_healpix
+from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
 from .harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
-                        design_matrix, ridge_solver)
+                        analysis_matrix, ridge_solver)
 from .mapper import FeatureMap, MapperConfig
+from .rotations import axis_angles_to_matrices
 from .wigner import HarmonicVector, block_offsets, rotations_to_psi
 
 CHECKPOINT_LAYOUT_VERSION = 1
@@ -118,20 +120,15 @@ def local_tap_rotations(count: int, support_angle: float) -> np.ndarray:
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     axes = np.stack([s * np.cos(azim), s * np.sin(azim), z], axis=1)
     angles = support_angle * ((k + 0.5) / count) ** (1.0 / 3.0)
-    mats = np.empty((count, 3, 3))
-    for i in range(count):
-        u = axes[i]
-        c, sn = np.cos(angles[i]), np.sin(angles[i])
-        ux = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
-        mats[i] = c * np.eye(3) + sn * ux + (1 - c) * np.outer(u, u)
-    return mats
+    return axis_angles_to_matrices(axes, angles)
 
 
 @dataclass
 class LocalSO3Filter:
     """Locally supported group filter: weighted taps near the identity.
 
-    Spectral blocks are recombined from the taps' Wigner blocks on every
+    The taps are fixed at construction, which builds their Wigner blocks
+    once.  Spectral blocks are recombined from those blocks on every
     application, so the tap weights stay the learnable parameters (and
     are mutated in place by optimizer steps).
     """
@@ -140,6 +137,12 @@ class LocalSO3Filter:
     support_angle: float
     taps: np.ndarray        # (K, 3, 3) rotations within the support
     weights: np.ndarray     # (C_out, C_in, K)
+    tap_blocks: tuple = field(init=False, repr=False)  # per l (K, 2l+1, 2l+1)
+
+    def __setattr__(self, name, value):
+        if name == "taps" and "tap_blocks" in self.__dict__:
+            raise AttributeError("taps are fixed at construction")
+        super().__setattr__(name, value)
 
     def __post_init__(self):
         taps = np.ascontiguousarray(self.taps, dtype=float)
@@ -150,28 +153,16 @@ class LocalSO3Filter:
             (np.trace(taps, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0))
         if np.any(ang > self.support_angle + 1e-9):
             raise ValueError("tap rotations exceed the filter support angle")
+        taps.flags.writeable = False
         self.taps = taps
         self.weights = weights
+        self.tap_blocks = SO3Coeffs.from_flat(
+            self.bandlimit, rotations_to_psi(taps, self.bandlimit)).blocks
 
     def spectral_blocks(self) -> list[np.ndarray]:
         """Per-degree (C_out, C_in, 2l+1, 2l+1) filter blocks."""
-        stacks = _tap_block_stacks(self.taps, self.bandlimit)
-        return [np.einsum("oik,kmn->oimn", self.weights, d) for d in stacks]
-
-
-_tap_cache: dict[tuple, list[np.ndarray]] = {}
-
-
-def _tap_block_stacks(taps: np.ndarray, bandlimit: int) -> list[np.ndarray]:
-    key = (hash(taps.tobytes()), len(taps), bandlimit)
-    got = _tap_cache.get(key)
-    if got is None:
-        flat = rotations_to_psi(taps, bandlimit)
-        got = SO3Coeffs.from_flat(bandlimit, flat).blocks
-        if len(_tap_cache) > 32:
-            _tap_cache.clear()
-        _tap_cache[key] = list(got)
-    return got
+        return [np.einsum("oik,kmn->oimn", self.weights, d)
+                for d in self.tap_blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +208,9 @@ def so3_conv(x: SO3Coeffs, f: LocalSO3Filter) -> SO3Coeffs:
     return SO3Coeffs(x.bandlimit, tuple(blocks))
 
 
-_nonlin_cache: dict[tuple[bytes, int], tuple[np.ndarray, np.ndarray]] = {}
+nonlin_operator_cache = LRUCache(8)
+# one entry per level so3_healpix builds without allow_large
+nonlin_grid_cache = LRUCache(LARGE_GRID_LEVEL)
 
 
 def _grid_operators(grid: SO3Grid, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,17 +219,10 @@ def _grid_operators(grid: SO3Grid, bandlimit: int) -> tuple[np.ndarray, np.ndarr
     Keyed on the grid's rotation content, so a new grid never receives
     the operators of a freed one that happened to share its address.
     """
-    key = (grid.content_digest, bandlimit)
-    got = _nonlin_cache.get(key)
-    if got is None:
-        g = grid.with_psi_table(bandlimit)
-        a = g.psi_table
-        p = ridge_solver(a)
-        if len(_nonlin_cache) > 8:
-            _nonlin_cache.clear()
-        _nonlin_cache[key] = (a, p)
-        got = (a, p)
-    return got
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        a = grid.with_psi_table(bandlimit).psi_table
+        return a, ridge_solver(a)
+    return nonlin_operator_cache.get((grid.content_digest, bandlimit), build)
 
 
 def so3_nonlinearity(x: SO3Coeffs, grid: SO3Grid) -> SO3Coeffs:
@@ -247,15 +233,8 @@ def so3_nonlinearity(x: SO3Coeffs, grid: SO3Grid) -> SO3Coeffs:
     return SO3Coeffs.from_flat(x.bandlimit, out)
 
 
-_default_nonlin_grids: dict[int, SO3Grid] = {}
-
-
 def default_nonlin_grid(level: int = 2) -> SO3Grid:
-    got = _default_nonlin_grids.get(level)
-    if got is None:
-        got = so3_healpix(level)
-        _default_nonlin_grids[level] = got
-    return got
+    return nonlin_grid_cache.get(level, lambda: so3_healpix(level))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +333,8 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     """Run mixer/lift/analysis/sphere-conv/ReLU; returns hidden (B, C_h, M).
 
     kind 'spherical': values (B, C_in, p) sampled on ``grid``.
-    kind 'image': values (B, C_in, H, W) lifted through ``cfg``.
+    kind 'image': values (B, C_in, H, W) lifted through ``cfg`` in
+    ``mode`` 'train' (seeded point dropout) or 'eval'.
     """
     L = model.bandlimit
     if kind == "spherical":
@@ -373,22 +353,14 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
         if imgs.ndim == 3:
             imgs = imgs[None]
         b, c_in, h, w = imgs.shape
-        if mode == "train":
-            kept = mapper_mod.sample_mask(cfg, seed)
-        else:
-            kept = np.arange(cfg.grid.size)
-        pts = cfg.grid.xyz[kept]
-        bilinear = mapper_mod.bilinear_matrix(pts[:, :2], h, w)
-        edge = mapper_mod.edge_weights(pts, cfg.edge_decay)
+        points, bilinear, edge = mapper_mod.lift(cfg, h, w, mode, seed)
         raw = imgs.reshape(b, c_in, h * w)
         mixed_map = np.einsum("ij,biq->bjq", model.mixer, raw)
         mixed = (mixed_map @ bilinear.T) * edge[None, None, :]
-        points = PointSet(cfg.grid.theta[kept], cfg.grid.phi[kept])
     else:
         raise ValueError(f"unknown input kind: {kind!r}")
 
-    a_design = design_matrix(points, L, "real")
-    g = ridge_solver(a_design)
+    g = analysis_matrix(points, L, "real")
     coeffs = mixed @ g.T
     cblocks = _coeff_blocks(L, coeffs)
     pre = [np.einsum("bim,oin->bomn", cblocks[l], model.s2.spectra[l])
@@ -450,7 +422,7 @@ def backward_head_wigner(model: ToyModel, state: TrunkState,
     L = model.bandlimit
     offs = block_offsets(L)
     hs = model.so3.spectral_blocks()
-    stacks = _tap_block_stacks(model.so3.taps, L)
+    stacks = model.so3.tap_blocks
     d_hidden = np.empty_like(state.hidden_flat)
     d_w = np.zeros_like(model.so3.weights)
     hidden = state.hidden_flat
@@ -469,6 +441,18 @@ def backward_head_wigner(model: ToyModel, state: TrunkState,
 # Single-sample convenience API
 # ---------------------------------------------------------------------------
 
+def _trunk_one(model: ToyModel, f, cfg: MapperConfig | None, mode: str,
+               seed: int) -> tuple[np.ndarray, TrunkState]:
+    """forward_trunk on one feature map or sphere signal."""
+    if isinstance(f, FeatureMap):
+        return forward_trunk(model, "image", f.values[None], cfg=cfg,
+                             mode=mode, seed=seed)
+    if isinstance(f, SphericalSignal):
+        return forward_trunk(model, "spherical", f.values[None], grid=f.grid,
+                             mode=mode, seed=seed)
+    raise TypeError(f"unsupported input type: {type(f)}")
+
+
 def forward(model: ToyModel, f, cfg: MapperConfig | None = None,
             mode: str = "eval", seed: int = 0) -> HarmonicVector:
     """End-to-end prediction for one input (feature map or sphere signal).
@@ -476,14 +460,7 @@ def forward(model: ToyModel, f, cfg: MapperConfig | None = None,
     The output stays in the frequency domain: the final group-signal
     channel is flattened directly into a harmonic vector.
     """
-    if isinstance(f, FeatureMap):
-        hidden, _ = forward_trunk(model, "image", f.values[None], cfg=cfg,
-                                  mode=mode, seed=seed)
-    elif isinstance(f, SphericalSignal):
-        hidden, _ = forward_trunk(model, "spherical", f.values[None],
-                                  grid=f.grid, mode=mode, seed=seed)
-    else:
-        raise TypeError(f"unsupported input type: {type(f)}")
+    hidden, _ = _trunk_one(model, f, cfg, mode, seed)
     psi = head_wigner(model, hidden)[0]
     return HarmonicVector(model.bandlimit, psi)
 
@@ -495,14 +472,7 @@ def backward(model: ToyModel, f, cfg: MapperConfig | None,
     from .estimation import LossConfig, loss_and_grad
     if loss_cfg is None:
         loss_cfg = LossConfig(bandlimit=model.bandlimit)
-    if isinstance(f, FeatureMap):
-        hidden, state = forward_trunk(model, "image", f.values[None], cfg=cfg,
-                                      mode=mode, seed=seed)
-    elif isinstance(f, SphericalSignal):
-        hidden, state = forward_trunk(model, "spherical", f.values[None],
-                                      grid=f.grid, mode=mode, seed=seed)
-    else:
-        raise TypeError(f"unsupported input type: {type(f)}")
+    hidden, state = _trunk_one(model, f, cfg, mode, seed)
     psi = head_wigner(model, hidden)
     value, d_psi = loss_and_grad(psi[0], target.data, loss_cfg)
     d_hidden, d_w = backward_head_wigner(model, state, d_psi[None])
@@ -514,20 +484,27 @@ def backward(model: ToyModel, f, cfg: MapperConfig | None,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def save_model(path: str, model: ToyModel, extra_meta: dict | None = None) -> None:
-    meta = {
-        "layout_version": CHECKPOINT_LAYOUT_VERSION,
-        "bandlimit": model.bandlimit,
-        "support_angle": model.so3.support_angle,
-        "nonlin_level": model.nonlin_level,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    arrays = {"mixer": model.mixer, "so3_taps": model.so3.taps,
-              "so3_weights": model.so3.weights}
+def write_checkpoint(path: str, model, head_meta: dict,
+                     head_arrays: dict[str, np.ndarray]) -> None:
+    """Checkpoint of a trunk (mixer, sphere filters) plus head fields.
+
+    ``model`` is a ToyModel or any model with the same trunk attributes.
+    """
+    meta = {"layout_version": CHECKPOINT_LAYOUT_VERSION,
+            "bandlimit": model.bandlimit,
+            "nonlin_level": model.nonlin_level, **head_meta}
+    arrays = {"mixer": model.mixer, **head_arrays}
     for l, s in enumerate(model.s2.spectra):
         arrays[f"s2_spectra_{l}"] = s
     write_blob(path, "checkpoint", meta, arrays)
+
+
+def save_model(path: str, model: ToyModel, extra_meta: dict | None = None) -> None:
+    write_checkpoint(path, model,
+                     {"support_angle": model.so3.support_angle,
+                      **(extra_meta or {})},
+                     {"so3_taps": model.so3.taps,
+                      "so3_weights": model.so3.weights})
 
 
 def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -1,0 +1,78 @@
+"""The shared LRU cache and the operators cached through it."""
+
+import numpy as np
+import pytest
+
+from so3harmonics import grids, harmonics, harness
+from so3harmonics._cache import LRUCache, digest
+from so3harmonics.mapper import MapperConfig
+from so3harmonics.specconv import forward_trunk, init_toy_model
+
+
+def test_lru_evicts_least_recently_used():
+    cache = LRUCache(3)
+    built = []
+
+    def get(key):
+        def build():
+            built.append(key)
+            return np.zeros(key + 1)
+        return cache.get(key, build)
+
+    for key in range(3):
+        get(key)
+    get(0)                     # 0 is now the most recently used
+    get(3)                     # capacity + 1 keys: evicts 1, the oldest
+    assert len(cache) == 3
+    assert cache.nbytes == 8 * (1 + 3 + 4)
+    get(0)
+    assert (cache.hits, cache.misses) == (2, 4)
+    get(1)
+    assert built == [0, 1, 2, 3, 1]
+    assert (cache.hits, cache.misses) == (2, 5)
+
+
+def test_digest_covers_dtype_and_shape():
+    a = np.arange(6, dtype=np.float64)
+    assert digest(a) == digest(a.copy())
+    assert digest(a) != digest(a.reshape(2, 3))
+    assert digest(a) != digest(a.view(np.int64))
+
+
+def test_second_trunk_pass_reuses_the_analysis(monkeypatch):
+    calls = []
+    solver = harmonics.ridge_solver
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(harmonics, "ridge_solver", counting)
+    rng = np.random.default_rng(11)
+    points = harmonics.PointSet(np.arccos(rng.uniform(-1, 1, 60)),
+                                rng.uniform(0, 2 * np.pi, 60))
+    model = init_toy_model(0, 3, in_channels=2, mid_channels=2,
+                           hidden_channels=2, tap_count=4)
+    values = rng.normal(size=(1, 2, 60))
+    first, _ = forward_trunk(model, "spherical", values, grid=points)
+    after_first = len(calls)
+    assert after_first >= 1
+    again, _ = forward_trunk(model, "spherical", values,
+                             grid=harmonics.PointSet(points.theta.copy(),
+                                                     points.phi.copy()))
+    assert len(calls) == after_first
+    assert np.array_equal(first, again)
+
+
+def test_healpix_inference_grid_ignores_count_and_seed():
+    default = harness.inference_grid(3, 1)
+    assert harness.inference_grid(3, 1, count=36864, seed=99) is default
+
+
+def test_image_trunk_rejects_unknown_mode():
+    model = init_toy_model(0, 2, in_channels=1, mid_channels=2,
+                           hidden_channels=2, tap_count=4)
+    cfg = MapperConfig(grids.healpix_s2(1, "hemisphere"))
+    with pytest.raises(ValueError, match="mode"):
+        forward_trunk(model, "image", np.ones((1, 1, 8, 8)), cfg=cfg,
+                      mode="bogus")

@@ -5,12 +5,19 @@ import pytest
 
 from so3harmonics import grids
 from so3harmonics.harmonics import PointSet, SphericalCoeffs, design_matrix
-from so3harmonics.mapper import (FeatureMap, MapperConfig, dropout_mask,
-                                 project, sample_mask)
+from so3harmonics.mapper import FeatureMap, MapperConfig, project, sample_mask
 
 
 def hemi_cfg(**kw):
     return MapperConfig(grids.healpix_s2(2, "hemisphere"), **kw)
+
+
+def sized_cfg(size, fraction):
+    """Config on the first ``size`` vertices of the level-2 hemisphere."""
+    full = grids.healpix_s2(2, "hemisphere")
+    grid = grids.S2Grid(full.theta[:size], full.phi[:size], level=2,
+                        subset="hemisphere")
+    return MapperConfig(grid, dropout_fraction=fraction)
 
 
 class TestProject:
@@ -63,22 +70,25 @@ class TestProject:
         assert len(sample_mask(cfg, seed=0)) == 20
 
 
-class TestDropoutMask:
+class TestSampleMask:
     def test_zero_fraction_keeps_all(self):
-        assert np.array_equal(dropout_mask(10, 0.0, 0), np.arange(10))
+        assert np.array_equal(sample_mask(sized_cfg(10, 0.0), 0), np.arange(10))
 
     def test_half_of_96(self):
-        assert len(dropout_mask(96, 0.5, 1)) == 48
+        assert len(sample_mask(sized_cfg(96, 0.5), 1)) == 48
 
     def test_ceiling(self):
-        assert len(dropout_mask(10, 0.25, 1)) == 8  # ceil(7.5)
+        cfg = sized_cfg(10, 0.25)
+        assert cfg.kept_count() == 8  # ceil(7.5)
+        assert len(sample_mask(cfg, 1)) == 8
 
     def test_deterministic(self):
-        assert np.array_equal(dropout_mask(50, 0.3, 7), dropout_mask(50, 0.3, 7))
+        cfg = sized_cfg(50, 0.3)
+        assert np.array_equal(sample_mask(cfg, 7), sample_mask(cfg, 7))
 
     def test_fraction_range(self):
         with pytest.raises(ValueError):
-            dropout_mask(10, 1.0, 0)
+            sized_cfg(10, 1.0)
 
 
 class TestInPlaneEquivariance:

@@ -9,6 +9,7 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from so3harmonics import rotations
 from so3harmonics.rotations import (AxisAngle, EulerZYZ, RotationMatrix,
                                     UnitQuaternion, axis_angle_to_matrix,
+                                    axis_angles_to_matrices,
                                     euler_to_matrix, geodesic_distance,
                                     geodesic_distances, matrix_to_axis_angle,
                                     matrices_to_zyz, matrix_to_euler,
@@ -127,6 +128,22 @@ class TestQuaternionAndAxisAngle:
             back = matrix_to_axis_angle(axis_angle_to_matrix(aa))
             assert back.angle == pytest.approx(angle, abs=1e-9)
             assert np.allclose(back.axis, axis, atol=1e-8)
+
+    def test_batched_rodrigues_matches_per_rotation_formula(self):
+        rng = np.random.default_rng(8)
+        angles = np.concatenate([rng.uniform(0, np.pi, 100), [0.0, np.pi]])
+        aas = [AxisAngle(u / np.linalg.norm(u), angle)
+               for u, angle in zip(rng.normal(size=(102, 3)), angles)]
+        batched = axis_angles_to_matrices(np.array([aa.axis for aa in aas]),
+                                          np.array([aa.angle for aa in aas]))
+        for aa, m in zip(aas, batched):
+            u = aa.axis
+            c, s = np.cos(aa.angle), np.sin(aa.angle)
+            ux = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]],
+                           [-u[1], u[0], 0]])
+            expect = c * np.eye(3) + s * ux + (1 - c) * np.outer(u, u)
+            assert np.array_equal(m, expect)
+            assert np.array_equal(axis_angle_to_matrix(aa).m, expect)
 
     def test_zero_angle_convention(self):
         aa = matrix_to_axis_angle(RotationMatrix.identity())

@@ -102,6 +102,12 @@ class TestSO3Conv:
         with pytest.raises(ValueError):
             LocalSO3Filter(L, 0.01, taps, np.ones((1, 1, 32)))
 
+    def test_taps_fixed_at_construction(self, model):
+        with pytest.raises(ValueError):
+            model.so3.taps[0] = np.eye(3)
+        with pytest.raises(AttributeError):
+            model.so3.taps = np.eye(3)[None]
+
 
 class TestNonlinearity:
     def test_nonneg_band_limited_signal_unchanged(self):
