@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,78 +82,95 @@ def _flat(v) -> np.ndarray:
 
 def mse_loss(pred, gt, cfg: LossConfig) -> float:
     """Weighted squared error over all vector entries."""
-    w = cfg.entry_weights()
-    d = _flat(pred) - _flat(gt)
-    return float(np.sum(w * d * d))
+    return loss_and_grad(pred, gt, replace(cfg, kind="mse"))[0]
 
 
 def _regression_loss_and_grad(pred: np.ndarray, gt: np.ndarray,
-                              cfg: LossConfig) -> tuple[float, np.ndarray]:
+                              cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses (B,) and gradients (B, M) of a regression kind."""
     w = cfg.entry_weights()
     d = pred - gt
     if cfg.kind == "mse":
-        return float(np.sum(w * d * d)), 2.0 * w * d
+        return np.sum(w * d * d, axis=-1), 2.0 * w * d
     if cfg.kind == "l1":
-        return float(np.sum(w * np.abs(d))), w * np.sign(d)
+        return np.sum(w * np.abs(d), axis=-1), w * np.sign(d)
     if cfg.kind == "huber":
         delta = cfg.huber_delta
         a = np.abs(d)
         quad = a <= delta
-        val = np.sum(w * np.where(quad, 0.5 * d * d, delta * (a - 0.5 * delta)))
-        return float(val), w * np.where(quad, d, delta * np.sign(d))
+        val = np.sum(w * np.where(quad, 0.5 * d * d, delta * (a - 0.5 * delta)),
+                     axis=-1)
+        return val, w * np.where(quad, d, delta * np.sign(d))
     if cfg.kind == "cosine":
         # weighted cosine distance; scale-free, so magnitude goes unused
-        pn = np.sqrt(np.sum(w * pred * pred))
-        gn = np.sqrt(np.sum(w * gt * gt))
-        if pn < 1e-30:
-            return 1.0, np.zeros_like(pred)
-        dot = np.sum(w * pred * gt)
-        grad = -(w * gt / (pn * gn)) + (dot / (pn ** 3 * gn)) * (w * pred)
-        return float(1.0 - dot / (pn * gn)), grad
+        pn = np.sqrt(np.sum(w * pred * pred, axis=-1, keepdims=True))
+        gn = np.sqrt(np.sum(w * gt * gt, axis=-1, keepdims=True))
+        dot = np.sum(w * pred * gt, axis=-1, keepdims=True)
+        live = pn >= 1e-30
+        pn = np.where(live, pn, 1.0)
+        # libm pow per row: numpy's vectorized power may round differently,
+        # and a row must score the same alone as in a batch
+        pn3 = np.array([[v ** 3] for v in pn[:, 0].tolist()])
+        grad = -(w * gt / (pn * gn)) + (dot / (pn3 * gn)) * (w * pred)
+        return (np.where(live, 1.0 - dot / (pn * gn), 1.0)[:, 0],
+                np.where(live, grad, 0.0))
     raise ValueError(f"not a regression loss: {cfg.kind!r}")
 
 
 def distribution_ce_loss(pred, gt_rotation, grid: SO3Grid,
                          cfg: LossConfig) -> float:
     """Cross-entropy of the grid softmax against the nearest-bin label."""
-    value, _ = _ce_loss_and_grad(_flat(pred), gt_rotation, grid, cfg)
-    return value
+    return loss_and_grad(pred, None, replace(cfg, kind="distribution_ce"),
+                         gt_rotation, grid)[0]
 
 
-def _ce_loss_and_grad(pred: np.ndarray, gt_rotation, grid: SO3Grid,
-                      cfg: LossConfig) -> tuple[float, np.ndarray]:
-    if grid.psi_table is None:
-        raise ValueError("grid needs a precomputed harmonic-vector table")
+def _ce_loss_and_grad(pred: np.ndarray, gt_rotation, grid: SO3Grid | None,
+                      cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cross-entropies (B,) against the nearest-bin labels of
+    ``gt_rotation`` (3, 3) or (B, 3, 3), and their gradients (B, M)."""
+    if grid is None or grid.psi_table is None:
+        raise ValueError(f"{cfg.kind} loss needs a grid with a precomputed "
+                         "harmonic-vector table")
+    if gt_rotation is None:
+        raise ValueError(f"{cfg.kind} loss needs the ground-truth rotation")
     m = gt_rotation.m if isinstance(gt_rotation, RotationMatrix) else np.asarray(gt_rotation)
-    target = nearest_index(grid, m)
-    logits = grid.psi_table @ pred / cfg.softmax_temperature
-    logits -= logits.max()
-    logexp = np.log(np.sum(np.exp(logits)))
-    probs = np.exp(logits - logexp)
-    value = float(logexp - logits[target])
-    d_logits = probs.copy()
-    d_logits[target] -= 1.0
-    grad = (grid.psi_table.T @ d_logits) / cfg.softmax_temperature
-    return value, grad
+    target = nearest_index(grid, np.reshape(m, (-1, 3, 3)))
+    rows = np.arange(len(pred))
+    logits = pred @ grid.psi_table.T / cfg.softmax_temperature
+    logits -= logits.max(axis=-1, keepdims=True)
+    logexp = np.log(np.sum(np.exp(logits), axis=-1))
+    d_logits = np.exp(logits - logexp[:, None])
+    d_logits[rows, target] -= 1.0
+    grad = (d_logits @ grid.psi_table) / cfg.softmax_temperature
+    return logexp - logits[rows, target], grad
 
 
 def loss_and_grad(pred, gt, cfg: LossConfig, gt_rotation=None,
                   grid: SO3Grid | None = None) -> tuple[float, np.ndarray]:
-    """Scalar loss and d(loss)/d(pred) for any configured kind."""
+    """Loss and d(loss)/d(pred) for one vector (M,) or a batch (B, M).
+
+    A batch returns the mean of its rows' losses and each row's gradient
+    divided by B.  The cross-entropy kinds need ``grid`` with its psi
+    table and the ground-truth rotation(s) ``gt_rotation``.
+    """
     pred = _flat(pred)
-    gt = None if gt is None else _flat(gt)
-    if cfg.kind in ("mse", "l1", "huber", "cosine"):
-        return _regression_loss_and_grad(pred, gt, cfg)
+    rows = np.atleast_2d(pred)
+    if cfg.kind != "distribution_ce" and gt is None:
+        raise ValueError(f"{cfg.kind} loss needs the ground-truth vector")
+    gt_rows = None if gt is None else np.atleast_2d(_flat(gt))
     if cfg.kind == "distribution_ce":
-        return _ce_loss_and_grad(pred, gt_rotation, grid, cfg)
-    if cfg.kind == "mse_plus_ce":
-        mse_cfg = LossConfig(cfg.bandlimit, "mse", cfg.level_weights,
-                             cfg.huber_delta, cfg.softmax_temperature,
-                             cfg.ce_lambda)
-        v1, g1 = _regression_loss_and_grad(pred, gt, mse_cfg)
-        v2, g2 = _ce_loss_and_grad(pred, gt_rotation, grid, cfg)
-        return v1 + cfg.ce_lambda * v2, g1 + cfg.ce_lambda * g2
-    raise ValueError(f"unknown loss kind {cfg.kind!r}")
+        values, grads = _ce_loss_and_grad(rows, gt_rotation, grid, cfg)
+    elif cfg.kind == "mse_plus_ce":
+        v1, g1 = _regression_loss_and_grad(rows, gt_rows, replace(cfg, kind="mse"))
+        v2, g2 = _ce_loss_and_grad(rows, gt_rotation, grid, cfg)
+        values, grads = v1 + cfg.ce_lambda * v2, g1 + cfg.ce_lambda * g2
+    else:
+        values, grads = _regression_loss_and_grad(rows, gt_rows, cfg)
+    if pred.ndim == 1:
+        return float(values[0]), grads[0]
+    scale = 1.0 / len(rows)
+    # rows summed in order, as a loop over the samples adds them
+    return float(np.cumsum(values)[-1] * scale), grads * scale
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +193,6 @@ def argmax_pose(d: PoseDistribution) -> RotationMatrix:
     return RotationMatrix(d.grid.rotations[int(np.argmax(d.probs))])
 
 
-def _infer_bandlimit(flat: np.ndarray) -> int:
-    l = 0
-    while wigner.m_total(l) < len(flat):
-        l += 1
-    if wigner.m_total(l) != len(flat):
-        raise ValueError(f"vector length {len(flat)} is not a valid stack size")
-    return l
-
-
 def gradient_ascent_pose(pred, start: RotationMatrix, steps: int = 20,
                          lr: float = 1e-3, fd_step: float = 1e-4) -> RotationMatrix:
     """Refine a pose by ascending the similarity over ZYZ angles.
@@ -196,7 +204,7 @@ def gradient_ascent_pose(pred, start: RotationMatrix, steps: int = 20,
     result never scores below the starting point.
     """
     flat = _flat(pred)
-    bandlimit = _infer_bandlimit(flat)
+    bandlimit = wigner.bandlimit_of(len(flat))
 
     def _project(angles: np.ndarray) -> np.ndarray:
         return np.array([
@@ -205,10 +213,11 @@ def gradient_ascent_pose(pred, start: RotationMatrix, steps: int = 20,
             (angles[2] + np.pi) % (2 * np.pi) - np.pi,
         ])
 
+    def matrices(angles: np.ndarray) -> np.ndarray:
+        return rotations.zyz_to_matrices(*angles[:, None])
+
     def score(angles: np.ndarray) -> float:
-        mats = rotations.zyz_to_matrices(
-            np.array([angles[0]]), np.array([angles[1]]), np.array([angles[2]]))
-        return float(wigner.rotations_to_psi(mats, bandlimit)[0] @ flat)
+        return float(wigner.rotations_to_psi(matrices(angles), bandlimit)[0] @ flat)
 
     e = rotations.matrix_to_euler(start)
     angles = np.array([e.alpha, e.beta, e.gamma])
@@ -236,8 +245,7 @@ def gradient_ascent_pose(pred, start: RotationMatrix, steps: int = 20,
             step *= 0.5
         if not moved:
             break
-    return rotations.euler_to_matrix(
-        rotations.EulerZYZ(best_angles[0], best_angles[1], best_angles[2]))
+    return RotationMatrix(matrices(best_angles)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,13 @@ def covering_radius(grid: SO3Grid, probes: int, seed: int,
     return float(np.degrees(worst))
 
 
-def nearest_index(grid: SO3Grid, matrix: np.ndarray) -> int:
-    """Index of the grid rotation closest to the given matrix."""
-    traces = grid.rotations.reshape(grid.size, 9) @ np.asarray(matrix).ravel()
-    return int(np.argmax(traces))
+def nearest_index(grid: SO3Grid, matrices: np.ndarray) -> int | np.ndarray:
+    """Index of the grid rotation closest to each matrix: an int for one
+    (3, 3) matrix, an index array for a (..., 3, 3) stack."""
+    m = np.asarray(matrices)
+    traces = m.reshape(-1, 9) @ grid.rotations.reshape(grid.size, 9).T
+    idx = np.argmax(traces, axis=1)
+    return int(idx[0]) if m.ndim == 2 else idx.reshape(m.shape[:-2])
 
 
 # ---------------------------------------------------------------------------

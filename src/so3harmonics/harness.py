@@ -97,6 +97,8 @@ class RunConfig:
             raise ValueError(f"unknown head kind {self.head!r}")
         if self.dataset_kind not in ("spherical", "image"):
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.bandlimit, self.loss_kind,
@@ -316,21 +318,6 @@ def _forward_batch(model, ds: SyntheticDataset, idx: np.ndarray,
                          cfg=mcfg, mode=mode, seed=seed)
 
 
-def _wigner_batch_loss(psis: np.ndarray, gt_mats: np.ndarray,
-                       gt_psis: np.ndarray, loss_cfg: LossConfig,
-                       ce_grid: SO3Grid | None) -> tuple[float, np.ndarray]:
-    total = 0.0
-    d = np.empty_like(psis)
-    for i in range(len(psis)):
-        v, g = estimation.loss_and_grad(
-            psis[i], gt_psis[i], loss_cfg,
-            gt_rotation=gt_mats[i], grid=ce_grid)
-        total += v
-        d[i] = g
-    scale = 1.0 / len(psis)
-    return total * scale, d * scale
-
-
 def _make_optimizer_state(model_params: list[np.ndarray]):
     return [np.zeros_like(p) for p in model_params]
 
@@ -346,6 +333,8 @@ def _nesterov_step(params: list[np.ndarray], grads: list[np.ndarray],
 
 def train(cfg: RunConfig, ds: SyntheticDataset):
     """Train the configured head on the dataset; returns (model, log)."""
+    if len(ds.train_idx) == 0:
+        raise ValueError("dataset has no training samples")
     in_channels = ds.inputs.shape[1]
     wigner_head = cfg.head == "wigner"
     if wigner_head:
@@ -360,10 +349,9 @@ def train(cfg: RunConfig, ds: SyntheticDataset):
     velocity = _make_optimizer_state(params)
 
     loss_cfg = cfg.loss_config()
-    needs_ce = cfg.loss_kind in ("distribution_ce", "mse_plus_ce")
     ce_grid = None
-    if needs_ce:
-        ce_grid = grids.so3_healpix(cfg.ce_grid_level).with_psi_table(cfg.bandlimit)
+    if cfg.loss_kind in ("distribution_ce", "mse_plus_ce"):
+        ce_grid = inference_grid(cfg.ce_grid_level, cfg.bandlimit)
 
     train_idx = ds.train_idx
     gt_train = ds.gt[train_idx]
@@ -388,9 +376,9 @@ def train(cfg: RunConfig, ds: SyntheticDataset):
                                            "train" if ds.kind == "image" else "eval",
                                            step_seed)
             if wigner_head:
-                psis = head_wigner(model, hidden)
-                value, d_psi = _wigner_batch_loss(
-                    psis, gt_train[sel], gt_psis[sel], loss_cfg, ce_grid)
+                value, d_psi = estimation.loss_and_grad(
+                    head_wigner(model, hidden), gt_psis[sel], loss_cfg,
+                    gt_rotation=gt_train[sel], grid=ce_grid)
                 d_hidden, d_w = backward_head_wigner(model, state, d_psi)
                 d_mixer, d_spectra = backward_trunk(model, state, d_hidden)
                 grads = [d_mixer, *d_spectra, d_w]

@@ -131,7 +131,7 @@ def _canonical_quat(q: np.ndarray) -> np.ndarray:
 
 def euler_to_matrix(e: EulerZYZ) -> RotationMatrix:
     """Matrix for ZYZ angles: Rz(gamma) @ Ry(beta) @ Rz(alpha)."""
-    return RotationMatrix(rot_z(e.gamma) @ rot_y(e.beta) @ rot_z(e.alpha))
+    return RotationMatrix(zyz_to_matrices(e.alpha, e.beta, e.gamma))
 
 
 def matrix_to_euler(r: RotationMatrix) -> EulerZYZ:
@@ -140,12 +140,7 @@ def matrix_to_euler(r: RotationMatrix) -> EulerZYZ:
 
 
 def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return RotationMatrix(np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ]))
+    return RotationMatrix(quats_to_matrices(q.as_array()[None])[0])
 
 
 def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:

@@ -1,6 +1,10 @@
 """Spectral convolutions on the sphere and rotation group, and the toy net.
 
 All operations act on per-degree coefficient blocks in the real basis.
+A group signal is a flat (..., C, M) array in the harmonic-vector
+layout (degree blocks row-major, degrees ascending), and every layer
+takes any leading batch dimensions: the toy model's trunk and head call
+the same layer functions the equivariance tests check.
 
 - A sphere-domain convolution correlates a signal against globally
   supported filters: per degree, the output block is the outer product
@@ -32,48 +36,13 @@ from . import mapper as mapper_mod
 from ._cache import LRUCache
 from .binio import IncompatibleFileError, read_blob, write_blob
 from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
-from .harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
-                        analysis_matrix, ridge_solver)
+from .harmonics import PointSet, SphericalSignal, analysis_matrix, ridge_solver
 from .mapper import FeatureMap, MapperConfig
 from .rotations import axis_angles_to_matrices
-from .wigner import HarmonicVector, block_offsets, rotations_to_psi
+from .wigner import (HarmonicVector, bandlimit_of, block_offsets, m_total,
+                     rotations_to_psi)
 
 CHECKPOINT_LAYOUT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SO3Coeffs:
-    """Per-channel degree blocks of a band-limited rotation-group signal."""
-
-    bandlimit: int
-    blocks: tuple  # one (C, 2l+1, 2l+1) array per degree
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
-        if len(blocks) != self.bandlimit + 1:
-            raise ValueError("need one block stack per degree 0..L")
-        c = blocks[0].shape[0]
-        for l, b in enumerate(blocks):
-            if b.shape != (c, 2 * l + 1, 2 * l + 1):
-                raise ValueError(f"degree-{l} block stack has shape {b.shape}")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def channels(self) -> int:
-        return self.blocks[0].shape[0]
-
-    def flatten(self) -> np.ndarray:
-        """(C, M) layout matching harmonic vectors."""
-        return np.concatenate(
-            [b.reshape(self.channels, -1) for b in self.blocks], axis=1)
-
-    @staticmethod
-    def from_flat(bandlimit: int, flat: np.ndarray) -> "SO3Coeffs":
-        flat = np.atleast_2d(flat)
-        offs = block_offsets(bandlimit)
-        blocks = [flat[:, offs[l]:offs[l + 1]].reshape(-1, 2 * l + 1, 2 * l + 1)
-                  for l in range(bandlimit + 1)]
-        return SO3Coeffs(bandlimit, tuple(blocks))
 
 
 @dataclass
@@ -156,8 +125,8 @@ class LocalSO3Filter:
         taps.flags.writeable = False
         self.taps = taps
         self.weights = weights
-        self.tap_blocks = SO3Coeffs.from_flat(
-            self.bandlimit, rotations_to_psi(taps, self.bandlimit)).blocks
+        self.tap_blocks = tuple(_blocks(
+            rotations_to_psi(taps, self.bandlimit), self.bandlimit))
 
     def spectral_blocks(self) -> list[np.ndarray]:
         """Per-degree (C_out, C_in, 2l+1, 2l+1) filter blocks."""
@@ -169,43 +138,55 @@ class LocalSO3Filter:
 # Layer operations
 # ---------------------------------------------------------------------------
 
-def s2_conv(c: SphericalCoeffs, f: S2FilterBank) -> SO3Coeffs:
-    """Correlate a sphere signal against rotated global filters.
+def _blocks(x: np.ndarray, bandlimit: int) -> list[np.ndarray]:
+    """Per-degree (..., 2l+1, 2l+1) views of a (..., M) group signal."""
+    offs = block_offsets(bandlimit)
+    return [x[..., offs[l]:offs[l + 1]].reshape(x.shape[:-1] + (2 * l + 1,) * 2)
+            for l in range(bandlimit + 1)]
 
-    Per degree, output[o][m, n] = sum_i c[i][m] * f[o, i][n]; a signal
-    rotated by R yields output blocks left-multiplied by R's Wigner
-    block.
+
+def s2_conv(c: np.ndarray, f: S2FilterBank) -> np.ndarray:
+    """Correlate sphere signals against rotated global filters.
+
+    ``c`` holds real-basis coefficients (..., C_in, (L+1)^2); the result
+    is the group signal (..., C_out, M).  Per degree, output[o][m, n] =
+    sum_i c[i][m] * f[o, i][n]; a signal rotated by R yields output
+    blocks left-multiplied by R's Wigner block.
     """
-    if c.basis != "real":
+    L = f.bandlimit
+    if np.iscomplexobj(c):
         raise ValueError("sphere convolution expects real-basis coefficients")
-    if c.bandlimit != f.bandlimit:
-        raise ValueError(f"band limits differ: signal {c.bandlimit}, "
-                         f"filter {f.bandlimit}")
-    if c.channels != f.in_channels:
-        raise ValueError(f"channel mismatch: signal {c.channels}, "
+    if c.shape[-1] != (L + 1) ** 2:
+        raise ValueError(f"band limits differ: signal has {c.shape[-1]} "
+                         f"coefficients, filter band limit {L}")
+    if c.shape[-2] != f.in_channels:
+        raise ValueError(f"channel mismatch: signal {c.shape[-2]}, "
                          f"filter expects {f.in_channels}")
-    blocks = [np.einsum("im,oin->omn", c.block(l), f.spectra[l])
-              for l in range(c.bandlimit + 1)]
-    return SO3Coeffs(c.bandlimit, tuple(blocks))
+    out = np.empty(c.shape[:-2] + (f.out_channels, m_total(L)))
+    for l, ob in enumerate(_blocks(out, L)):
+        ob[...] = np.einsum("...im,oin->...omn", c[..., l * l:(l + 1) ** 2],
+                            f.spectra[l])
+    return out
 
 
-def so3_conv(x: SO3Coeffs, f: LocalSO3Filter) -> SO3Coeffs:
-    """Right-compose a group signal with a locally supported filter.
+def so3_conv(x: np.ndarray, f: LocalSO3Filter) -> np.ndarray:
+    """Right-compose group signals (..., C_in, M) with a local filter.
 
     Per degree, output[o] = sum_i x[i] @ filter_block[o, i].T, which in
     the spatial picture is a weighted sum of right-translated samples
     s(Q @ tap_k) and therefore commutes with left rotation.
     """
-    if x.bandlimit != f.bandlimit:
-        raise ValueError(f"band limits differ: signal {x.bandlimit}, "
-                         f"filter {f.bandlimit}")
-    if x.channels != f.weights.shape[1]:
-        raise ValueError(f"channel mismatch: signal {x.channels}, "
+    if x.shape[-1] != m_total(f.bandlimit):
+        raise ValueError(f"band limits differ: signal has {x.shape[-1]} "
+                         f"coefficients, filter band limit {f.bandlimit}")
+    if x.shape[-2] != f.weights.shape[1]:
+        raise ValueError(f"channel mismatch: signal {x.shape[-2]}, "
                          f"filter expects {f.weights.shape[1]}")
-    hs = f.spectral_blocks()
-    blocks = [np.einsum("imn,oipn->omp", x.blocks[l], hs[l])
-              for l in range(x.bandlimit + 1)]
-    return SO3Coeffs(x.bandlimit, tuple(blocks))
+    out = np.empty(x.shape[:-2] + (f.weights.shape[0], x.shape[-1]))
+    for ob, xb, h in zip(_blocks(out, f.bandlimit), _blocks(x, f.bandlimit),
+                         f.spectral_blocks()):
+        ob[...] = np.einsum("...imn,oipn->...omp", xb, h)
+    return out
 
 
 nonlin_operator_cache = LRUCache(8)
@@ -225,12 +206,18 @@ def _grid_operators(grid: SO3Grid, bandlimit: int) -> tuple[np.ndarray, np.ndarr
     return nonlin_operator_cache.get((grid.content_digest, bandlimit), build)
 
 
-def so3_nonlinearity(x: SO3Coeffs, grid: SO3Grid) -> SO3Coeffs:
-    """Grid ReLU: sample, rectify, project back to band-limited blocks."""
-    a, p = _grid_operators(grid, x.bandlimit)
-    s = x.flatten() @ a.T
-    out = np.maximum(s, 0.0) @ p.T
-    return SO3Coeffs.from_flat(x.bandlimit, out)
+def _grid_relu(x: np.ndarray, a: np.ndarray,
+               p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample with A, rectify, re-analyse with P; returns (out, mask)."""
+    s = x @ a.T
+    mask = s > 0
+    return (s * mask) @ p.T, mask
+
+
+def so3_nonlinearity(x: np.ndarray, grid: SO3Grid) -> np.ndarray:
+    """Grid ReLU of group signals (..., C, M), band limit read from M."""
+    a, p = _grid_operators(grid, bandlimit_of(x.shape[-1]))
+    return _grid_relu(x, a, p)[0]
 
 
 def default_nonlin_grid(level: int = 2) -> SO3Grid:
@@ -309,20 +296,14 @@ class TrunkState:
 
     kind: str
     raw_values: np.ndarray          # (B, C_in, p) or (B, C_in, H*W)
-    mixed: np.ndarray               # (B, C_mid, p)
     analysis: np.ndarray            # G: coeffs = values @ G.T
-    coeff_blocks: list[np.ndarray]  # per l (B, C_mid, 2l+1)
-    pre_blocks: list[np.ndarray]    # per l (B, C_h, 2l+1, 2l+1)
+    coeffs: np.ndarray              # (B, C_mid, (L+1)^2)
     relu_mask: np.ndarray           # (B, C_h, Q)
     hidden_flat: np.ndarray         # (B, C_h, M)
     sample_op: np.ndarray           # A (Q, M)
     reanalysis: np.ndarray          # P (M, Q)
     bilinear: np.ndarray | None = None   # (p, H*W) for image inputs
     edge: np.ndarray | None = None       # (p,)
-
-
-def _coeff_blocks(bandlimit: int, coeffs: np.ndarray) -> list[np.ndarray]:
-    return [coeffs[..., l * l:(l + 1) ** 2] for l in range(bandlimit + 1)]
 
 
 def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
@@ -362,33 +343,17 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
 
     g = analysis_matrix(points, L, "real")
     coeffs = mixed @ g.T
-    cblocks = _coeff_blocks(L, coeffs)
-    pre = [np.einsum("bim,oin->bomn", cblocks[l], model.s2.spectra[l])
-           for l in range(L + 1)]
-    flat_pre = np.concatenate(
-        [p.reshape(p.shape[0], p.shape[1], -1) for p in pre], axis=2)
     a_grid, p_grid = _grid_operators(default_nonlin_grid(model.nonlin_level), L)
-    s = flat_pre @ a_grid.T
-    mask = s > 0
-    hidden = (s * mask) @ p_grid.T
-    state = TrunkState(kind=kind, raw_values=raw, mixed=mixed, analysis=g,
-                       coeff_blocks=cblocks, pre_blocks=pre, relu_mask=mask,
-                       hidden_flat=hidden, sample_op=a_grid,
+    hidden, mask = _grid_relu(s2_conv(coeffs, model.s2), a_grid, p_grid)
+    state = TrunkState(kind=kind, raw_values=raw, analysis=g, coeffs=coeffs,
+                       relu_mask=mask, hidden_flat=hidden, sample_op=a_grid,
                        reanalysis=p_grid, bilinear=bilinear, edge=edge)
     return hidden, state
 
 
 def head_wigner(model: ToyModel, hidden: np.ndarray) -> np.ndarray:
     """Group convolution to one channel; returns (B, M) harmonic vectors."""
-    L = model.bandlimit
-    offs = block_offsets(L)
-    hs = model.so3.spectral_blocks()
-    outs = []
-    for l in range(L + 1):
-        dim = 2 * l + 1
-        xb = hidden[:, :, offs[l]:offs[l + 1]].reshape(-1, model.hidden_channels, dim, dim)
-        outs.append(np.einsum("bimn,oipn->bomp", xb, hs[l]).reshape(len(xb), -1))
-    return np.concatenate(outs, axis=1)
+    return so3_conv(hidden, model.so3)[:, 0]
 
 
 def backward_trunk(model: ToyModel, state: TrunkState,
@@ -397,14 +362,11 @@ def backward_trunk(model: ToyModel, state: TrunkState,
     L = model.bandlimit
     ds = (d_hidden @ state.reanalysis) * state.relu_mask
     d_flat_pre = ds @ state.sample_op
-    offs = block_offsets(L)
     d_spectra = []
-    d_coeffs = np.zeros_like(np.concatenate(state.coeff_blocks, axis=-1))
-    for l in range(L + 1):
-        dim = 2 * l + 1
-        d_pre = d_flat_pre[:, :, offs[l]:offs[l + 1]].reshape(
-            -1, model.s2.out_channels, dim, dim)
-        d_spectra.append(np.einsum("bomn,bim->oin", d_pre, state.coeff_blocks[l]))
+    d_coeffs = np.zeros_like(state.coeffs)
+    for l, d_pre in enumerate(_blocks(d_flat_pre, L)):
+        d_spectra.append(np.einsum("bomn,bim->oin", d_pre,
+                                   state.coeffs[..., l * l:(l + 1) ** 2]))
         d_coeffs[:, :, l * l:(l + 1) ** 2] = np.einsum(
             "bomn,oin->bim", d_pre, model.s2.spectra[l])
     d_mixed = d_coeffs @ state.analysis
@@ -420,20 +382,15 @@ def backward_head_wigner(model: ToyModel, state: TrunkState,
                          d_psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (d_hidden, d_tap_weights) given d(psi)."""
     L = model.bandlimit
-    offs = block_offsets(L)
-    hs = model.so3.spectral_blocks()
-    stacks = model.so3.tap_blocks
     d_hidden = np.empty_like(state.hidden_flat)
     d_w = np.zeros_like(model.so3.weights)
-    hidden = state.hidden_flat
-    for l in range(L + 1):
-        dim = 2 * l + 1
-        d_out = d_psi[:, offs[l]:offs[l + 1]].reshape(-1, 1, dim, dim)
-        xb = hidden[:, :, offs[l]:offs[l + 1]].reshape(-1, model.hidden_channels, dim, dim)
-        d_hidden[:, :, offs[l]:offs[l + 1]] = np.einsum(
-            "bomp,oipn->bimn", d_out, hs[l]).reshape(len(d_out), model.hidden_channels, -1)
+    for d_out, xb, dxb, h, taps in zip(
+            _blocks(d_psi[:, None], L), _blocks(state.hidden_flat, L),
+            _blocks(d_hidden, L), model.so3.spectral_blocks(),
+            model.so3.tap_blocks):
+        dxb[...] = np.einsum("bomp,oipn->bimn", d_out, h)
         d_h = np.einsum("bomp,bimn->oipn", d_out, xb)
-        d_w += np.einsum("oipn,kpn->oik", d_h, stacks[l])
+        d_w += np.einsum("oipn,kpn->oik", d_h, taps)
     return d_hidden, d_w
 
 

@@ -54,6 +54,16 @@ def m_total(bandlimit: int) -> int:
     return (bandlimit + 1) * (2 * bandlimit + 1) * (2 * bandlimit + 3) // 3
 
 
+def bandlimit_of(size: int) -> int:
+    """Inverse of ``m_total``: the L whose block stack has ``size`` entries."""
+    l = 0
+    while m_total(l) < size:
+        l += 1
+    if m_total(l) != size:
+        raise ValueError(f"vector length {size} is not a valid stack size")
+    return l
+
+
 def block_offsets(bandlimit: int) -> list[int]:
     offs = [0]
     for l in range(bandlimit + 1):

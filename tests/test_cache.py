@@ -69,6 +69,20 @@ def test_healpix_inference_grid_ignores_count_and_seed():
     assert harness.inference_grid(3, 1, count=36864, seed=99) is default
 
 
+
+def test_ce_training_takes_its_table_from_the_inference_cache(monkeypatch):
+    cache = LRUCache(6)
+    monkeypatch.setattr(harness, "inference_grid_cache", cache)
+    cfg = harness.RunConfig(bandlimit=2, template_bandlimit=2,
+                            n_train_views=6, n_test_views=1, epochs=1,
+                            batch_size=6, mid_channels=2, hidden_channels=2,
+                            tap_count=4, loss_kind="mse_plus_ce",
+                            ce_grid_level=1, learning_rate=0.001)
+    ds = harness.gen_dataset(cfg)
+    harness.train(cfg, ds)
+    harness.train(cfg, ds)
+    assert (cache.misses, cache.hits) == (1, 1)
+
 def test_image_trunk_rejects_unknown_mode():
     model = init_toy_model(0, 2, in_channels=1, mid_channels=2,
                            hidden_channels=2, tap_count=4)

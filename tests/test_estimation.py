@@ -98,6 +98,49 @@ class TestDistributionCE:
         assert joint == pytest.approx(mse_v + ce_v, rel=1e-12)
 
 
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("kind", estimation.LOSS_KINDS)
+    def test_batch_is_mean_of_rows(self, kind, small_grid):
+        # the loss of a (B, M) batch is the in-order mean of the per-row
+        # losses, its gradient the per-row gradients divided by B; row 2
+        # is zero, the degenerate cosine case
+        rng = np.random.default_rng(21)
+        cfg = LossConfig(4, kind=kind, huber_delta=0.3)
+        mats = sample_uniform_matrices(21, 5)
+        gt = wigner.rotations_to_psi(mats, 4)
+        pred = gt + 0.3 * rng.normal(size=gt.shape)
+        pred[2] = 0.0
+        value, grad = loss_and_grad(pred, gt, cfg, gt_rotation=mats,
+                                    grid=small_grid)
+        total = 0.0
+        rows = []
+        for p, g, m in zip(pred, gt, mats):
+            v, d = loss_and_grad(p, g, cfg, gt_rotation=m, grid=small_grid)
+            total += v
+            rows.append(d)
+        expect_value = total * (1.0 / 5)
+        expect_grad = np.stack(rows) * (1.0 / 5)
+        assert grad.shape == pred.shape
+        if kind in ("mse", "l1", "huber", "cosine"):
+            assert value.hex() == expect_value.hex()
+            assert grad.tobytes() == expect_grad.tobytes()
+        else:
+            # one (B, M) @ (M, Q) product sums in another order than B
+            # matrix-vector products
+            assert value == pytest.approx(expect_value, rel=1e-12, abs=0)
+            assert np.max(np.abs(grad - expect_grad)) <= \
+                1e-12 * np.max(np.abs(expect_grad))
+
+    @pytest.mark.parametrize("kind", ["distribution_ce", "mse_plus_ce"])
+    def test_ce_kinds_name_a_missing_input(self, kind, small_grid):
+        psi = wigner.rotations_to_psi(small_grid.rotations[3], 4)
+        cfg = LossConfig(4, kind=kind)
+        with pytest.raises(ValueError, match="grid"):
+            loss_and_grad(psi, psi, cfg, gt_rotation=small_grid.rotations[3])
+        with pytest.raises(ValueError, match="ground-truth rotation"):
+            loss_and_grad(psi, psi, cfg, grid=small_grid)
+
 class TestInferDistribution:
     def test_self_query_peaks_at_own_index(self, small_grid):
         for q in (0, 123, 570):

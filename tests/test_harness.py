@@ -109,6 +109,15 @@ class TestTrain:
         assert log[-1]["loss"] < log[0]["loss"]
 
 
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="batch size"):
+            fast_cfg(batch_size=0)
+
+    def test_empty_training_split_rejected(self):
+        cfg = fast_cfg(n_train_views=0, epochs=1)
+        with pytest.raises(ValueError, match="no training samples"):
+            train(cfg, gen_dataset(cfg))
+
 class TestEvaluate:
     def test_converged_model_metrics(self, spherical_ds):
         cfg = fast_cfg(epochs=40)

@@ -9,8 +9,8 @@ from so3harmonics.harmonics import SphericalCoeffs, synthesize
 from so3harmonics.mapper import FeatureMap, MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
-from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, SO3Coeffs,
-                                   ToyModel, backward, default_nonlin_grid,
+from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
+                                   _blocks, backward, default_nonlin_grid,
                                    forward, init_toy_model,
                                    local_tap_rotations, load_model, s2_conv,
                                    save_model, so3_conv, so3_nonlinearity)
@@ -24,32 +24,37 @@ def model():
                           hidden_channels=4, tap_count=12)
 
 
-def left_translate(x: SO3Coeffs, m: np.ndarray) -> SO3Coeffs:
+def left_translate(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Group signals (..., C, M) with every degree block left-multiplied
+    by the Wigner block of m."""
     e = matrix_to_euler(RotationMatrix(m))
-    return SO3Coeffs(x.bandlimit, tuple(
-        np.einsum("mn,cnk->cmk", wigner.wigner_D_real(l, e).entries, x.blocks[l])
-        for l in range(x.bandlimit + 1)))
+    bandlimit = wigner.bandlimit_of(x.shape[-1])
+    out = np.empty_like(x)
+    for l, (xb, ob) in enumerate(zip(_blocks(x, bandlimit),
+                                     _blocks(out, bandlimit))):
+        ob[...] = np.einsum("mn,...nk->...mk",
+                            wigner.wigner_D_real(l, e).entries, xb)
+    return out
 
 
 class TestS2Conv:
     def test_zero_signal(self, model):
-        c = SphericalCoeffs(L, np.zeros((3, 25)))
-        out = s2_conv(c, model.s2)
-        assert all(np.all(b == 0) for b in out.blocks)
+        out = s2_conv(np.zeros((3, 25)), model.s2)
+        assert np.all(out == 0)
 
     def test_outer_product_structure(self, model):
         rng = np.random.default_rng(0)
         c = SphericalCoeffs(L, rng.normal(size=(3, 25)))
-        out = s2_conv(c, model.s2)
+        out = s2_conv(c.data, model.s2)
         l = 2
         expect = np.einsum("im,oin->omn", c.block(l), model.s2.spectra[l])
-        assert np.allclose(out.blocks[l], expect)
+        assert np.allclose(_blocks(out, L)[l], expect)
         # single input channel gives rank-one degree blocks
-        c1 = SphericalCoeffs(L, rng.normal(size=(1, 25)))
+        c1 = rng.normal(size=(1, 25))
         bank1 = S2FilterBank(L, tuple(s[:, :1] for s in model.s2.spectra))
-        out1 = s2_conv(c1, bank1)
+        out1 = _blocks(s2_conv(c1, bank1), L)
         for ll in range(1, L + 1):
-            ranks = np.linalg.matrix_rank(out1.blocks[ll], tol=1e-10)
+            ranks = np.linalg.matrix_rank(out1[ll], tol=1e-10)
             assert np.all(ranks <= 1)
 
     def test_left_equivariance_exact(self, model):
@@ -57,41 +62,37 @@ class TestS2Conv:
         for seed in range(10):
             c = SphericalCoeffs(L, rng.normal(size=(3, 25)))
             m = sample_uniform_matrices(seed, 1)[0]
-            lhs = s2_conv(wigner.rotate_coeffs(c, m), model.s2)
-            rhs = left_translate(s2_conv(c, model.s2), m)
-            err = max(np.max(np.abs(a - b))
-                      for a, b in zip(lhs.blocks, rhs.blocks))
+            lhs = s2_conv(wigner.rotate_coeffs(c, m).data, model.s2)
+            rhs = left_translate(s2_conv(c.data, model.s2), m)
+            err = np.max(np.abs(lhs - rhs))
             assert err < 1e-9
 
     def test_bandlimit_mismatch(self, model):
         with pytest.raises(ValueError):
-            s2_conv(SphericalCoeffs(L - 1, np.zeros((3, 16))), model.s2)
+            s2_conv(np.zeros((3, 16)), model.s2)
 
 
 class TestSO3Conv:
     def test_identity_filter(self, model):
         rng = np.random.default_rng(2)
-        x = SO3Coeffs.from_flat(L, rng.normal(size=(4, wigner.m_total(L))))
+        x = rng.normal(size=(4, wigner.m_total(L)))
         ident = LocalSO3Filter(L, 0.01, np.eye(3)[None],
                                np.eye(4)[:, :, None])
         out = so3_conv(x, ident)
-        assert max(np.max(np.abs(a - b))
-                   for a, b in zip(out.blocks, x.blocks)) < 1e-12
+        assert np.max(np.abs(out - x)) < 1e-12
 
     def test_zero_input(self, model):
-        x = SO3Coeffs.from_flat(L, np.zeros((4, wigner.m_total(L))))
-        out = so3_conv(x, model.so3)
-        assert all(np.all(b == 0) for b in out.blocks)
+        out = so3_conv(np.zeros((4, wigner.m_total(L))), model.so3)
+        assert np.all(out == 0)
 
     def test_left_equivariance_exact(self, model):
         rng = np.random.default_rng(3)
         for seed in range(10):
-            x = SO3Coeffs.from_flat(L, rng.normal(size=(4, wigner.m_total(L))))
+            x = rng.normal(size=(4, wigner.m_total(L)))
             m = sample_uniform_matrices(100 + seed, 1)[0]
             lhs = so3_conv(left_translate(x, m), model.so3)
             rhs = left_translate(so3_conv(x, model.so3), m)
-            err = max(np.max(np.abs(a - b))
-                      for a, b in zip(lhs.blocks, rhs.blocks))
+            err = np.max(np.abs(lhs - rhs))
             assert err < 1e-9
 
     def test_taps_stay_within_support(self):
@@ -117,20 +118,19 @@ class TestNonlinearity:
         rng = np.random.default_rng(4)
         grid = default_nonlin_grid(2)
         _, p = _grid_operators(grid, L)
-        half = SO3Coeffs.from_flat(L // 2, rng.normal(size=(2, wigner.m_total(L // 2))))
+        half = rng.normal(size=(2, wigner.m_total(L // 2)))
         a_half, _ = _grid_operators(grid, L // 2)
-        samples = half.flatten() @ a_half.T
+        samples = half @ a_half.T
         squared = samples ** 2
         coeffs = squared @ p.T  # analysis at L is exact for the square
-        x = SO3Coeffs.from_flat(L, coeffs)
-        out = so3_nonlinearity(x, grid)
-        rel = np.max(np.abs(out.flatten() - coeffs)) / np.max(np.abs(coeffs))
+        out = so3_nonlinearity(coeffs, grid)
+        rel = np.max(np.abs(out - coeffs)) / np.max(np.abs(coeffs))
         assert rel < 1e-6
 
     def test_zero_input(self):
-        x = SO3Coeffs.from_flat(L, np.zeros((1, wigner.m_total(L))))
+        x = np.zeros((1, wigner.m_total(L)))
         out = so3_nonlinearity(x, default_nonlin_grid(2))
-        assert np.max(np.abs(out.flatten())) < 1e-12
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_freed_grids_never_share_operators(self):
         # a freed grid's rotation array can leave its address to the next
@@ -146,14 +146,43 @@ class TestNonlinearity:
     def test_approximate_equivariance(self):
         rng = np.random.default_rng(5)
         grid = default_nonlin_grid(2)
-        x = SO3Coeffs.from_flat(L, rng.normal(size=(1, wigner.m_total(L))))
+        x = rng.normal(size=(1, wigner.m_total(L)))
         m = sample_uniform_matrices(55, 1)[0]
         lhs = so3_nonlinearity(left_translate(x, m), grid)
         rhs = left_translate(so3_nonlinearity(x, grid), m)
-        num = np.linalg.norm(lhs.flatten() - rhs.flatten())
-        den = np.linalg.norm(rhs.flatten())
+        num = np.linalg.norm(lhs - rhs)
+        den = np.linalg.norm(rhs)
         assert num / den < 0.02
 
+
+
+class TestBatchedLayers:
+    @pytest.mark.parametrize("layer", ["s2_conv", "so3_conv",
+                                       "so3_nonlinearity"])
+    def test_batch_equals_per_sample(self, model, layer):
+        # the trunk and head run each layer on a whole batch; every row
+        # must be what the per-sample call gives, bit for bit
+        m = wigner.m_total(L)
+        fn, shape = {
+            "s2_conv": (lambda x: s2_conv(x, model.s2), (3, 3, 25)),
+            "so3_conv": (lambda x: so3_conv(x, model.so3), (3, 4, m)),
+            "so3_nonlinearity": (
+                lambda x: so3_nonlinearity(x, default_nonlin_grid(2)),
+                (3, 4, m)),
+        }[layer]
+        x = np.random.default_rng(20).normal(size=shape)
+        out = fn(x)
+        for b in range(3):
+            assert out[b].tobytes() == fn(x[b]).tobytes()
+
+    def test_signal_size_checked(self, model):
+        x = np.zeros((4, wigner.m_total(L) - 1))
+        with pytest.raises(ValueError, match="band limit"):
+            so3_conv(x, model.so3)
+        with pytest.raises(ValueError, match="stack size"):
+            so3_nonlinearity(x, default_nonlin_grid(2))
+        with pytest.raises(ValueError, match="channel"):
+            so3_conv(np.zeros((3, wigner.m_total(L))), model.so3)
 
 class TestForward:
     def test_zero_input_zero_output(self, model):
@@ -281,6 +310,13 @@ class TestBackward:
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
+
+    @pytest.mark.parametrize("kind", ["distribution_ce", "mse_plus_ce"])
+    def test_ce_loss_without_grid_is_a_value_error(self, model, kind):
+        grid = grids.healpix_s2(2)
+        sig = synthesize(SphericalCoeffs(L, np.ones((2, 25))), grid)
+        with pytest.raises(ValueError, match="grid"):
+            backward(model, sig, None, forward(model, sig), LossConfig(L, kind))
 
 class TestCheckpoint:
     def test_round_trip(self, model, tmp_path):
