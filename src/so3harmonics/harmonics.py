@@ -1,17 +1,23 @@
 """Spherical harmonics and band-limited analysis/synthesis on point sets.
 
-The complex basis is orthonormal with the Condon-Shortley phase folded
-into the associated Legendre functions:
+The real orthonormal basis is the centre column of the real Wigner
+blocks: for any rotation R taking the north pole e_z to the point x,
 
-    Y_l^m(theta, phi) = sqrt((2l+1)(l-m)! / (4 pi (l+m)!))
-                        * P_l^m(cos theta) * exp(i m phi),   m >= 0,
-    Y_l^-m = (-1)^m conj(Y_l^m).
+    Y_l^m(x) = sqrt((2l+1) / (4 pi)) * D^l(R)[m, 0],
 
-The real basis is the standard unitary recombination (m > 0 cosine,
-m < 0 sine, m = 0 unchanged), so real-valued signals get real
-coefficient vectors.  Coefficients are stored in blocks of increasing
-degree l, order m running -l..l inside each block; a band limit L keeps
-(L+1)^2 coefficients per channel.
+computed by ``wigner.wigner_center_columns`` straight from x, with no
+angles.  The complex basis is orthonormal with the Condon-Shortley
+phase, Y_l^l(theta, phi) proportional to (-sin(theta) exp(i phi))^l and
+Y_l^-m = (-1)^m conj(Y_l^m); its degree-l block is the real block times
+U_l (``complex_to_real_matrix``).  The real basis is the standard
+unitary recombination of the complex one, sqrt(2) (-1)^m Re Y_l^m for
+m > 0, sqrt(2) (-1)^m Im Y_l^|m| for m < 0 and Y_l^0 for m = 0, so
+real-valued signals get real coefficient vectors.  Both conventions
+match ``scipy.special.sph_harm_y``.
+
+Coefficients are stored in blocks of increasing degree l, order m
+running -l..l inside each block; a band limit L keeps (L+1)^2
+coefficients per channel.
 
 Analysis is a ridge-regularized least-squares fit on whatever point set
 the signal lives on.  That choice deliberately supports irregular and
@@ -22,14 +28,13 @@ band-limited signals to machine precision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from ._cache import LRUCache, digest
-from ._kernels import legendre_table
+from .wigner import complex_to_real_matrix, wigner_center_columns
 
 RIDGE_LAMBDA = 1e-8
 MAX_CONDITION = 1e8
@@ -143,20 +148,19 @@ class SphericalSignal:
 # Pointwise basis functions
 # ---------------------------------------------------------------------------
 
-def assoc_legendre(l: int, m: int, x) -> float | np.ndarray:
-    """P_l^m(x) with the (-1)^m Condon-Shortley factor, 0 <= m <= l."""
-    if not 0 <= m <= l:
-        raise ValueError(f"need 0 <= m <= l, got l={l}, m={m}")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("argument must lie in [-1, 1]")
-    vals = legendre_table(np.clip(arr, -1.0, 1.0), l)[:, l, m]
-    return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
-
-
-def _sph_norm(l: int, m: int) -> float:
-    from math import factorial, sqrt, pi
-    return sqrt((2 * l + 1) * factorial(l - m) / (4 * pi * factorial(l + m)))
+def _sph_harm(l: int, m: int, theta, phi, basis: str):
+    """Column l^2 + l + m of the design matrix on broadcast (theta, phi)."""
+    if isinstance(theta, SphericalPoint):
+        theta, phi = theta.theta, theta.phi
+    elif phi is None:
+        raise TypeError("phi is required unless theta is a SphericalPoint")
+    if abs(m) > l:
+        raise ValueError(f"need |m| <= l, got l={l}, m={m}")
+    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                 np.asarray(phi, dtype=float))
+    grid = PointSet(th.ravel(), ph.ravel())
+    vals = _build_design(grid, l, basis)[:, l * l + l + m].reshape(th.shape)
+    return vals[()] if th.ndim == 0 else vals
 
 
 def sph_harm_complex(l: int, m: int, theta, phi=None) -> complex | np.ndarray:
@@ -164,54 +168,12 @@ def sph_harm_complex(l: int, m: int, theta, phi=None) -> complex | np.ndarray:
 
     Accepts a SphericalPoint in place of the (theta, phi) pair.
     """
-    if isinstance(theta, SphericalPoint):
-        theta, phi = theta.theta, theta.phi
-    if abs(m) > l:
-        raise ValueError(f"need |m| <= l, got l={l}, m={m}")
-    if m < 0:
-        return (-1) ** m * np.conj(sph_harm_complex(l, -m, theta, phi))
-    scalar = np.ndim(theta) == 0 and np.ndim(phi) == 0
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    ph = np.atleast_1d(np.asarray(phi, dtype=float))
-    vals = (_sph_norm(l, m) * legendre_table(np.cos(th), l)[:, l, m]
-            * np.exp(1j * m * ph))
-    return complex(vals[0]) if scalar else vals
+    return _sph_harm(l, m, theta, phi, "complex")
 
 
 def sph_harm_real(l: int, m: int, theta, phi=None) -> float | np.ndarray:
     """Real orthonormal basis: cosine for m > 0, sine for m < 0."""
-    if isinstance(theta, SphericalPoint):
-        theta, phi = theta.theta, theta.phi
-    if abs(m) > l:
-        raise ValueError(f"need |m| <= l, got l={l}, m={m}")
-    if m == 0:
-        val = np.real(sph_harm_complex(l, 0, theta, phi))
-    elif m > 0:
-        val = np.sqrt(2.0) * (-1) ** m * np.real(sph_harm_complex(l, m, theta, phi))
-    else:
-        val = np.sqrt(2.0) * (-1) ** m * np.imag(sph_harm_complex(l, -m, theta, phi))
-    return float(val) if np.ndim(theta) == 0 and np.ndim(phi) == 0 else val
-
-
-@lru_cache(maxsize=32)
-def complex_to_real_matrix(l: int) -> np.ndarray:
-    """Unitary U_l turning complex coefficient vectors into real ones.
-
-    c_real = U_l @ c_complex for coefficients of a real signal; the same
-    matrix conjugates Wigner blocks into the real basis.
-    """
-    dim = 2 * l + 1
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    u[l, l] = 1.0
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for mu in range(1, l + 1):
-        sign = (-1) ** mu
-        u[l + mu, l + mu] = sign * inv_sqrt2
-        u[l + mu, l - mu] = inv_sqrt2
-        u[l - mu, l + mu] = 1j * sign * inv_sqrt2
-        u[l - mu, l - mu] = -1j * inv_sqrt2
-    u.flags.writeable = False
-    return u
+    return _sph_harm(l, m, theta, phi, "real")
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +191,11 @@ def design_matrix(grid: PointSet, bandlimit: int, basis: str = "real") -> np.nda
 
 
 def _build_design(grid: PointSet, bandlimit: int, basis: str) -> np.ndarray:
-    p = grid.size
-    table = legendre_table(np.cos(grid.theta), bandlimit)
-    out = np.zeros((p, n_coeffs(bandlimit)),
-                   dtype=np.float64 if basis == "real" else np.complex128)
-    sqrt2 = np.sqrt(2.0)
-    for l in range(bandlimit + 1):
-        base = l * l
-        for m in range(0, l + 1):
-            norm = _sph_norm(l, m)
-            plm = table[:, l, m]
-            if basis == "complex":
-                ym = norm * plm * np.exp(1j * m * grid.phi)
-                out[:, base + l + m] = ym
-                if m > 0:
-                    out[:, base + l - m] = (-1) ** m * np.conj(ym)
-            else:
-                if m == 0:
-                    out[:, base + l] = norm * plm
-                else:
-                    sign = (-1) ** m
-                    out[:, base + l + m] = sqrt2 * sign * norm * plm * np.cos(m * grid.phi)
-                    out[:, base + l - m] = sqrt2 * sign * norm * plm * np.sin(m * grid.phi)
+    cols = wigner_center_columns(grid.xyz, bandlimit)
+    blocks = [np.sqrt((2 * l + 1) / (4 * np.pi)) * c for l, c in enumerate(cols)]
+    if basis == "complex":
+        blocks = [b @ complex_to_real_matrix(l) for l, b in enumerate(blocks)]
+    out = np.concatenate(blocks, axis=1)
     out.flags.writeable = False
     return out
 
@@ -325,34 +270,3 @@ def complex_to_real_coeffs(coeffs: SphericalCoeffs) -> SphericalCoeffs:
     if np.max(np.abs(data.imag)) > 1e-8 * scale:
         raise ValueError("coefficients are not those of a real signal")
     return SphericalCoeffs(coeffs.bandlimit, data.real, "real")
-
-
-# ---------------------------------------------------------------------------
-# JSON dumps in the documented (l, m) layout
-# ---------------------------------------------------------------------------
-
-def coeffs_to_json(coeffs: SphericalCoeffs) -> str:
-    if coeffs.basis == "real":
-        data = [list(row) for row in coeffs.data]
-    else:
-        data = [[[float(v.real), float(v.imag)] for v in row]
-                for row in coeffs.data]
-    return json.dumps({
-        "layout_version": 1,
-        "layout": "blocks of increasing l, m from -l to +l",
-        "bandlimit": coeffs.bandlimit,
-        "basis": coeffs.basis,
-        "data": data,
-    })
-
-
-def coeffs_from_json(text: str) -> SphericalCoeffs:
-    obj = json.loads(text)
-    if obj.get("layout_version") != 1:
-        raise ValueError("unsupported coefficient layout version")
-    if obj["basis"] == "real":
-        data = np.asarray(obj["data"], dtype=float)
-    else:
-        raw = np.asarray(obj["data"], dtype=float)
-        data = raw[..., 0] + 1j * raw[..., 1]
-    return SphericalCoeffs(obj["bandlimit"], data, obj["basis"])

@@ -282,13 +282,6 @@ class ParamGrads:
     so3_weights: np.ndarray | None = None
     head_weights: np.ndarray | None = None
 
-    def scaled(self, factor: float) -> "ParamGrads":
-        return ParamGrads(
-            self.mixer * factor,
-            [s * factor for s in self.s2_spectra],
-            None if self.so3_weights is None else self.so3_weights * factor,
-            None if self.head_weights is None else self.head_weights * factor)
-
 
 @dataclass
 class TrunkState:

@@ -15,7 +15,10 @@ order (y, z, x) and not transposed, i.e. ``R[:, [1, 2, 0]][:, :, [1, 2, 0]]``;
 each higher degree is a few batched matrix products with D^{l-1} and
 D^1.  No Euler angles are involved, so the blocks are equally accurate
 everywhere on SO(3), gimbal lock included.  Complex blocks and small-d
-matrices are derived views of the real block.
+matrices are derived views of the real block, and the real spherical
+harmonics at a point x are sqrt((2l+1)/(4 pi)) times the centre column
+D^l(R)[:, 0] of any R with R e_z = x, which ``wigner_center_columns``
+computes by the same recursion restricted to that column.
 
 Phase convention (unchanged from the closed-form construction this
 recursion replaces): for ZYZ angles with matrix Rz(gamma) Ry(beta)
@@ -36,17 +39,12 @@ rotation.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import rotations
-from .harmonics import SphericalCoeffs, complex_to_real_matrix
-
-PSI_LAYOUT_VERSION = 1
 
 
 def m_total(bandlimit: int) -> int:
@@ -188,6 +186,26 @@ def wigner_block_stacks_real(matrices: np.ndarray, bandlimit: int) -> list[np.nd
     return blocks
 
 
+def wigner_center_columns(vectors: np.ndarray, bandlimit: int) -> list[np.ndarray]:
+    """Centre columns D^l(R)[:, 0] for unit vectors v = R e_z.
+
+    Returns one array per degree l, shape (n, 2l+1); the column depends
+    only on R e_z, so any R with that image gives the same result.  In
+    the recursion step, column m' = 0 of D^{l-1} M_i is
+    D^1[i, 0] D^{l-1}[:, 0], and D^1's centre column is v in (y, z, x)
+    order, so each degree needs only the previous centre column.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    n = len(vectors)
+    d1c = vectors[:, [1, 2, 0]]
+    cols = [np.ones((n, 1)), d1c][:bandlimit + 1]
+    for l in range(2, bandlimit + 1):
+        coef, _, s = _recursion_constants(l)
+        x = (d1c[:, :, None] * cols[-1][:, None, :]).reshape(n, -1)
+        cols.append((x @ coef.T) * s[l])
+    return cols
+
+
 def rotations_to_psi(matrices: np.ndarray, bandlimit: int) -> np.ndarray:
     """Flattened harmonic vectors for a stack of matrices, shape (n, M)."""
     matrices = np.asarray(matrices, dtype=float)
@@ -213,6 +231,27 @@ def _matrix_of(r) -> np.ndarray:
     if isinstance(r, (np.ndarray, list, tuple)):
         return np.asarray(r, dtype=float)
     return rotations.as_matrix(r).m
+
+
+@lru_cache(maxsize=32)
+def complex_to_real_matrix(l: int) -> np.ndarray:
+    """Unitary U_l turning complex coefficient vectors into real ones.
+
+    c_real = U_l @ c_complex for coefficients of a real signal; the same
+    matrix conjugates Wigner blocks into the real basis.
+    """
+    dim = 2 * l + 1
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    u[l, l] = 1.0
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for mu in range(1, l + 1):
+        sign = (-1) ** mu
+        u[l + mu, l + mu] = sign * inv_sqrt2
+        u[l + mu, l - mu] = inv_sqrt2
+        u[l - mu, l + mu] = 1j * sign * inv_sqrt2
+        u[l - mu, l - mu] = -1j * inv_sqrt2
+    u.flags.writeable = False
+    return u
 
 
 def _real_to_complex_block(l: int, d: np.ndarray) -> np.ndarray:
@@ -258,12 +297,13 @@ def rotation_to_psi(r, bandlimit: int) -> HarmonicVector:
 # Coefficient rotation (shift law)
 # ---------------------------------------------------------------------------
 
-def rotate_coeffs(coeffs: SphericalCoeffs, r) -> SphericalCoeffs:
+def rotate_coeffs(coeffs, r):
     """Rotate a band-limited function by acting on its coefficients.
 
-    Per degree, c' = D^l(r) c; synthesizing the result reproduces the
-    input signal pulled back through r^-1.  The Wigner basis follows the
-    coefficient basis.
+    ``coeffs`` is a ``harmonics.SphericalCoeffs``; the result is a copy
+    with rotated data.  Per degree, c' = D^l(r) c; synthesizing the
+    result reproduces the input signal pulled back through r^-1.  The
+    Wigner basis follows the coefficient basis.
     """
     blocks = wigner_block_stacks_real(_matrix_of(r)[None], coeffs.bandlimit)
     out = np.empty_like(coeffs.data)
@@ -272,36 +312,4 @@ def rotate_coeffs(coeffs: SphericalCoeffs, r) -> SphericalCoeffs:
         if coeffs.basis == "complex":
             d = _real_to_complex_block(l, d)
         out[:, l * l:(l + 1) ** 2] = coeffs.block(l) @ d.T
-    return SphericalCoeffs(coeffs.bandlimit, out, coeffs.basis)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def psi_to_json(psi: HarmonicVector) -> str:
-    return json.dumps({
-        "layout_version": PSI_LAYOUT_VERSION,
-        "bandlimit": psi.bandlimit,
-        "data": list(psi.data),
-    })
-
-
-def psi_from_json(text: str) -> HarmonicVector:
-    obj = json.loads(text)
-    if obj.get("layout_version") != PSI_LAYOUT_VERSION:
-        raise ValueError("unsupported harmonic-vector layout version")
-    return HarmonicVector(obj["bandlimit"], np.asarray(obj["data"], dtype=float))
-
-
-def psi_to_bytes(psi: HarmonicVector) -> bytes:
-    head = struct.pack("<III", PSI_LAYOUT_VERSION, psi.bandlimit, len(psi.data))
-    return head + psi.data.astype("<f8").tobytes()
-
-
-def psi_from_bytes(blob: bytes) -> HarmonicVector:
-    version, bandlimit, n = struct.unpack_from("<III", blob)
-    if version != PSI_LAYOUT_VERSION:
-        raise ValueError("unsupported harmonic-vector layout version")
-    data = np.frombuffer(blob, dtype="<f8", count=n, offset=12)
-    return HarmonicVector(bandlimit, data.copy())
+    return replace(coeffs, data=out)

@@ -1,15 +1,14 @@
 """Spherical harmonics, basis changes, and analysis/synthesis tests."""
 
-import json
-
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from so3harmonics import grids
 from so3harmonics.harmonics import (IllConditionedError, PointSet,
-                                    SphericalCoeffs, SphericalSignal, analyze,
-                                    assoc_legendre, coeffs_from_json,
-                                    coeffs_to_json, complex_to_real_coeffs,
+                                    SphericalCoeffs, SphericalPoint,
+                                    SphericalSignal, analyze,
+                                    complex_to_real_coeffs,
                                     complex_to_real_matrix, design_matrix,
                                     real_to_complex_coeffs, sph_harm_complex,
                                     sph_harm_real, synthesize)
@@ -23,31 +22,6 @@ def gauss_quadrature_grid(n_theta=24, n_phi=48):
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     ww = np.repeat(w[:, None], n_phi, axis=1) * (2 * np.pi / n_phi)
     return tt.ravel(), pp.ravel(), ww.ravel()
-
-
-class TestAssocLegendre:
-    def test_constant(self):
-        for x in (-0.9, 0.0, 0.4):
-            assert assoc_legendre(0, 0, x) == 1.0
-
-    def test_degree_one(self):
-        assert assoc_legendre(1, 0, 0.5) == pytest.approx(0.5)
-
-    def test_rodrigues_oracle_value(self):
-        # frozen from symbolic differentiation of (x^2-1)^l:
-        # P_5^3(0.3) = 36309*sqrt(91)/40000
-        assert assoc_legendre(5, 3, 0.3) == pytest.approx(
-            8.659144616061970, rel=1e-13)
-        # P_3^2(-0.2) = -2.88 exactly
-        assert assoc_legendre(3, 2, -0.2) == pytest.approx(-2.88, rel=1e-13)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            assoc_legendre(2, 1, 1.5)
-
-    def test_order_bounds(self):
-        with pytest.raises(ValueError):
-            assoc_legendre(2, 3, 0.0)
 
 
 class TestSphericalHarmonics:
@@ -83,10 +57,48 @@ class TestSphericalHarmonics:
             np.sqrt(3 / (4 * np.pi)) * np.sin(theta) * np.sin(phi))
 
     def test_accepts_point_objects(self):
-        from so3harmonics.harmonics import SphericalPoint
         p = SphericalPoint(1.1, 2.0)
         assert sph_harm_complex(2, 1, p) == sph_harm_complex(2, 1, 1.1, 2.0)
         assert sph_harm_real(2, -2, p) == sph_harm_real(2, -2, 1.1, 2.0)
+
+    def test_missing_phi_raises_and_broadcasting_works(self):
+        with pytest.raises(TypeError):
+            sph_harm_complex(1, 0, 0.3)
+        with pytest.raises(TypeError):
+            sph_harm_real(1, 1, 0.3)
+        theta, phi = np.array([0.2, 1.1, 2.5]), np.array([0.4, 3.0, 5.9])
+        for f in (sph_harm_real, sph_harm_complex):
+            assert np.isscalar(f(3, -2, 1.1, 3.0))
+            row = f(3, -2, 1.1, phi)
+            col = f(3, -2, theta, 3.0)
+            assert row.shape == col.shape == (3,)
+            one_by_one = [[f(3, -2, 1.1, p) for p in phi],
+                          [f(3, -2, t, 3.0) for t in theta]]
+            assert np.allclose([row, col], one_by_one, rtol=0, atol=1e-15)
+
+    def test_design_matrix_matches_scipy(self):
+        # Condon-Shortley complex basis and its real recombination, checked
+        # against an independent implementation, poles included
+        rng = np.random.default_rng(4)
+        poles = np.array([0.0, 1e-13, 1e-7, 1e-4, np.pi - 1e-7, np.pi])
+        theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 200)), poles])
+        phi = rng.uniform(0, 2 * np.pi, theta.size)
+        grid = PointSet(theta, phi)
+        real = design_matrix(grid, 20, "real")
+        cplx = design_matrix(grid, 20, "complex")
+        for l in range(21):
+            for m in range(-l, l + 1):
+                ref = sph_harm_y(l, abs(m), theta, phi)
+                if m > 0:
+                    ref_real = np.sqrt(2.0) * (-1) ** m * ref.real
+                elif m < 0:
+                    ref_real = np.sqrt(2.0) * (-1) ** m * ref.imag
+                else:
+                    ref_real = ref.real
+                col = l * l + l + m
+                assert np.max(np.abs(real[:, col] - ref_real)) < 1e-13, (l, m)
+                assert np.max(np.abs(cplx[:, col] - sph_harm_y(l, m, theta, phi))
+                              ) < 1e-13, (l, m)
 
     def test_real_orthonormality(self):
         theta, phi, w = gauss_quadrature_grid()
@@ -174,16 +186,3 @@ class TestAnalyzeSynthesize:
         assert design_matrix(grid, 3, "real").shape == (48, 16)
         assert design_matrix(grid, 3, "complex").dtype == np.complex128
 
-
-class TestCoeffsJson:
-    def test_round_trip_real(self):
-        rng = np.random.default_rng(3)
-        c = SphericalCoeffs(2, rng.normal(size=(2, 9)))
-        back = coeffs_from_json(coeffs_to_json(c))
-        assert back.bandlimit == 2 and back.basis == "real"
-        assert np.allclose(back.data, c.data)
-
-    def test_layout_documented(self):
-        c = SphericalCoeffs(1, np.zeros((1, 4)))
-        obj = json.loads(coeffs_to_json(c))
-        assert "increasing l" in obj["layout"]

@@ -10,9 +10,7 @@ from so3harmonics.harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
                                     analyze, synthesize)
 from so3harmonics.rotations import (EulerZYZ, RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
-from so3harmonics.wigner import (HarmonicVector, m_total, psi_from_bytes,
-                                 psi_from_json, psi_to_bytes, psi_to_json,
-                                 rotate_coeffs, rotation_to_psi,
+from so3harmonics.wigner import (m_total, rotate_coeffs, rotation_to_psi,
                                  rotations_to_psi, small_d, small_d_matrix,
                                  wigner_D_complex, wigner_D_real)
 
@@ -200,14 +198,6 @@ class TestHarmonicVector:
         b = rotations_to_psi(mats[keep, 1], 6)
         cross = np.sum(a * b, axis=1)
         assert np.all(cross < 49.0 - 1e-6)
-
-    def test_serialization_round_trips(self):
-        psi = rotation_to_psi(RotationMatrix(sample_uniform_matrices(9, 1)[0]), 4)
-        back = psi_from_json(psi_to_json(psi))
-        assert np.allclose(back.data, psi.data)
-        back2 = psi_from_bytes(psi_to_bytes(psi))
-        assert np.array_equal(back2.data, psi.data)
-        assert back2.bandlimit == 4
 
 
 class TestShiftLaw:
