@@ -99,6 +99,7 @@ class RunConfig:
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        self.loss_config()  # rejects an unknown loss kind or temperature <= 0
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.bandlimit, self.loss_kind,
@@ -275,8 +276,6 @@ def spatial_targets(gt: np.ndarray, head_kind: str) -> np.ndarray:
 
 def params_to_matrices(params: np.ndarray, head_kind: str) -> np.ndarray:
     """Project raw head outputs back to valid rotation matrices."""
-    n = len(params)
-    out = np.empty((n, 3, 3))
     if head_kind == "euler":
         a = params[:, 0]
         b = np.clip(params[:, 1], 0.0, np.pi)
@@ -297,11 +296,9 @@ def params_to_matrices(params: np.ndarray, head_kind: str) -> np.ndarray:
         axes = np.where(ok, axes / np.where(ok, norms, 1.0), [0.0, 0.0, 1.0])
         return axis_angles_to_matrices(axes, np.clip(params[:, 3], 0.0, np.pi))
     if head_kind == "rotmat":
-        for i in range(n):
-            u, _, vt = np.linalg.svd(params[i].reshape(3, 3))
-            d = np.sign(np.linalg.det(u @ vt))
-            out[i] = u @ np.diag([1.0, 1.0, d]) @ vt
-        return out
+        u, _, vt = np.linalg.svd(params.reshape(-1, 3, 3))
+        u[:, :, 2] *= np.sign(np.linalg.det(u @ vt))[:, None]
+        return u @ vt
     raise ValueError(f"unknown head kind {head_kind!r}")
 
 
@@ -434,24 +431,15 @@ def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
     wigner_head = not isinstance(model, SpatialHeadModel)
     use_ga = cfg.grad_ascent_steps > 0 if grad_ascent is None else grad_ascent
     ga_steps = cfg.grad_ascent_steps if cfg.grad_ascent_steps > 0 else 20
-    argmax_metrics = None
     if wigner_head:
         psis = head_wigner(model, hidden)
         if grid is None:
             grid = inference_grid(cfg.infer_level, cfg.bandlimit)
-        preds = np.empty_like(gt)
-        coarse = np.empty_like(gt)
-        for i, psi in enumerate(psis):
-            dist = estimation.infer_distribution(psi, grid,
-                                                 cfg.softmax_temperature)
-            pose = estimation.argmax_pose(dist)
-            coarse[i] = pose.m
-            if use_ga:
-                pose = estimation.gradient_ascent_pose(
-                    psi, pose, steps=ga_steps, lr=cfg.grad_ascent_lr)
-            preds[i] = pose.m
+        coarse = preds = estimation.argmax_pose(estimation.infer_distribution(
+            psis, grid, cfg.softmax_temperature))
         if use_ga:
-            argmax_metrics = estimation.metrics(coarse, gt)
+            preds = estimation.gradient_ascent_pose(
+                psis, coarse, steps=ga_steps, lr=cfg.grad_ascent_lr)
     else:
         flat = hidden.reshape(len(idx), -1)
         preds = params_to_matrices(flat @ model.head_w.T, model.head_kind)
@@ -465,8 +453,8 @@ def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
         "grad_ascent": bool(use_ga),
         "metrics": estimation.metrics(preds, gt),
     }
-    if argmax_metrics is not None:
-        report["argmax_metrics"] = argmax_metrics
+    if wigner_head and use_ga:
+        report["argmax_metrics"] = estimation.metrics(coarse, gt)
     return {"report": report, "errors": errors, "preds": preds, **report}
 
 

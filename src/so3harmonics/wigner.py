@@ -206,6 +206,19 @@ def wigner_center_columns(vectors: np.ndarray, bandlimit: int) -> list[np.ndarra
     return cols
 
 
+@lru_cache(maxsize=None)
+def generators_real(l: int) -> np.ndarray:
+    """(J_x, J_y, J_z) of degree l with D^l(exp(t K_k)) = expm(t J^l_k),
+    K_z the generator of Rz; J_x, J_y are J_z conjugated by the block of
+    the cyclic permutation Q (Q e_z = e_x, Q^T e_z = e_y)."""
+    jz = np.fliplr(np.diag(l - np.arange(2 * l + 1.0)))
+    q = wigner_block_stacks_real(np.roll(np.eye(3), 1, axis=0)[None], l)[l][0]
+    j = np.stack([q @ jz @ q.T, q.T @ jz @ q, jz])
+    j = 0.5 * (j - j.transpose(0, 2, 1))  # exactly antisymmetric
+    j.flags.writeable = False
+    return j
+
+
 def rotations_to_psi(matrices: np.ndarray, bandlimit: int) -> np.ndarray:
     """Flattened harmonic vectors for a stack of matrices, shape (n, M)."""
     matrices = np.asarray(matrices, dtype=float)

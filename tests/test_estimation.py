@@ -158,6 +158,18 @@ class TestInferDistribution:
         d = infer_distribution(rng.normal(size=wigner.m_total(4)), small_grid)
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_non_positive_temperature_rejected(self, small_grid):
+        pred = small_grid.psi_table[7]
+        for temperature in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="temperature"):
+                infer_distribution(pred, small_grid, temperature=temperature)
+
+    def test_non_finite_probabilities_rejected(self, small_grid):
+        probs = np.full(small_grid.size, 1.0 / small_grid.size)
+        probs[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            PoseDistribution(small_grid, probs)
+
     def test_logit_shift_invariance(self, small_grid):
         # adding a constant to every logit is a rescale of the prediction
         # by psi-orthogonal content; check directly on the softmax
@@ -192,6 +204,29 @@ class TestArgmaxPose:
         assert worst <= rad + 1e-6
 
 
+class TestBatchedDecode:
+    def test_batch_matches_dense_per_sample_argmax(self):
+        # criterion 05's queries on the level-3 grid, clean and noisy; the
+        # oracle scores each query alone against the dense table
+        grid = grids.so3_healpix(3).with_psi_table(6)
+        queries = wigner.rotations_to_psi(sample_uniform_matrices(5, 1000), 6)
+        noisy = queries + 0.3 * np.random.default_rng(12).normal(size=queries.shape)
+        for psis in (queries, noisy):
+            for start in range(0, 1000, 250):
+                block = psis[start:start + 250]
+                poses = argmax_pose(infer_distribution(block, grid))
+                expect = [np.argmax(grid.psi_table @ psi) for psi in block]
+                assert np.array_equal(poses, grid.rotations[expect])
+
+    def test_batch_rows_match_single_distributions(self, small_grid):
+        preds = np.random.default_rng(13).normal(size=(5, wigner.m_total(4)))
+        batch = infer_distribution(preds, small_grid, temperature=0.7)
+        assert batch.probs.shape == (5, small_grid.size)
+        for row, pred in zip(batch.probs, preds):
+            single = infer_distribution(pred, small_grid, temperature=0.7)
+            assert np.allclose(row, single.probs, rtol=1e-12, atol=1e-300)
+
+
 class TestGradientAscent:
     def test_zero_steps_returns_start(self):
         psi = wigner.rotation_to_psi(RotationMatrix.identity(), 4)
@@ -221,6 +256,39 @@ class TestGradientAscent:
         s0 = wigner.rotations_to_psi(start.m, 3) @ pred
         s1 = wigner.rotations_to_psi(out.m, 3) @ pred
         assert s1 >= s0 - 1e-12
+
+    def test_gradient_matches_central_differences(self):
+        # g_k = psi(R) . q_k is d/dt <psi(R exp(t K_k)), pred> at t = 0
+        rng = np.random.default_rng(14)
+        L, h = 6, 1e-5
+        preds = rng.normal(size=(4, wigner.m_total(L)))
+        mats = sample_uniform_matrices(15, 4)
+        q = estimation._tangent_weights(preds)
+        grads = np.einsum("nm,nkm->nk", wigner.rotations_to_psi(mats, L), q)
+        for k in range(3):
+            step = rotations.axis_angles_to_matrices(np.eye(3)[[k] * 4],
+                                                     np.full(4, h))
+            up = wigner.rotations_to_psi(mats @ step, L)
+            dn = wigner.rotations_to_psi(mats @ step.transpose(0, 2, 1), L)
+            fd = np.sum((up - dn) * preds, axis=1) / (2 * h)
+            assert np.max(np.abs(grads[:, k] - fd)) <= 1e-9 * np.max(np.abs(grads))
+
+    def test_batch_matches_rows_refined_alone(self):
+        rng = np.random.default_rng(16)
+        truth = sample_uniform_matrices(17, 6)
+        preds = wigner.rotations_to_psi(truth, 4) + 0.2 * rng.normal(
+            size=(6, wigner.m_total(4)))
+        axes = rng.normal(size=(6, 3))
+        starts = rotations.axis_angles_to_matrices(
+            axes / np.linalg.norm(axes, axis=1, keepdims=True),
+            np.full(6, np.radians(5.0))) @ truth
+        batch = gradient_ascent_pose(preds, starts, steps=15, lr=1e-3)
+        for pred, start, got in zip(preds, starts, batch):
+            alone = gradient_ascent_pose(pred, RotationMatrix(start),
+                                         steps=15, lr=1e-3)
+            # |A - B|_F = 2 sqrt(2) sin(angle / 2); arccos of the trace
+            # cannot resolve angles below ~1e-8
+            assert np.linalg.norm(alone.m - got) / np.sqrt(2) <= 1e-12
 
 
 class TestMetrics:

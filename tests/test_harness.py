@@ -113,6 +113,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch size"):
             fast_cfg(batch_size=0)
 
+    def test_non_positive_temperature_rejected(self):
+        for temperature in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="temperature"):
+                fast_cfg(softmax_temperature=temperature)
+
     def test_empty_training_split_rejected(self):
         cfg = fast_cfg(n_train_views=0, epochs=1)
         with pytest.raises(ValueError, match="no training samples"):
@@ -164,6 +169,17 @@ class TestSpatialHeads:
         proj = params_to_matrices(noisy, "rotmat")
         eye = np.einsum("nij,nkj->nik", proj, proj)
         assert np.max(np.abs(eye - np.eye(3))) < 1e-9
+
+    def test_rotmat_projection_matches_per_row_svd(self):
+        params = np.random.default_rng(6).normal(size=(500, 9))
+        params[0] = 0.0
+        params[1] = np.eye(3).ravel()
+        expect = np.empty((500, 3, 3))
+        for i, row in enumerate(params):
+            u, _, vt = np.linalg.svd(row.reshape(3, 3))
+            d = np.sign(np.linalg.det(u @ vt))
+            expect[i] = u @ np.diag([1.0, 1.0, d]) @ vt
+        assert params_to_matrices(params, "rotmat").tobytes() == expect.tobytes()
 
     def test_spatial_head_checkpoint_round_trip(self, tmp_path, spherical_ds):
         cfg = fast_cfg(head="rotmat", epochs=2)

@@ -8,6 +8,7 @@ lose precision and the real-basis recursion must not.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from so3harmonics import wigner
 from so3harmonics.harmonics import (PointSet, SphericalCoeffs, design_matrix,
@@ -105,3 +106,20 @@ def test_design_row_is_wigner_centre_column(theta, phi, psi):
     for l, d in enumerate(blocks):
         expect = np.sqrt((2 * l + 1) / (4 * np.pi)) * d[0, :, l]
         assert np.max(np.abs(row[l * l:(l + 1) ** 2] - expect)) < 1e-13, l
+
+
+SO3_GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                           [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                           [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+
+
+@SETTINGS
+@given(st.floats(-np.pi, np.pi))
+def test_generators_exponentiate_to_blocks(t):
+    # expm(t J^l_k) = D^l(exp(t K_k)) for every axis k and degree l <= LMAX
+    for k, gen in enumerate(SO3_GENERATORS):
+        blocks = wigner.wigner_block_stacks_real(expm(t * gen)[None], LMAX)
+        for l, d in enumerate(blocks):
+            j = wigner.generators_real(l)[k]
+            assert np.array_equal(j + j.T, np.zeros_like(j)), (k, l)
+            assert np.max(np.abs(expm(t * j) - d[0])) <= 1e-12, (k, l)
