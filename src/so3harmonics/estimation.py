@@ -68,7 +68,7 @@ class PoseDistribution:
         if probs.ndim not in (1, 2) or probs.shape[-1] != self.grid.size:
             raise ValueError("probability vector length must match grid size")
         # comparisons written so that NaN and inf fail; one check per row
-        if not (np.all(probs >= 0) and np.all(abs(probs.sum(axis=-1) - 1) <= 1e-9)):
+        if not (probs.min() >= 0 and np.all(abs(probs.sum(axis=-1) - 1) <= 1e-9)):
             raise ValueError("probabilities must be finite, non-negative and sum to 1")
         object.__setattr__(self, "probs", probs)
 

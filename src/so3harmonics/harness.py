@@ -29,10 +29,9 @@ from .estimation import LossConfig
 from .grids import SO3Grid
 from .harmonics import PointSet, SphericalCoeffs
 from .mapper import MapperConfig
-from .rotations import (RotationMatrix, axis_angles_to_matrices,
-                        matrices_to_zyz, matrix_to_axis_angle, matrix_to_quat,
-                        quats_to_matrices, sample_uniform_matrices,
-                        zyz_to_matrices)
+from .rotations import (axis_angles_to_matrices, matrices_to_axis_angles,
+                        matrices_to_quats, matrices_to_zyz, quats_to_matrices,
+                        sample_uniform_matrices, zyz_to_matrices)
 from .specconv import (S2FilterBank, backward_head_wigner, backward_trunk,
                        forward_trunk, head_wigner, init_toy_model, save_model)
 
@@ -137,9 +136,6 @@ class SyntheticDataset:
     @property
     def size(self) -> int:
         return len(self.inputs)
-
-    def subset_inputs(self, idx: np.ndarray) -> np.ndarray:
-        return self.inputs[idx]
 
 
 def gen_dataset(cfg: RunConfig, seed: int | None = None) -> SyntheticDataset:
@@ -261,14 +257,10 @@ def spatial_targets(gt: np.ndarray, head_kind: str) -> np.ndarray:
         a, b, g = matrices_to_zyz(gt)
         return np.stack([a, b, g], axis=1)
     if head_kind == "quaternion":
-        return np.stack([matrix_to_quat(RotationMatrix(m)).as_array() for m in gt])
+        return matrices_to_quats(gt)
     if head_kind == "axis_angle":
-        out = np.empty((len(gt), 4))
-        for i, m in enumerate(gt):
-            aa = matrix_to_axis_angle(RotationMatrix(m))
-            out[i, :3] = aa.axis
-            out[i, 3] = aa.angle
-        return out
+        axes, angles = matrices_to_axis_angles(gt)
+        return np.concatenate([axes, angles[:, None]], axis=1)
     if head_kind == "rotmat":
         return gt.reshape(len(gt), 9)
     raise ValueError(f"unknown head kind {head_kind!r}")
@@ -311,7 +303,7 @@ def _forward_batch(model, ds: SyntheticDataset, idx: np.ndarray,
     mcfg = None if ds.kind == "spherical" else MapperConfig(
         grids.healpix_s2(cfg.mapper_level, "hemisphere"),
         cfg.dropout_fraction, cfg.edge_decay, cfg.sample_count)
-    return forward_trunk(model, ds.kind, ds.subset_inputs(idx), grid=ds.grid,
+    return forward_trunk(model, ds.kind, ds.inputs[idx], grid=ds.grid,
                          cfg=mcfg, mode=mode, seed=seed)
 
 

@@ -103,8 +103,10 @@ def edge_weights(points_xyz: np.ndarray, edge_decay: str) -> np.ndarray:
 
 
 def lift(cfg: MapperConfig, height: int, width: int, mode: str = "eval",
-         seed: int = 0) -> tuple[PointSet, np.ndarray, np.ndarray]:
-    """Kept points, (p, H*W) bilinear matrix and (p,) edge weights.
+         seed: int = 0) -> tuple[PointSet, np.ndarray]:
+    """Kept points and (p, H*W) weights: ``values @ weights.T`` samples
+    flattened (..., H*W) maps there.  Row i is point i's bilinear weights
+    times its edge weight.
 
     Eval mode keeps all vertices; train mode keeps the seeded subset of
     ``sample_mask``.  Vertices cannot project outside the image: the
@@ -117,15 +119,14 @@ def lift(cfg: MapperConfig, height: int, width: int, mode: str = "eval",
     else:
         kept = np.arange(cfg.grid.size)
     pts = cfg.grid.xyz[kept]
-    return (cfg.grid.take(kept), bilinear_matrix(pts[:, :2], height, width),
-            edge_weights(pts, cfg.edge_decay))
+    weights = (edge_weights(pts, cfg.edge_decay)[:, None]
+               * bilinear_matrix(pts[:, :2], height, width))
+    return cfg.grid.take(kept), weights
 
 
 def project(f: FeatureMap, cfg: MapperConfig, rng_seed: int = 0,
             mode: str = "eval") -> SphericalSignal:
     """Lift a feature map to a spherical signal on the kept grid vertices."""
     _, height, width = f.values.shape
-    points, b, edge = lift(cfg, height, width, mode, rng_seed)
-    values = f.values.reshape(f.channels, -1) @ b.T
-    values *= edge[None, :]
-    return SphericalSignal(points, values)
+    points, weights = lift(cfg, height, width, mode, rng_seed)
+    return SphericalSignal(points, f.values.reshape(f.channels, -1) @ weights.T)

@@ -145,33 +145,7 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
 
 def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
     """Quaternion of a matrix via the numerically stable branch method."""
-    m = r.m
-    t = np.trace(m)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2
-        w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    return UnitQuaternion(w, x, y, z)
+    return UnitQuaternion(*matrices_to_quats(r.m[None])[0])
 
 
 def axis_angle_to_matrix(aa: AxisAngle) -> RotationMatrix:
@@ -182,17 +156,8 @@ def axis_angle_to_matrix(aa: AxisAngle) -> RotationMatrix:
 
 def matrix_to_axis_angle(r: RotationMatrix) -> AxisAngle:
     """Axis and angle of a matrix; angle 0 returns axis (0, 0, 1)."""
-    q = matrix_to_quat(r)
-    v = np.array([q.x, q.y, q.z])
-    sin_half = np.linalg.norm(v)
-    angle = 2.0 * np.arctan2(sin_half, q.w)
-    if sin_half < 1e-12:
-        return AxisAngle(np.array([0.0, 0.0, 1.0]), 0.0)
-    if angle > np.pi:
-        # canonical sign flips w >= 0 so this only triggers at angle ~ pi
-        angle = _TWO_PI - angle
-        v = -v
-    return AxisAngle(v / sin_half, min(angle, np.pi))
+    axes, angles = matrices_to_axis_angles(r.m[None])
+    return AxisAngle(axes[0], angles[0])
 
 
 def geodesic_distance(r1: RotationMatrix, r2: RotationMatrix) -> float:
@@ -219,6 +184,56 @@ def quats_to_matrices(q: np.ndarray) -> np.ndarray:
     m[:, 2, 1] = 2 * (y * z + w * x)
     m[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return m
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """(n, 1) norms of (n, k) rows, each rounded like np.linalg.norm of a
+    single vector (a stacked matmul takes the same dot product)."""
+    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+
+
+def matrices_to_quats(m: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) matrices -> (n, 4) canonical unit wxyz quaternions.
+
+    The stable branch method, row by row: the trace branch where the
+    trace is positive, else the branch of the largest diagonal entry.
+    """
+    m = np.asarray(m, dtype=float)
+    d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    t = np.trace(m, axis1=1, axis2=2)
+    branch = np.where(t > 0, 0, np.where((d0 > d1) & (d0 > d2), 1,
+                                         np.where(d1 > d2, 2, 3)))
+    rows = np.arange(len(m))
+    s = np.sqrt(np.stack([t + 1.0, 1.0 + d0 - d1 - d2, 1.0 + d1 - d0 - d2,
+                          1.0 + d2 - d0 - d1], axis=1)[rows, branch]) * 2
+    a, p = m - m.transpose(0, 2, 1), m + m.transpose(0, 2, 1)
+    wx, wy, wz, xy, xz, yz = (a[:, 2, 1], a[:, 0, 2], a[:, 1, 0],
+                              p[:, 0, 1], p[:, 0, 2], p[:, 1, 2])
+    # row k holds 4 q_k q_i; the branch's own entry is overwritten below
+    pairs = np.array([[wx, wx, wy, wz], [wx, wx, xy, xz],
+                      [wy, xy, wy, yz], [wz, xz, yz, wz]])
+    q = pairs[branch, :, rows] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    q /= _row_norms(q)
+    first = np.argmax(q != 0, axis=1)
+    q *= np.where(q[rows, first] < 0, -1.0, 1.0)[:, None]
+    return q
+
+
+def matrices_to_axis_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3, 3) matrices -> (n, 3) unit axes and (n,) angles in [0, pi].
+
+    Read from the canonical quaternions, whose w >= 0 keeps every angle
+    within [0, pi]; a zero rotation gets axis (0, 0, 1).  Each axis is
+    renormalized by its own norm, as the AxisAngle constructor does.
+    """
+    q = matrices_to_quats(m)
+    sin_half = _row_norms(q[:, 1:])
+    ok = sin_half[:, 0] >= 1e-12
+    axes = np.where(ok[:, None], q[:, 1:] / np.where(ok[:, None], sin_half, 1.0),
+                    [0.0, 0.0, 1.0])
+    angles = 2.0 * np.arctan2(sin_half[:, 0], q[:, 0])
+    return axes / _row_norms(axes), np.where(ok, angles, 0.0)
 
 
 def axis_angles_to_matrices(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:

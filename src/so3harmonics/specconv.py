@@ -19,11 +19,11 @@ the same layer functions the equivariance tests check.
   products with the grid's harmonic vectors), applies ReLU, and
   projects back to band-limited blocks by ridge least squares.
 
-The toy network chains: channel mixer, projection/analysis to harmonic
-coefficients, sphere convolution, grid ReLU, group convolution, and
-flattens the single output channel into a harmonic vector.  Gradients
-are reverse-mode, propagated by hand through the (almost entirely
-linear) stages.
+The toy network chains: lift/analysis of each input channel to harmonic
+coefficients (one linear operator per input kind), channel mixer, sphere
+convolution, grid ReLU, group convolution, and flattens the single output
+channel into a harmonic vector.  Gradients are reverse-mode, propagated
+by hand through the (almost entirely linear) stages.
 """
 
 from __future__ import annotations
@@ -96,20 +96,20 @@ def local_tap_rotations(count: int, support_angle: float) -> np.ndarray:
 class LocalSO3Filter:
     """Locally supported group filter: weighted taps near the identity.
 
-    The taps are fixed at construction, which builds their Wigner blocks
-    once.  Spectral blocks are recombined from those blocks on every
-    application, so the tap weights stay the learnable parameters (and
-    are mutated in place by optimizer steps).
+    The taps are fixed at construction, which builds their harmonic
+    vectors once.  Spectral blocks are recombined from those vectors on
+    every application, so the tap weights stay the learnable parameters
+    (and are mutated in place by optimizer steps).
     """
 
     bandlimit: int
     support_angle: float
     taps: np.ndarray        # (K, 3, 3) rotations within the support
     weights: np.ndarray     # (C_out, C_in, K)
-    tap_blocks: tuple = field(init=False, repr=False)  # per l (K, 2l+1, 2l+1)
+    tap_psi: np.ndarray = field(init=False, repr=False)  # (K, M), read-only
 
     def __setattr__(self, name, value):
-        if name == "taps" and "tap_blocks" in self.__dict__:
+        if name == "taps" and "tap_psi" in self.__dict__:
             raise AttributeError("taps are fixed at construction")
         super().__setattr__(name, value)
 
@@ -125,13 +125,13 @@ class LocalSO3Filter:
         taps.flags.writeable = False
         self.taps = taps
         self.weights = weights
-        self.tap_blocks = tuple(_blocks(
-            rotations_to_psi(taps, self.bandlimit), self.bandlimit))
+        tap_psi = rotations_to_psi(taps, self.bandlimit)
+        tap_psi.flags.writeable = False
+        self.tap_psi = tap_psi
 
     def spectral_blocks(self) -> list[np.ndarray]:
         """Per-degree (C_out, C_in, 2l+1, 2l+1) filter blocks."""
-        return [np.einsum("oik,kmn->oimn", self.weights, d)
-                for d in self.tap_blocks]
+        return _blocks(self.weights @ self.tap_psi, self.bandlimit)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def default_nonlin_grid(level: int = 2) -> SO3Grid:
 
 @dataclass
 class ToyModel:
-    """Learnable pipeline: mixer -> lift/analyze -> sphere conv -> grid
+    """Learnable pipeline: lift/analyze -> mixer -> sphere conv -> grid
     ReLU -> group conv -> harmonic vector."""
 
     bandlimit: int
@@ -280,23 +280,18 @@ class ParamGrads:
     mixer: np.ndarray
     s2_spectra: list[np.ndarray]
     so3_weights: np.ndarray | None = None
-    head_weights: np.ndarray | None = None
 
 
 @dataclass
 class TrunkState:
     """Intermediates needed to backpropagate through the trunk."""
 
-    kind: str
-    raw_values: np.ndarray          # (B, C_in, p) or (B, C_in, H*W)
-    analysis: np.ndarray            # G: coeffs = values @ G.T
+    lifted: np.ndarray              # (B, C_in, (L+1)^2) input coefficients
     coeffs: np.ndarray              # (B, C_mid, (L+1)^2)
     relu_mask: np.ndarray           # (B, C_h, Q)
     hidden_flat: np.ndarray         # (B, C_h, M)
     sample_op: np.ndarray           # A (Q, M)
     reanalysis: np.ndarray          # P (M, Q)
-    bilinear: np.ndarray | None = None   # (p, H*W) for image inputs
-    edge: np.ndarray | None = None       # (p,)
 
 
 def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
@@ -304,43 +299,39 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
                   cfg: MapperConfig | None = None,
                   mode: str = "eval", seed: int = 0
                   ) -> tuple[np.ndarray, TrunkState]:
-    """Run mixer/lift/analysis/sphere-conv/ReLU; returns hidden (B, C_h, M).
+    """Run lift/analysis/mixer/sphere-conv/ReLU; returns hidden (B, C_h, M).
 
-    kind 'spherical': values (B, C_in, p) sampled on ``grid``.
-    kind 'image': values (B, C_in, H, W) lifted through ``cfg`` in
-    ``mode`` 'train' (seeded point dropout) or 'eval'.
+    Each kind lifts every input channel to coefficients with one linear
+    ``op``.  'spherical': values (B, C_in, p) or (C_in, p) on ``grid``;
+    ``op`` is the ridge analysis there.  'image': values (B, C_in, H, W)
+    or (C_in, H, W); ``op`` is the analysis on the points ``mapper.lift``
+    keeps through ``cfg`` in ``mode`` 'train' (seeded point dropout) or
+    'eval', times its weights.  The mixer then acts on coefficients.
     """
     L = model.bandlimit
+    values = np.asarray(values, dtype=float)
     if kind == "spherical":
         if grid is None:
             raise ValueError("spherical input needs its point set")
-        batch = np.atleast_3d(np.asarray(values, dtype=float))
-        mixed = np.einsum("ij,bip->bjp", model.mixer, batch)
-        points = grid
-        bilinear = None
-        edge = None
-        raw = batch
+        if values.ndim == 2:
+            values = values[None]
+        op = analysis_matrix(grid, L, "real")
     elif kind == "image":
         if cfg is None:
             raise ValueError("image input needs a mapper config")
-        imgs = np.asarray(values, dtype=float)
-        if imgs.ndim == 3:
-            imgs = imgs[None]
-        b, c_in, h, w = imgs.shape
-        points, bilinear, edge = mapper_mod.lift(cfg, h, w, mode, seed)
-        raw = imgs.reshape(b, c_in, h * w)
-        mixed_map = np.einsum("ij,biq->bjq", model.mixer, raw)
-        mixed = (mixed_map @ bilinear.T) * edge[None, None, :]
+        if values.ndim == 3:
+            values = values[None]
+        points, weights = mapper_mod.lift(cfg, *values.shape[-2:], mode, seed)
+        op = analysis_matrix(points, L, "real") @ weights
     else:
         raise ValueError(f"unknown input kind: {kind!r}")
 
-    g = analysis_matrix(points, L, "real")
-    coeffs = mixed @ g.T
+    lifted = values.reshape(values.shape[0], values.shape[1], -1) @ op.T
+    coeffs = np.einsum("ij,bim->bjm", model.mixer, lifted)
     a_grid, p_grid = _grid_operators(default_nonlin_grid(model.nonlin_level), L)
     hidden, mask = _grid_relu(s2_conv(coeffs, model.s2), a_grid, p_grid)
-    state = TrunkState(kind=kind, raw_values=raw, analysis=g, coeffs=coeffs,
-                       relu_mask=mask, hidden_flat=hidden, sample_op=a_grid,
-                       reanalysis=p_grid, bilinear=bilinear, edge=edge)
+    state = TrunkState(lifted=lifted, coeffs=coeffs, relu_mask=mask,
+                       hidden_flat=hidden, sample_op=a_grid, reanalysis=p_grid)
     return hidden, state
 
 
@@ -362,13 +353,7 @@ def backward_trunk(model: ToyModel, state: TrunkState,
                                    state.coeffs[..., l * l:(l + 1) ** 2]))
         d_coeffs[:, :, l * l:(l + 1) ** 2] = np.einsum(
             "bomn,oin->bim", d_pre, model.s2.spectra[l])
-    d_mixed = d_coeffs @ state.analysis
-    if state.kind == "spherical":
-        d_mixer = np.einsum("bip,bjp->ij", state.raw_values, d_mixed)
-    else:
-        d_map = (d_mixed * state.edge[None, None, :]) @ state.bilinear
-        d_mixer = np.einsum("biq,bjq->ij", state.raw_values, d_map)
-    return d_mixer, d_spectra
+    return np.einsum("bim,bjm->ij", state.lifted, d_coeffs), d_spectra
 
 
 def backward_head_wigner(model: ToyModel, state: TrunkState,
@@ -376,15 +361,14 @@ def backward_head_wigner(model: ToyModel, state: TrunkState,
     """Gradients (d_hidden, d_tap_weights) given d(psi)."""
     L = model.bandlimit
     d_hidden = np.empty_like(state.hidden_flat)
-    d_w = np.zeros_like(model.so3.weights)
-    for d_out, xb, dxb, h, taps in zip(
+    d_filter = np.empty(model.so3.weights.shape[:2] + d_psi.shape[-1:])
+    for d_out, xb, dxb, h, dhb in zip(
             _blocks(d_psi[:, None], L), _blocks(state.hidden_flat, L),
             _blocks(d_hidden, L), model.so3.spectral_blocks(),
-            model.so3.tap_blocks):
+            _blocks(d_filter, L)):
         dxb[...] = np.einsum("bomp,oipn->bimn", d_out, h)
-        d_h = np.einsum("bomp,bimn->oipn", d_out, xb)
-        d_w += np.einsum("oipn,kpn->oik", d_h, taps)
-    return d_hidden, d_w
+        dhb[...] = np.einsum("bomp,bimn->oipn", d_out, xb)
+    return d_hidden, d_filter @ model.so3.tap_psi.T
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +379,10 @@ def _trunk_one(model: ToyModel, f, cfg: MapperConfig | None, mode: str,
                seed: int) -> tuple[np.ndarray, TrunkState]:
     """forward_trunk on one feature map or sphere signal."""
     if isinstance(f, FeatureMap):
-        return forward_trunk(model, "image", f.values[None], cfg=cfg,
+        return forward_trunk(model, "image", f.values, cfg=cfg,
                              mode=mode, seed=seed)
     if isinstance(f, SphericalSignal):
-        return forward_trunk(model, "spherical", f.values[None], grid=f.grid,
+        return forward_trunk(model, "spherical", f.values, grid=f.grid,
                              mode=mode, seed=seed)
     raise TypeError(f"unsupported input type: {type(f)}")
 

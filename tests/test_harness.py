@@ -12,7 +12,43 @@ from so3harmonics.harness import (DivergenceError, RunConfig, evaluate,
                                   gen_dataset, load_checkpoint, load_dataset,
                                   params_to_matrices, save_checkpoint,
                                   save_dataset, spatial_targets, train)
-from so3harmonics.rotations import geodesic_distances, sample_uniform_matrices
+from so3harmonics.rotations import (AxisAngle, UnitQuaternion,
+                                    axis_angles_to_matrices,
+                                    geodesic_distances, sample_uniform_matrices)
+
+
+def per_row_quat(m: np.ndarray) -> UnitQuaternion:
+    """Scalar branch method, one matrix at a time."""
+    t = np.trace(m)
+    if t > 0:
+        s = np.sqrt(t + 1.0) * 2
+        w, x = 0.25 * s, (m[2, 1] - m[1, 2]) / s
+        y, z = (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
+        w, x = (m[2, 1] - m[1, 2]) / s, 0.25 * s
+        y, z = (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s
+    elif m[1, 1] > m[2, 2]:
+        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2
+        w, x = (m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s
+        y, z = 0.25 * s, (m[1, 2] + m[2, 1]) / s
+    else:
+        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
+        w, x = (m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s
+        y, z = (m[1, 2] + m[2, 1]) / s, 0.25 * s
+    return UnitQuaternion(w, x, y, z)
+
+
+def per_row_axis_angle(m: np.ndarray) -> AxisAngle:
+    q = per_row_quat(m)
+    v = np.array([q.x, q.y, q.z])
+    sin_half = np.linalg.norm(v)
+    angle = 2.0 * np.arctan2(sin_half, q.w)
+    if sin_half < 1e-12:
+        return AxisAngle(np.array([0.0, 0.0, 1.0]), 0.0)
+    if angle > np.pi:
+        angle, v = 2.0 * np.pi - angle, -v
+    return AxisAngle(v / sin_half, min(angle, np.pi))
 
 
 def fast_cfg(**kw):
@@ -161,6 +197,20 @@ class TestSpatialHeads:
             back = params_to_matrices(params, head)
             err = np.degrees(geodesic_distances(back, mats))
             assert np.max(err) < 1e-4, head  # arccos noise floor ~1e-6 deg
+
+    def test_quaternion_and_axis_angle_targets_match_per_row_loop(self):
+        # Haar rotations, the identity and half turns about x, y and z
+        mats = np.concatenate([
+            sample_uniform_matrices(8, 1000), np.eye(3)[None],
+            axis_angles_to_matrices(np.eye(3), np.full(3, np.pi))])
+        quats = np.stack([per_row_quat(m).as_array() for m in mats])
+        assert spatial_targets(mats, "quaternion").tobytes() == quats.tobytes()
+        expect = np.empty((len(mats), 4))
+        for i, m in enumerate(mats):
+            aa = per_row_axis_angle(m)
+            expect[i, :3] = aa.axis
+            expect[i, 3] = aa.angle
+        assert spatial_targets(mats, "axis_angle").tobytes() == expect.tobytes()
 
     def test_rotmat_projection_handles_noise(self):
         rng = np.random.default_rng(4)

@@ -11,7 +11,7 @@ from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
 from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
                                    _blocks, backward, default_nonlin_grid,
-                                   forward, init_toy_model,
+                                   forward, forward_trunk, init_toy_model,
                                    local_tap_rotations, load_model, s2_conv,
                                    save_model, so3_conv, so3_nonlinearity)
 
@@ -224,6 +224,19 @@ class TestForward:
         assert len(psi_eval.data) == wigner.m_total(L)
         assert not np.array_equal(psi_eval.data, psi_train.data)
 
+    @pytest.mark.parametrize("kind", ["spherical", "image"])
+    def test_one_sample_equals_batch_row(self, model, kind):
+        grid = grids.healpix_s2(2)
+        cfg = MapperConfig(grids.healpix_s2(2, "hemisphere"))
+        shape = (3, 2, grid.size) if kind == "spherical" else (3, 2, 16, 16)
+        batch = np.random.default_rng(14).normal(size=shape)
+        one, _ = forward_trunk(model, kind, batch[0], grid=grid, cfg=cfg,
+                               mode="train", seed=4)
+        rows, _ = forward_trunk(model, kind, batch, grid=grid, cfg=cfg,
+                                mode="train", seed=4)
+        assert one.shape == rows[:1].shape
+        assert np.allclose(one[0], rows[0], rtol=1e-12, atol=1e-14)
+
     def test_end_to_end_z_spin_equivariance(self, model):
         # full-sphere spherical path: spinning the input about z rotates
         # the output harmonic vector blockwise
@@ -284,6 +297,52 @@ class TestBackward:
             scale = max(abs(fd), abs(grad_map[name][idx]), 1e-6)
             worst = max(worst, abs(fd - grad_map[name][idx]) / scale)
             checked += 1
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_image_path_gradcheck(self, model, mode):
+        cfg = MapperConfig(grids.healpix_s2(2, "hemisphere"))
+        f = FeatureMap(np.random.default_rng(15).normal(size=(2, 16, 16)))
+        gt = wigner.rotation_to_psi(
+            RotationMatrix(sample_uniform_matrices(15, 1)[0]), L)
+        loss_cfg = LossConfig(L)
+        _, grads = backward(model, f, cfg, gt, loss_cfg, mode=mode, seed=5)
+        checks = [(model.mixer, grads.mixer),
+                  (model.s2.spectra[3], grads.s2_spectra[3]),
+                  (model.so3.weights, grads.so3_weights)]
+
+        def loss_and_mask():
+            value, _ = backward(model, f, cfg, gt, loss_cfg, mode=mode, seed=5)
+            _, state = forward_trunk(model, "image", f.values, cfg=cfg,
+                                     mode=mode, seed=5)
+            return value, state.relu_mask
+
+        # central differences are exact only where no ReLU sample changes
+        # sign within +-h, so coordinates that cross a kink are skipped
+        _, mask = loss_and_mask()
+        rng = np.random.default_rng(16)
+        h = 1e-5
+        worst = 0.0
+        checked = 0
+        for _ in range(60):
+            arr, grad = checks[checked % 3]
+            idx = tuple(rng.integers(0, s) for s in arr.shape)
+            orig = arr[idx]
+            arr[idx] = orig + h
+            up, up_mask = loss_and_mask()
+            arr[idx] = orig - h
+            dn, dn_mask = loss_and_mask()
+            arr[idx] = orig
+            if not (np.array_equal(up_mask, mask)
+                    and np.array_equal(dn_mask, mask)):
+                continue
+            fd = (up - dn) / (2 * h)
+            worst = max(worst, abs(fd - grad[idx])
+                        / max(abs(fd), abs(grad[idx]), 1e-6))
+            checked += 1
+            if checked == 30:
+                break
+        assert checked == 30
         assert worst < 1e-4
 
     def test_descent_reduces_loss(self, model):
