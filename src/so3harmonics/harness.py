@@ -41,7 +41,7 @@ HEAD_DIMS = {"euler": 3, "quaternion": 4, "axis_angle": 4, "rotmat": 9}
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or gradient became non-finite."""
 
 
 @dataclass
@@ -351,6 +351,7 @@ def train(cfg: RunConfig, ds: SyntheticDataset):
 
     rng = np.random.default_rng(cfg.train_seed)
     log = []
+    last_loss = None  # last finite epoch loss, for the divergence message
     n = len(train_idx)
     batch = min(cfg.batch_size, n)
     for epoch in range(cfg.epochs):
@@ -381,13 +382,17 @@ def train(cfg: RunConfig, ds: SyntheticDataset):
                 d_hidden = (d_pred @ model.head_w).reshape(hidden.shape)
                 d_mixer, d_spectra = backward_trunk(model, state, d_hidden)
                 grads = [d_mixer, *d_spectra, d_head]
-            if not np.isfinite(value):
+            # checked before the step, so NaN never reaches the parameters
+            if not (np.isfinite(value)
+                    and all(np.isfinite(g).all() for g in grads)):
+                what = "gradient" if np.isfinite(value) else "loss"
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}: lr={lr}, "
-                    f"batch start {start}")
+                    f"non-finite {what} at epoch {epoch}: lr={lr}, "
+                    f"batch start {start}, last finite epoch loss {last_loss}")
             _nesterov_step(params, grads, velocity, lr, cfg.momentum)
             epoch_loss += value * len(sel)
-        entry = {"epoch": epoch, "lr": lr, "loss": epoch_loss / n}
+        last_loss = epoch_loss / n
+        entry = {"epoch": epoch, "lr": lr, "loss": last_loss}
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
             entry["eval"] = evaluate(model, ds, cfg, split="test")["metrics"]
         log.append(entry)

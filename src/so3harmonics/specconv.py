@@ -208,10 +208,26 @@ def _grid_operators(grid: SO3Grid, bandlimit: int) -> tuple[np.ndarray, np.ndarr
 
 def _grid_relu(x: np.ndarray, a: np.ndarray,
                p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample with A, rectify, re-analyse with P; returns (out, mask)."""
-    s = x @ a.T
+    """Sample with A, rectify, re-analyse with P; returns (out, mask).
+
+    The leading dimensions of x (..., C, M) fold into the rows of one
+    2-D GEMM per step: a stacked (B, C, M) product would run as B GEMMs
+    of C rows.  out has x's shape; mask is (..., C, Q).
+    """
+    s = x.reshape(-1, x.shape[-1]) @ a.T
     mask = s > 0
-    return (s * mask) @ p.T, mask
+    s *= mask
+    return ((s @ p.T).reshape(x.shape),
+            mask.reshape(x.shape[:-1] + mask.shape[-1:]))
+
+
+def _grid_relu_backward(d_out: np.ndarray, mask: np.ndarray, a: np.ndarray,
+                        p: np.ndarray) -> np.ndarray:
+    """d(x) of _grid_relu given d(out), on the same flat rows: one GEMM
+    through P, the mask applied in place, one GEMM through A."""
+    ds = d_out.reshape(-1, d_out.shape[-1]) @ p
+    ds *= mask.reshape(ds.shape)
+    return (ds @ a).reshape(d_out.shape)
 
 
 def so3_nonlinearity(x: np.ndarray, grid: SO3Grid) -> np.ndarray:
@@ -284,11 +300,16 @@ class ParamGrads:
 
 @dataclass
 class TrunkState:
-    """Intermediates needed to backpropagate through the trunk."""
+    """Intermediates needed to backpropagate through the trunk.
+
+    Arrays keep their (B, C, ·) shapes.  relu_mask is a view of the
+    grid ReLU's flat (B*C_h, Q) mask, so the ReLU backward reads it
+    back as flat rows without a copy.
+    """
 
     lifted: np.ndarray              # (B, C_in, (L+1)^2) input coefficients
     coeffs: np.ndarray              # (B, C_mid, (L+1)^2)
-    relu_mask: np.ndarray           # (B, C_h, Q)
+    relu_mask: np.ndarray           # (B, C_h, Q) grid samples kept by ReLU
     hidden_flat: np.ndarray         # (B, C_h, M)
     sample_op: np.ndarray           # A (Q, M)
     reanalysis: np.ndarray          # P (M, Q)
@@ -326,7 +347,8 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     else:
         raise ValueError(f"unknown input kind: {kind!r}")
 
-    lifted = values.reshape(values.shape[0], values.shape[1], -1) @ op.T
+    b, c_in = values.shape[:2]
+    lifted = (values.reshape(b * c_in, -1) @ op.T).reshape(b, c_in, -1)
     coeffs = np.einsum("ij,bim->bjm", model.mixer, lifted)
     a_grid, p_grid = _grid_operators(default_nonlin_grid(model.nonlin_level), L)
     hidden, mask = _grid_relu(s2_conv(coeffs, model.s2), a_grid, p_grid)
@@ -342,10 +364,14 @@ def head_wigner(model: ToyModel, hidden: np.ndarray) -> np.ndarray:
 
 def backward_trunk(model: ToyModel, state: TrunkState,
                    d_hidden: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Gradients of (mixer, sphere spectra) given d(hidden_flat)."""
+    """Gradients of (mixer, sphere spectra) given d(hidden_flat).
+
+    The grid ReLU's backward runs on flat (B*C_h, ·) rows, as its
+    forward does.
+    """
     L = model.bandlimit
-    ds = (d_hidden @ state.reanalysis) * state.relu_mask
-    d_flat_pre = ds @ state.sample_op
+    d_flat_pre = _grid_relu_backward(d_hidden, state.relu_mask,
+                                     state.sample_op, state.reanalysis)
     d_spectra = []
     d_coeffs = np.zeros_like(state.coeffs)
     for l, d_pre in enumerate(_blocks(d_flat_pre, L)):

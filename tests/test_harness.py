@@ -127,6 +127,30 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             train(cfg, spherical_ds)
 
+    def test_non_finite_gradient_stops_before_the_step(self, spherical_ds,
+                                                       monkeypatch):
+        # a NaN gradient beside a finite loss on the very last step: no
+        # later loss would turn non-finite, so only a gradient check
+        # keeps the step from writing NaN into the returned parameters
+        cfg = fast_cfg(epochs=2)
+        _, clean_log = train(cfg, spherical_ds)
+        steps = cfg.epochs * -(-len(spherical_ds.train_idx) // cfg.batch_size)
+        calls = []
+        backward_trunk = harness.backward_trunk
+
+        def nan_on_last_step(model, state, d_hidden):
+            d_mixer, d_spectra = backward_trunk(model, state, d_hidden)
+            calls.append(1)
+            if len(calls) == steps:
+                d_mixer = np.full_like(d_mixer, np.nan)
+            return d_mixer, d_spectra
+
+        monkeypatch.setattr(harness, "backward_trunk", nan_on_last_step)
+        with pytest.raises(DivergenceError, match="non-finite gradient") as err:
+            train(cfg, spherical_ds)
+        assert len(calls) == steps
+        assert f"last finite epoch loss {clean_log[0]['loss']}" in str(err.value)
+
     def test_deterministic_given_seeds(self, spherical_ds):
         cfg = fast_cfg(epochs=4)
         m1, log1 = train(cfg, spherical_ds)

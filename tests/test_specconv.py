@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import kink_safe_gradcheck
 from so3harmonics import grids, wigner
 from so3harmonics.estimation import LossConfig
 from so3harmonics.harmonics import SphericalCoeffs, synthesize
@@ -10,10 +11,12 @@ from so3harmonics.mapper import FeatureMap, MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
 from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
-                                   _blocks, backward, default_nonlin_grid,
-                                   forward, forward_trunk, init_toy_model,
-                                   local_tap_rotations, load_model, s2_conv,
-                                   save_model, so3_conv, so3_nonlinearity)
+                                   _blocks, _grid_operators, _grid_relu,
+                                   _grid_relu_backward, backward,
+                                   default_nonlin_grid, forward, forward_trunk,
+                                   init_toy_model, local_tap_rotations,
+                                   load_model, s2_conv, save_model, so3_conv,
+                                   so3_nonlinearity)
 
 L = 4
 
@@ -114,7 +117,6 @@ class TestNonlinearity:
     def test_nonneg_band_limited_signal_unchanged(self):
         # square of a half-bandlimit signal: band-limited at L and
         # non-negative, so ReLU is the identity up to re-analysis error
-        from so3harmonics.specconv import _grid_operators
         rng = np.random.default_rng(4)
         grid = default_nonlin_grid(2)
         _, p = _grid_operators(grid, L)
@@ -135,7 +137,6 @@ class TestNonlinearity:
     def test_freed_grids_never_share_operators(self):
         # a freed grid's rotation array can leave its address to the next
         # grid of the same size; each grid must still get its own sampling
-        from so3harmonics.specconv import _grid_operators
         stacks = [grids.so3_random(seed, 300).rotations for seed in range(8)]
         expect = [wigner.rotations_to_psi(m, 2) for m in stacks]
         for i, mats in enumerate(stacks):
@@ -174,6 +175,38 @@ class TestBatchedLayers:
         out = fn(x)
         for b in range(3):
             assert out[b].tobytes() == fn(x[b]).tobytes()
+
+    def test_flat_grid_relu_matches_stacked_products(self):
+        # at the training shape (L=6, B=25, C=8, level-2 grid) the ReLU and
+        # its backward run as flat (B*C, .) GEMMs; a per-sample stacked
+        # product must give the same mask and the same rows up to rounding
+        a, p = _grid_operators(default_nonlin_grid(2), 6)
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(25, 8, a.shape[1]))
+        d_out = rng.normal(size=x.shape)
+        s = x @ a.T
+        ref_mask = s > 0
+        ref_out = (s * ref_mask) @ p.T
+        ref_back = ((d_out @ p) * ref_mask) @ a
+        out, mask = _grid_relu(x, a, p)
+        back = _grid_relu_backward(d_out, mask, a, p)
+        assert mask.shape == ref_mask.shape
+        assert np.array_equal(mask, ref_mask)
+        for got, ref in ((out, ref_out), (back, ref_back)):
+            assert got.shape == ref.shape
+            err = np.linalg.norm(got - ref, axis=-1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+
+    def test_nonlinearity_rows_independent_of_leading_shape(self):
+        grid = default_nonlin_grid(2)
+        x = np.random.default_rng(22).normal(size=(2, 3, 8, wigner.m_total(6)))
+        rows = so3_nonlinearity(x, grid).reshape(6, 8, -1)
+        stacked = so3_nonlinearity(x.reshape(6, 8, -1), grid)
+        single = np.stack([so3_nonlinearity(xb, grid)
+                           for xb in x.reshape(6, 8, -1)])
+        for got in (stacked, single):
+            err = np.linalg.norm(got - rows, axis=-1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(rows, axis=-1))
 
     def test_signal_size_checked(self, model):
         x = np.zeros((4, wigner.m_total(L) - 1))
@@ -276,27 +309,17 @@ class TestBackward:
         cfg = LossConfig(L)
         _, grads = backward(model, sig, None, gt, cfg)
 
-        flats = {"mixer": model.mixer, "s2_2": model.s2.spectra[2],
-                 "so3": model.so3.weights}
-        grad_map = {"mixer": grads.mixer, "s2_2": grads.s2_spectra[2],
-                    "so3": grads.so3_weights}
-        h = 1e-5
-        checked = 0
-        worst = 0.0
-        while checked < 50:
-            name = ("mixer", "s2_2", "so3")[checked % 3]
-            arr = flats[name]
-            idx = tuple(rng.integers(0, s) for s in arr.shape)
-            orig = arr[idx]
-            arr[idx] = orig + h
-            up, _ = backward(model, sig, None, gt, cfg)
-            arr[idx] = orig - h
-            dn, _ = backward(model, sig, None, gt, cfg)
-            arr[idx] = orig
-            fd = (up - dn) / (2 * h)
-            scale = max(abs(fd), abs(grad_map[name][idx]), 1e-6)
-            worst = max(worst, abs(fd - grad_map[name][idx]) / scale)
-            checked += 1
+        checks = [(model.mixer, grads.mixer),
+                  (model.s2.spectra[2], grads.s2_spectra[2]),
+                  (model.so3.weights, grads.so3_weights)]
+
+        def loss_and_mask():
+            value, _ = backward(model, sig, None, gt, cfg)
+            _, state = forward_trunk(model, "spherical", sig.values,
+                                     grid=sig.grid)
+            return value, state.relu_mask
+
+        worst, _ = kink_safe_gradcheck(loss_and_mask, checks, rng, 50)
         assert worst < 1e-4
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -317,32 +340,8 @@ class TestBackward:
                                      mode=mode, seed=5)
             return value, state.relu_mask
 
-        # central differences are exact only where no ReLU sample changes
-        # sign within +-h, so coordinates that cross a kink are skipped
-        _, mask = loss_and_mask()
-        rng = np.random.default_rng(16)
-        h = 1e-5
-        worst = 0.0
-        checked = 0
-        for _ in range(60):
-            arr, grad = checks[checked % 3]
-            idx = tuple(rng.integers(0, s) for s in arr.shape)
-            orig = arr[idx]
-            arr[idx] = orig + h
-            up, up_mask = loss_and_mask()
-            arr[idx] = orig - h
-            dn, dn_mask = loss_and_mask()
-            arr[idx] = orig
-            if not (np.array_equal(up_mask, mask)
-                    and np.array_equal(dn_mask, mask)):
-                continue
-            fd = (up - dn) / (2 * h)
-            worst = max(worst, abs(fd - grad[idx])
-                        / max(abs(fd), abs(grad[idx]), 1e-6))
-            checked += 1
-            if checked == 30:
-                break
-        assert checked == 30
+        worst, _ = kink_safe_gradcheck(loss_and_mask, checks,
+                                       np.random.default_rng(16), 30)
         assert worst < 1e-4
 
     def test_descent_reduces_loss(self, model):
