@@ -144,7 +144,7 @@ def gen_dataset(cfg: RunConfig, seed: int | None = None) -> SyntheticDataset:
     rng = np.random.default_rng(seed)
     lt = cfg.template_bandlimit
     template = SphericalCoeffs(
-        lt, rng.normal(size=(cfg.template_channels, (lt + 1) ** 2)), "real")
+        lt, rng.normal(size=(cfg.template_channels, (lt + 1) ** 2)))
     n = cfg.n_train_views + cfg.n_test_views
     gt = sample_uniform_matrices(seed + 1, n)
     train_idx = np.arange(cfg.n_train_views)
@@ -152,7 +152,7 @@ def gen_dataset(cfg: RunConfig, seed: int | None = None) -> SyntheticDataset:
 
     if cfg.dataset_kind == "spherical":
         grid = grids.healpix_s2(cfg.signal_grid_level, "full")
-        design = harmonics.design_matrix(grid, lt, "real")
+        design = harmonics.design_matrix(grid, lt)
         inputs = np.empty((n, cfg.template_channels, grid.size))
         for i in range(n):
             rotated = wigner.rotate_coeffs(template, gt[i])
@@ -169,7 +169,7 @@ def gen_dataset(cfg: RunConfig, seed: int | None = None) -> SyntheticDataset:
         theta = np.arccos(np.clip(zg[inside], -1.0, 1.0))
         phi = np.arctan2(yg[inside], xg[inside]) % (2 * np.pi)
         canvas_points = PointSet(theta, phi)
-        design = harmonics.design_matrix(canvas_points, lt, "real")
+        design = harmonics.design_matrix(canvas_points, lt)
         inputs = np.zeros((n, cfg.template_channels, h, w))
         for i in range(n):
             rotated = wigner.rotate_coeffs(template, gt[i])
@@ -211,8 +211,7 @@ def load_dataset(path: str) -> SyntheticDataset:
     grid = None
     if "grid_theta" in arrays:
         grid = PointSet(arrays["grid_theta"], arrays["grid_phi"])
-    template = SphericalCoeffs(meta["template_bandlimit"], arrays["template"],
-                               "real")
+    template = SphericalCoeffs(meta["template_bandlimit"], arrays["template"])
     return SyntheticDataset(meta["input_kind"], template, arrays["inputs"],
                             arrays["gt"], arrays["train_idx"],
                             arrays["test_idx"], grid, meta)

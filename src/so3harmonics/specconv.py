@@ -336,14 +336,14 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
             raise ValueError("spherical input needs its point set")
         if values.ndim == 2:
             values = values[None]
-        op = analysis_matrix(grid, L, "real")
+        op = analysis_matrix(grid, L)
     elif kind == "image":
         if cfg is None:
             raise ValueError("image input needs a mapper config")
         if values.ndim == 3:
             values = values[None]
         points, weights = mapper_mod.lift(cfg, *values.shape[-2:], mode, seed)
-        op = analysis_matrix(points, L, "real") @ weights
+        op = analysis_matrix(points, L) @ weights
     else:
         raise ValueError(f"unknown input kind: {kind!r}")
 

@@ -4,8 +4,8 @@ A degree-l block is the (2l+1)-dimensional irreducible representation of
 a rotation acting on harmonic coefficients: rotating a band-limited
 function f by R (i.e. pulling back through R^-1) multiplies each degree-l
 coefficient vector by the block of R.  Blocks compose homomorphically,
-D(R1) D(R2) = D(R1 R2), and are unitary (complex basis) or orthogonal
-(real basis).
+D(R1) D(R2) = D(R1 R2), and are orthogonal.  All blocks are in the real
+harmonic basis of ``harmonics``.
 
 Construction: real-basis blocks come straight from the rotation matrix
 by the Ivanic-Ruedenberg recursion (J. Phys. Chem. 100, 6342 (1996);
@@ -14,22 +14,24 @@ seed is D^1 = R with rows and columns permuted to the real l = 1 basis
 order (y, z, x) and not transposed, i.e. ``R[:, [1, 2, 0]][:, :, [1, 2, 0]]``;
 each higher degree is a few batched matrix products with D^{l-1} and
 D^1.  No Euler angles are involved, so the blocks are equally accurate
-everywhere on SO(3), gimbal lock included.  Complex blocks and small-d
-matrices are derived views of the real block, and the real spherical
+everywhere on SO(3), gimbal lock included.  The real spherical
 harmonics at a point x are sqrt((2l+1)/(4 pi)) times the centre column
 D^l(R)[:, 0] of any R with R e_z = x, which ``wigner_center_columns``
 computes by the same recursion restricted to that column.
 
 Phase convention (unchanged from the closed-form construction this
-recursion replaces): for ZYZ angles with matrix Rz(gamma) Ry(beta)
-Rz(alpha), the row-index phase carries the leftmost z-angle,
+recursion replaces): conjugated into the Condon-Shortley complex basis
+as U_l^dagger D^l U_l, where U_l is the unitary map c_real = U_l c_complex
+of the recombination in ``harmonics``, the block of the ZYZ matrix
+Rz(gamma) Ry(beta) Rz(alpha) carries the leftmost z-angle in its
+row-index phase,
 
-    D^l[m, n] = exp(-i m gamma) * dT^l[m, n](beta) * exp(-i n alpha),
+    exp(-i m gamma) * d^l[n, m](beta) * exp(-i n alpha),
 
-where dT is the transpose of ``small_d`` below.  This is the unique
-pairing under which the blocks both compose homomorphically and satisfy
-the coefficient shift law; the test suite checks it against dense-grid
-resampling.
+with d^l Wigner's small-d matrix.  This is the unique pairing under
+which the blocks both compose homomorphically and satisfy the
+coefficient shift law; the test suite checks it against Wigner's
+closed-form small-d sum and against dense-grid resampling.
 
 The flattened harmonic vector stacks the real-basis blocks for l = 0..L
 row-major (m outer, n inner), giving length M = sum (2l+1)^2; M = 455 at
@@ -73,15 +75,12 @@ def block_offsets(bandlimit: int) -> list[int]:
 class WignerBlock:
     l: int
     entries: np.ndarray
-    basis: str
 
     def __post_init__(self):
         dim = 2 * self.l + 1
         entries = np.asarray(self.entries)
         if entries.shape != (dim, dim):
             raise ValueError(f"degree-{self.l} block must be {dim}x{dim}")
-        if self.basis not in ("real", "complex"):
-            raise ValueError(f"basis must be 'real' or 'complex': {self.basis!r}")
         object.__setattr__(self, "entries", entries)
 
 
@@ -236,7 +235,7 @@ def rotations_to_psi(matrices: np.ndarray, bandlimit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Views of single rotations: full blocks, complex blocks, small-d
+# Views of single rotations
 # ---------------------------------------------------------------------------
 
 def _matrix_of(r) -> np.ndarray:
@@ -246,59 +245,10 @@ def _matrix_of(r) -> np.ndarray:
     return rotations.as_matrix(r).m
 
 
-@lru_cache(maxsize=32)
-def complex_to_real_matrix(l: int) -> np.ndarray:
-    """Unitary U_l turning complex coefficient vectors into real ones.
-
-    c_real = U_l @ c_complex for coefficients of a real signal; the same
-    matrix conjugates Wigner blocks into the real basis.
-    """
-    dim = 2 * l + 1
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    u[l, l] = 1.0
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for mu in range(1, l + 1):
-        sign = (-1) ** mu
-        u[l + mu, l + mu] = sign * inv_sqrt2
-        u[l + mu, l - mu] = inv_sqrt2
-        u[l - mu, l + mu] = 1j * sign * inv_sqrt2
-        u[l - mu, l - mu] = -1j * inv_sqrt2
-    u.flags.writeable = False
-    return u
-
-
-def _real_to_complex_block(l: int, d: np.ndarray) -> np.ndarray:
-    """U_l^dagger D_real U_l, the block acting on complex coefficients."""
-    u = complex_to_real_matrix(l)
-    return u.conj().T @ d @ u
-
-
 def wigner_D_real(l: int, r) -> WignerBlock:
     """Orthogonal degree-l block in the real harmonic basis."""
     d = wigner_block_stacks_real(_matrix_of(r)[None], l)[l][0]
-    return WignerBlock(l, d, "real")
-
-
-def wigner_D_complex(l: int, r) -> WignerBlock:
-    """Unitary degree-l block: D_complex = U_l^dagger D_real U_l."""
-    return WignerBlock(
-        l, _real_to_complex_block(l, wigner_D_real(l, r).entries), "complex")
-
-
-def small_d_matrix(l: int, beta: float) -> np.ndarray:
-    """Full (2l+1)x(2l+1) small-d matrix indexed [m+l, n+l].
-
-    The complex block of Ry(beta) is its transpose.
-    """
-    d = wigner_D_complex(l, rotations.rot_y(beta)).entries
-    return np.ascontiguousarray(d.real.T)
-
-
-def small_d(l: int, m: int, n: int, beta: float) -> float:
-    """d^l_{m,n}(beta)."""
-    if abs(m) > l or abs(n) > l:
-        raise ValueError(f"need |m|,|n| <= l, got l={l}, m={m}, n={n}")
-    return float(small_d_matrix(l, beta)[m + l, n + l])
+    return WignerBlock(l, d)
 
 
 def rotation_to_psi(r, bandlimit: int) -> HarmonicVector:
@@ -315,14 +265,10 @@ def rotate_coeffs(coeffs, r):
 
     ``coeffs`` is a ``harmonics.SphericalCoeffs``; the result is a copy
     with rotated data.  Per degree, c' = D^l(r) c; synthesizing the
-    result reproduces the input signal pulled back through r^-1.  The
-    Wigner basis follows the coefficient basis.
+    result reproduces the input signal pulled back through r^-1.
     """
     blocks = wigner_block_stacks_real(_matrix_of(r)[None], coeffs.bandlimit)
     out = np.empty_like(coeffs.data)
     for l, d in enumerate(blocks):
-        d = d[0]
-        if coeffs.basis == "complex":
-            d = _real_to_complex_block(l, d)
-        out[:, l * l:(l + 1) ** 2] = coeffs.block(l) @ d.T
+        out[:, l * l:(l + 1) ** 2] = coeffs.block(l) @ d[0].T
     return replace(coeffs, data=out)

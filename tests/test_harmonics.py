@@ -1,17 +1,15 @@
-"""Spherical harmonics, basis changes, and analysis/synthesis tests."""
+"""Spherical harmonics, the complex-basis bridge, and analysis/synthesis tests."""
 
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from complex_basis import (complex_design, complex_to_real_matrix,
+                           sph_harm_complex)
 from so3harmonics import grids
 from so3harmonics.harmonics import (IllConditionedError, PointSet,
-                                    SphericalCoeffs, SphericalPoint,
-                                    SphericalSignal, analyze,
-                                    complex_to_real_coeffs,
-                                    complex_to_real_matrix, design_matrix,
-                                    real_to_complex_coeffs, sph_harm_complex,
-                                    sph_harm_real, synthesize)
+                                    SphericalCoeffs, SphericalSignal, analyze,
+                                    design_matrix, sph_harm_real, synthesize)
 
 
 def gauss_quadrature_grid(n_theta=24, n_phi=48):
@@ -56,11 +54,6 @@ class TestSphericalHarmonics:
         assert sph_harm_real(1, -1, theta, phi) == pytest.approx(
             np.sqrt(3 / (4 * np.pi)) * np.sin(theta) * np.sin(phi))
 
-    def test_accepts_point_objects(self):
-        p = SphericalPoint(1.1, 2.0)
-        assert sph_harm_complex(2, 1, p) == sph_harm_complex(2, 1, 1.1, 2.0)
-        assert sph_harm_real(2, -2, p) == sph_harm_real(2, -2, 1.1, 2.0)
-
     def test_missing_phi_raises_and_broadcasting_works(self):
         with pytest.raises(TypeError):
             sph_harm_complex(1, 0, 0.3)
@@ -77,15 +70,15 @@ class TestSphericalHarmonics:
             assert np.allclose([row, col], one_by_one, rtol=0, atol=1e-15)
 
     def test_design_matrix_matches_scipy(self):
-        # Condon-Shortley complex basis and its real recombination, checked
-        # against an independent implementation, poles included
+        # the real basis is the recombination of the Condon-Shortley complex
+        # basis, checked against an independent implementation, poles included
         rng = np.random.default_rng(4)
         poles = np.array([0.0, 1e-13, 1e-7, 1e-4, np.pi - 1e-7, np.pi])
         theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 200)), poles])
         phi = rng.uniform(0, 2 * np.pi, theta.size)
         grid = PointSet(theta, phi)
-        real = design_matrix(grid, 20, "real")
-        cplx = design_matrix(grid, 20, "complex")
+        real = design_matrix(grid, 20)
+        cplx = complex_design(grid, 20)
         for l in range(21):
             for m in range(-l, l + 1):
                 ref = sph_harm_y(l, abs(m), theta, phi)
@@ -118,18 +111,6 @@ class TestBasisChange:
             u = complex_to_real_matrix(l)
             assert np.max(np.abs(u @ u.conj().T - np.eye(2 * l + 1))) < 1e-12
 
-    def test_real_and_complex_analyses_agree(self):
-        grid = grids.healpix_s2(2)
-        rng = np.random.default_rng(0)
-        coeffs = SphericalCoeffs(4, rng.normal(size=(2, 25)), "real")
-        signal = synthesize(coeffs, grid)
-        cr = analyze(signal, 4, "real")
-        cc = analyze(signal, 4, "complex")
-        converted = real_to_complex_coeffs(cr)
-        assert np.max(np.abs(converted.data - cc.data)) < 1e-10
-        back = complex_to_real_coeffs(cc)
-        assert np.max(np.abs(back.data - cr.data)) < 1e-10
-
 
 class TestAnalyzeSynthesize:
     def test_round_trip_band_limited(self):
@@ -137,7 +118,7 @@ class TestAnalyzeSynthesize:
         # level 3 on (768 points) that lands below 1e-9 for L = 4
         grid = grids.healpix_s2(3)
         rng = np.random.default_rng(1)
-        coeffs = SphericalCoeffs(4, rng.normal(size=(3, 25)), "real")
+        coeffs = SphericalCoeffs(4, rng.normal(size=(3, 25)))
         recovered = analyze(synthesize(coeffs, grid), 4)
         assert np.max(np.abs(recovered.data - coeffs.data)) < 1e-9
 
@@ -183,6 +164,13 @@ class TestAnalyzeSynthesize:
 
     def test_design_matrix_shapes(self):
         grid = grids.healpix_s2(1)
-        assert design_matrix(grid, 3, "real").shape == (48, 16)
-        assert design_matrix(grid, 3, "complex").dtype == np.complex128
+        assert design_matrix(grid, 3).shape == (48, 16)
+
+    def test_complex_input_is_rejected(self):
+        # a cast to float would silently drop the imaginary part
+        grid = grids.healpix_s2(1)
+        with pytest.raises(ValueError):
+            SphericalCoeffs(2, np.ones((1, 9)) + 1j)
+        with pytest.raises(ValueError):
+            SphericalSignal(grid, np.ones((1, grid.size)) + 1j)
 

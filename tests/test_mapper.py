@@ -113,14 +113,14 @@ class TestInPlaneEquivariance:
             theta = np.arccos(np.sqrt(1 - r2))
             phi = np.arctan2(yr, xr) % (2 * np.pi)
             pts = PointSet(theta.ravel(), phi.ravel())
-            vals = coeffs.data @ design_matrix(pts, 3, "real").T
+            vals = coeffs.data @ design_matrix(pts, 3).T
             return FeatureMap(vals.reshape(1, size, size))
 
         angle = 0.7
         lifted_rotated = project(render(angle), cfg)
         # spun signal evaluated exactly: the true function at z-spun points
         spun = PointSet(cfg.grid.theta, (cfg.grid.phi - angle) % (2 * np.pi))
-        vals = coeffs.data @ design_matrix(spun, 3, "real").T
+        vals = coeffs.data @ design_matrix(spun, 3).T
         rel = (np.linalg.norm(lifted_rotated.values - vals)
                / np.linalg.norm(vals))
         assert rel < 0.05

@@ -95,6 +95,26 @@ def test_layer_equivariance(r, seed):
     assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
+def test_layer_equivariance_haar_default_bandlimit():
+    # the exactly equivariant layers at the default L = 6, with criterion
+    # 03's model shapes, under 30 Haar rotations
+    L = 6
+    model = init_toy_model(3, L, in_channels=3, mid_channels=4,
+                           hidden_channels=6, tap_count=16)
+    rng = np.random.default_rng(6)
+    worst = 0.0
+    for r in sample_uniform_matrices(60, 30):
+        c = SphericalCoeffs(L, rng.normal(size=(4, (L + 1) ** 2)))
+        lhs = s2_conv(wigner.rotate_coeffs(c, r).data, model.s2)
+        rhs = left_translate(s2_conv(c.data, model.s2), r)
+        worst = max(worst, np.max(np.abs(lhs - rhs)))
+        x = rng.normal(size=(6, wigner.m_total(L)))
+        lhs = so3_conv(left_translate(x, r), model.so3)
+        rhs = left_translate(so3_conv(x, model.so3), r)
+        worst = max(worst, np.max(np.abs(lhs - rhs)))
+    assert worst < 1e-9, worst
+
+
 @SETTINGS
 @given(st.one_of(st.floats(0.0, np.pi), pole_offsets,
                  pole_offsets.map(lambda e: np.pi - e)), angles, angles)
