@@ -91,7 +91,7 @@ def cmd_eval(args) -> int:
     result = harness.evaluate(model, ds, cfg,
                               grad_ascent=args.grad_ascent or None)
     if args.csv:
-        estimation.write_error_csv(args.csv, result["errors"])
+        estimation.write_error_csv(args.csv, result["errors"], result["readouts"])
         print(f"wrote {args.csv}")
     if args.json_out:
         estimation.write_metrics_json(args.json_out, result["report"])

@@ -144,10 +144,12 @@ def so3_healpix_count(level: int) -> int:
 def so3_healpix(level: int, allow_large: bool = False) -> SO3Grid:
     """Hopf lift of the HEALPix sphere: 72 * 8^level rotations.
 
-    Every pixel direction (theta, phi) carries 6 * 2^level fiber angles
-    psi (zero phase offset), composed as Rz(phi) Ry(theta) Rz(psi).
-    Levels >= 5 exceed a desk-scale memory budget and require
-    ``allow_large=True``.
+    Every pixel direction (theta, phi) carries F = 6 * 2^level fiber
+    angles psi_f = 2 pi f / F (zero phase offset), composed as
+    Rz(phi) Ry(theta) Rz(psi_f).  Rotation i F + f is A_i Rz(psi_f) with
+    A_i = ``rotations[i F]``; ``estimation`` scores the grid through this
+    fiber structure.  Levels >= 5 exceed a desk-scale memory budget and
+    require ``allow_large=True``.
     """
     if level < 0 or level > LARGE_GRID_LEVEL:
         raise ResourceLimitError(

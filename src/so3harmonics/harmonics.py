@@ -54,6 +54,8 @@ class PointSet:
     phi: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.theta) or np.iscomplexobj(self.phi):
+            raise ValueError("point angles must be real")
         theta = np.ascontiguousarray(self.theta, dtype=float)
         phi = np.ascontiguousarray(self.phi, dtype=float)
         if theta.shape != phi.shape or theta.ndim != 1:

@@ -407,18 +407,31 @@ inference_grid_cache = LRUCache(6)
 
 def inference_grid(level: int, bandlimit: int, kind: str = "healpix_hopf",
                    count: int | None = None, seed: int = 0) -> SO3Grid:
-    """``grids.so3_grid`` carrying its psi table at ``bandlimit``."""
+    """``grids.so3_grid`` ready to decode at ``bandlimit``.
+
+    A HEALPix-Hopf grid carries no psi table: its factored fiber table
+    is built into ``estimation.fiber_table_cache`` instead.  A grid of
+    any other kind carries its dense psi table.
+    """
     n = count or grids.so3_healpix_count(level)
     # only the parameters the grid kind uses enter the key
     key = {"healpix_hopf": (level,), "random": (n, seed)}.get(kind, (n,))
     def build() -> SO3Grid:
-        return grids.so3_grid(kind, level, count, seed).with_psi_table(bandlimit)
+        grid = grids.so3_grid(kind, level, count, seed)
+        if estimation.fiber_table(grid, bandlimit) is None:
+            grid = grid.with_psi_table(bandlimit)
+        return grid
     return inference_grid_cache.get((kind, bandlimit, *key), build)
 
 
 def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
              grid: SO3Grid | None = None, grad_ascent: bool | None = None) -> dict:
-    """Eval-mode predictions, grid readout, and metric report."""
+    """Eval-mode predictions, grid readout, and metric report.
+
+    A harmonic-vector head also returns its per-sample confidence
+    readouts (``estimation.READOUTS``) under "readouts", and the report
+    carries their medians under "readout_medians".
+    """
     idx = ds.test_idx if split == "test" else ds.train_idx
     if len(idx) == 0:
         raise ValueError(f"dataset has no samples in split {split!r}")
@@ -427,12 +440,14 @@ def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
     wigner_head = not isinstance(model, SpatialHeadModel)
     use_ga = cfg.grad_ascent_steps > 0 if grad_ascent is None else grad_ascent
     ga_steps = cfg.grad_ascent_steps if cfg.grad_ascent_steps > 0 else 20
+    readouts = {}
     if wigner_head:
         psis = head_wigner(model, hidden)
         if grid is None:
             grid = inference_grid(cfg.infer_level, cfg.bandlimit)
-        coarse = preds = estimation.argmax_pose(estimation.infer_distribution(
-            psis, grid, cfg.softmax_temperature))
+        decoded = estimation.decode_poses(psis, grid, cfg.softmax_temperature)
+        readouts = {k: getattr(decoded, k) for k in estimation.READOUTS}
+        coarse = preds = decoded.rotations
         if use_ga:
             preds = estimation.gradient_ascent_pose(
                 psis, coarse, steps=ga_steps, lr=cfg.grad_ascent_lr)
@@ -449,9 +464,13 @@ def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
         "grad_ascent": bool(use_ga),
         "metrics": estimation.metrics(preds, gt),
     }
+    if wigner_head:
+        report["readout_medians"] = {k: float(np.median(v))
+                                     for k, v in readouts.items()}
     if wigner_head and use_ga:
         report["argmax_metrics"] = estimation.metrics(coarse, gt)
-    return {"report": report, "errors": errors, "preds": preds, **report}
+    return {"report": report, "errors": errors, "preds": preds,
+            "readouts": readouts, **report}
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,8 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     'eval', times its weights.  The mixer then acts on coefficients.
     """
     L = model.bandlimit
+    if np.iscomplexobj(values):
+        raise ValueError("trunk inputs must be real")
     values = np.asarray(values, dtype=float)
     if kind == "spherical":
         if grid is None:

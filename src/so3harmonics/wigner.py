@@ -92,6 +92,8 @@ class HarmonicVector:
     data: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.data):
+            raise ValueError("harmonic vectors must be real")
         data = np.ascontiguousarray(self.data, dtype=float)
         if data.shape != (m_total(self.bandlimit),):
             raise ValueError(

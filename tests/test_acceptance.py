@@ -3,13 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete.  The slow trainings (criteria 7 and 8) dominate the
 runtime; everything is deterministic.
-
-Set SO3H_LARGE_GRID=1 to include the optional level-5 inference-grid
-precision run inside criterion 5.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -149,44 +145,21 @@ def test_criterion_04_grid_fidelity():
 
 
 def test_criterion_05_inference_precision():
-    grid = grids.so3_healpix(3).with_psi_table(6)
+    # the library decoder scores every query against every rotation
     queries = sample_uniform_matrices(5, 1000)
-    psis = wigner.rotations_to_psi(queries, 6)
-    errs = np.empty(1000)
-    for start in range(0, 1000, 250):
-        block = psis[start:start + 250]
-        sims = block @ grid.psi_table.T
-        best = np.argmax(sims, axis=1)
-        errs[start:start + 250] = np.degrees(rotations.geodesic_distances(
-            grid.rotations[best], queries[start:start + 250]))
+    decoded = estimation.decode_poses(wigner.rotations_to_psi(queries, 6),
+                                      grids.so3_healpix(3))
+    errs = np.degrees(rotations.geodesic_distances(decoded.rotations, queries))
     worst, med = float(np.max(errs)), float(np.median(errs))
-    ok = worst <= 7.5 and med <= 4.0
-    detail = f"level-3 argmax: worst {worst:.3f} deg (<=7.5), median {med:.3f} (<=4)"
 
-    if os.environ.get("SO3H_LARGE_GRID") == "1":
-        g5 = grids.so3_healpix(5, allow_large=True)
-        sub = sample_uniform_matrices(55, 50)
-        sub_psi = wigner.rotations_to_psi(sub, 6)
-        best_sim = np.full(50, -np.inf)
-        best_idx = np.zeros(50, dtype=np.int64)
-        chunk = 65536
-        for start in range(0, g5.size, chunk):
-            rows = g5.rotations[start:start + chunk]
-            table = wigner.rotations_to_psi(rows, 6)
-            sims = sub_psi @ table.T
-            cand = np.argmax(sims, axis=1)
-            vals = sims[np.arange(50), cand]
-            upd = vals > best_sim
-            best_sim[upd] = vals[upd]
-            best_idx[upd] = cand[upd] + start
-        errs5 = np.degrees(rotations.geodesic_distances(
-            g5.rotations[best_idx], sub))
-        ok5 = float(np.max(errs5)) <= 1.875
-        ok = ok and ok5
-        detail += f"; level-5 worst {np.max(errs5):.3f} deg (<=1.875)"
-    else:
-        detail += "; level-5 run skipped (set SO3H_LARGE_GRID=1)"
-    record(5, ok, detail)
+    sub = sample_uniform_matrices(55, 50)
+    decoded = estimation.decode_poses(wigner.rotations_to_psi(sub, 6),
+                                      grids.so3_healpix(5, allow_large=True))
+    worst5 = float(np.max(np.degrees(rotations.geodesic_distances(
+        decoded.rotations, sub))))
+    record(5, worst <= 7.5 and med <= 4.0 and worst5 <= 1.875,
+           f"level-3 argmax: worst {worst:.3f} deg (<=7.5), median {med:.3f} "
+           f"(<=4); level-5 worst {worst5:.3f} deg (<=1.875)")
 
 
 def test_criterion_06_gradient_fidelity():

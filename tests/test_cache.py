@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from so3harmonics import grids, harmonics, harness
+from so3harmonics import estimation, grids, harmonics, harness
 from so3harmonics._cache import LRUCache, digest
 from so3harmonics.mapper import MapperConfig
 from so3harmonics.specconv import forward_trunk, init_toy_model
@@ -67,6 +67,15 @@ def test_second_trunk_pass_reuses_the_analysis(monkeypatch):
 def test_healpix_inference_grid_ignores_count_and_seed():
     default = harness.inference_grid(3, 1)
     assert harness.inference_grid(3, 1, count=36864, seed=99) is default
+
+
+def test_only_non_healpix_inference_grids_hold_a_dense_table():
+    # a HEALPix-Hopf grid decodes through its cached fiber table
+    healpix = harness.inference_grid(2, 4)
+    assert healpix.psi_table is None
+    assert estimation.fiber_table(healpix, 4) is not None
+    random = harness.inference_grid(2, 4, kind="random", count=50)
+    assert random.psi_table.shape == (50, 165)
 
 
 

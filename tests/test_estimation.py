@@ -1,14 +1,18 @@
 """Losses, pose distributions, readout, and metric computations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from so3harmonics import estimation, grids, rotations, wigner
+from so3harmonics._cache import LRUCache
 from so3harmonics.estimation import (LossConfig, PoseDistribution, argmax_pose,
-                                     distribution_ce_loss, error_angles_deg,
-                                     gradient_ascent_pose, infer_distribution,
-                                     loss_and_grad, metrics, mse_loss,
-                                     write_error_csv, write_metrics_json)
+                                     decode_poses, distribution_ce_loss,
+                                     error_angles_deg, gradient_ascent_pose,
+                                     infer_distribution, loss_and_grad, metrics,
+                                     mse_loss, write_error_csv,
+                                     write_metrics_json)
 from so3harmonics.rotations import (RotationMatrix, rot_y, rot_z,
                                     sample_uniform_matrices)
 
@@ -227,6 +231,130 @@ class TestBatchedDecode:
             assert np.allclose(row, single.probs, rtol=1e-12, atol=1e-300)
 
 
+class TestFactoredScoring:
+    # the dense psi-table product is the reference for the fiber path
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bandlimit", [1, 4, 6])
+    def test_scores_and_adjoint_match_dense_table(self, level, bandlimit):
+        # levels 0 and 1 at L = 6 have F = 6, 12 <= 2L fiber angles
+        grid = grids.so3_healpix(level)
+        table = wigner.rotations_to_psi(grid.rotations, bandlimit)
+        rng = np.random.default_rng(level * 10 + bandlimit)
+        preds = rng.normal(size=(3, wigner.m_total(bandlimit)))
+        weights = rng.normal(size=(3, grid.size))
+        assert estimation.fiber_table(grid, bandlimit) is not None
+        scores = estimation._scores(preds, grid)
+        expect = preds @ table.T
+        assert np.max(np.abs(scores - expect)) <= 1e-12 * np.max(np.abs(expect))
+        back = estimation._scores_adjoint(weights, grid, bandlimit)
+        expect = weights @ table
+        assert np.max(np.abs(back - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_level3_table_is_the_fiber_zero_rotations(self):
+        grid = grids.so3_healpix(3)
+        table = estimation.fiber_table(grid, 6)
+        assert table.base_psi.shape == (768, 455)
+        assert table.trig.shape == (13, 48)
+        assert np.array_equal(table.base_psi,
+                              wigner.rotations_to_psi(grid.rotations[::48], 6))
+
+    def test_ce_value_and_gradient_match_dense_computation(self):
+        grid = grids.so3_healpix(2)
+        assert grid.psi_table is None
+        rng = np.random.default_rng(31)
+        mats = sample_uniform_matrices(31, 6)
+        preds = wigner.rotations_to_psi(mats, 6) + 0.5 * rng.normal(size=(6, 455))
+        cfg = LossConfig(6, kind="distribution_ce", softmax_temperature=0.5)
+        value, grad = loss_and_grad(preds, None, cfg, gt_rotation=mats, grid=grid)
+        table = wigner.rotations_to_psi(grid.rotations, 6)
+        rows = np.arange(6)
+        target = grids.nearest_index(grid, mats)
+        logits = preds @ table.T / 0.5
+        logits -= logits.max(axis=1, keepdims=True)
+        logexp = np.log(np.sum(np.exp(logits), axis=1))
+        expect_value = np.mean(logexp - logits[rows, target])
+        d_logits = np.exp(logits - logexp[:, None])
+        d_logits[rows, target] -= 1.0
+        expect_grad = d_logits @ table / 0.5 / 6
+        assert value == pytest.approx(expect_value, rel=1e-12, abs=0)
+        assert np.max(np.abs(grad - expect_grad)) <= \
+            1e-12 * np.max(np.abs(expect_grad))
+
+    def test_haar_rotations_labelled_healpix_are_scored_densely(self):
+        # the fiber path checks the rotations, not the kind label
+        count = grids.so3_healpix_count(1)
+        fake = grids.SO3Grid(kind="healpix_hopf",
+                             rotations=sample_uniform_matrices(32, count),
+                             nominal_resolution_deg=30.0, level=1)
+        assert estimation.fiber_table(fake, 4) is None
+        preds = np.random.default_rng(32).normal(size=(3, wigner.m_total(4)))
+        with pytest.raises(ValueError, match="table"):
+            decode_poses(preds, fake)
+        with pytest.raises(ValueError, match="table"):
+            infer_distribution(preds, fake)
+        dense = fake.with_psi_table(4)
+        best = np.argmax(preds @ dense.psi_table.T, axis=1)
+        assert np.array_equal(decode_poses(preds, dense).rotations,
+                              dense.rotations[best])
+
+    def test_one_moved_rotation_disables_the_fiber_path(self):
+        grid = grids.so3_healpix(1)
+        mats = grid.rotations.copy()
+        mats[300] = mats[300] @ rot_y(1e-6)
+        moved = grids.SO3Grid(kind="healpix_hopf", rotations=mats,
+                              nominal_resolution_deg=30.0, level=1)
+        assert estimation.fiber_table(grid, 4) is not None
+        assert estimation.fiber_table(moved, 4) is None
+
+
+class TestDecodePoses:
+    def test_readouts_match_distribution_and_dense_scores(self, small_grid):
+        rng = np.random.default_rng(33)
+        own = [5, 123, 570]
+        preds = np.concatenate([rng.normal(size=(4, wigner.m_total(4))),
+                                small_grid.psi_table[own]])
+        d = decode_poses(preds, small_grid, temperature=0.7)
+        probs = infer_distribution(preds, small_grid, temperature=0.7).probs
+        scores = preds @ small_grid.psi_table.T
+        best = np.argmax(scores, axis=1)
+        top2 = np.sort(scores, axis=1)[:, -2:]
+        plogp = np.where(probs > 0, probs * np.log(np.where(probs > 0, probs, 1.0)), 0.0)
+        assert np.array_equal(d.rotations, small_grid.rotations[best])
+        assert np.max(np.abs(d.top1_prob - probs.max(axis=1))) <= 1e-12
+        assert np.max(np.abs(d.entropy + plogp.sum(axis=1))) <= 1e-12
+        assert np.max(np.abs(d.margin - (top2[:, 1] - top2[:, 0]))) <= 1e-12
+        dist = np.linalg.norm(preds - small_grid.psi_table[best], axis=1)
+        assert np.max(np.abs(d.manifold_distance - dist)) <= 1e-12
+        assert np.all(d.manifold_distance[4:] <= 1e-12)
+
+    def test_single_vector_decodes_as_a_batch_of_one(self, small_grid):
+        d = decode_poses(small_grid.psi_table[42], small_grid)
+        assert d.rotations.shape == (1, 3, 3) and d.entropy.shape == (1,)
+        assert np.array_equal(d.rotations[0], small_grid.rotations[42])
+
+    def test_non_positive_temperature_rejected(self, small_grid):
+        with pytest.raises(ValueError, match="temperature"):
+            decode_poses(small_grid.psi_table[7], small_grid, temperature=0.0)
+
+    def test_thousand_level3_queries_in_bounded_memory(self, monkeypatch):
+        # criterion 05's queries in one call: the (1000, 36864) score
+        # array alone would be 295 MB
+        monkeypatch.setattr(estimation, "fiber_table_cache", LRUCache(6))
+        queries = sample_uniform_matrices(5, 1000)
+        psis = wigner.rotations_to_psi(queries, 6)
+        grid = grids.so3_healpix(3)
+        tracemalloc.start()
+        try:
+            d = decode_poses(psis, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        errs = np.degrees(rotations.geodesic_distances(d.rotations, queries))
+        assert errs.max() <= 7.5
+
+
 class TestGradientAscent:
     def test_zero_steps_returns_start(self):
         psi = wigner.rotation_to_psi(RotationMatrix.identity(), 4)
@@ -340,3 +468,12 @@ class TestReports:
         write_metrics_json(str(json_path), {"median_error_deg": 1.75})
         assert "index,error_deg" in csv_path.read_text()
         assert "median_error_deg" in json_path.read_text()
+
+    def test_csv_has_one_column_per_readout(self, tmp_path):
+        csv_path = tmp_path / "errors.csv"
+        write_error_csv(str(csv_path), np.array([1.0, 2.5]),
+                        {"top1_prob": np.array([0.5, 0.25]),
+                         "margin": np.array([3.0, 0.125])})
+        assert csv_path.read_text().splitlines() == [
+            "index,error_deg,top1_prob,margin", "0,1.000000,0.5,3",
+            "1,2.500000,0.25,0.125"]

@@ -174,3 +174,9 @@ class TestAnalyzeSynthesize:
         with pytest.raises(ValueError):
             SphericalSignal(grid, np.ones((1, grid.size)) + 1j)
 
+    def test_complex_point_angles_are_rejected(self):
+        with pytest.raises(ValueError, match="real"):
+            PointSet(np.array([0.5 + 1j]), np.array([0.1]))
+        with pytest.raises(ValueError, match="real"):
+            PointSet(np.array([0.5]), np.array([0.1 + 1j]))
+

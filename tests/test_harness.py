@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from so3harmonics import harness, wigner
+from so3harmonics import estimation, harness, wigner
 from so3harmonics.harness import (DivergenceError, RunConfig, evaluate,
                                   gen_dataset, load_checkpoint, load_dataset,
                                   params_to_matrices, save_checkpoint,
@@ -350,7 +350,11 @@ class TestCli:
         assert "median_error_deg" in out
         rep = json.loads(open(report).read())
         assert "config_hash" in rep and "seeds" in rep
-        assert open(csv).read().startswith("index,error_deg")
+        lines = open(csv).read().splitlines()
+        assert lines[0] == ("index,error_deg,top1_prob,entropy,margin,"
+                            "manifold_distance")
+        assert len(lines) == 5 and all(len(l.split(",")) == 6 for l in lines)
+        assert set(rep["readout_medians"]) == set(estimation.READOUTS)
         # refinement run reports both readouts
         self._run("eval", "--checkpoint", ckpt, "--dataset", ds_path,
                   "--grad-ascent", "--json", report)

@@ -241,6 +241,12 @@ class TestForward:
         b = forward(model, sig, mode="eval", seed=2)
         assert np.array_equal(a.data, b.data)
 
+    def test_complex_input_is_rejected(self, model):
+        grid = grids.healpix_s2(2)
+        values = np.ones((1, 2, grid.size)) + 1j
+        with pytest.raises(ValueError, match="real"):
+            forward_trunk(model, "spherical", values, grid=grid)
+
     def test_finite_output_for_finite_input(self, model):
         grid = grids.healpix_s2(2)
         rng = np.random.default_rng(8)

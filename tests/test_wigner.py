@@ -191,6 +191,11 @@ class TestHarmonicVector:
             via_matrix = rotation_to_psi(RotationMatrix(m), 3).data
             assert np.max(np.abs(via_euler - via_matrix)) < 1e-12
 
+    def test_complex_data_is_rejected(self):
+        # a cast to float would keep only the real part, [1.]
+        with pytest.raises(ValueError, match="real"):
+            wigner.HarmonicVector(0, np.array([1 + 2j]))
+
     def test_injectivity_at_grid_scale(self):
         # distinct rotations >= 2 degrees apart score strictly below the
         # self similarity
