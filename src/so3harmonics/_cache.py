@@ -15,11 +15,15 @@ import numpy as np
 
 
 def digest(*arrays: np.ndarray) -> bytes:
-    """blake2b of each array's dtype, shape and bytes."""
+    """blake2b of each array's dtype, shape and C-order bytes.
+
+    A C-contiguous array is hashed through its buffer with no copy;
+    any other layout is copied to C order first, as ``tobytes`` would.
+    """
     h = hashlib.blake2b(digest_size=16)
     for a in map(np.asarray, arrays):
         h.update(f"{a.dtype.str}{a.shape};".encode())
-        h.update(a.tobytes())
+        h.update(np.ascontiguousarray(a))
     return h.digest()
 
 

@@ -36,6 +36,11 @@ from .wigner import wigner_center_columns
 
 RIDGE_LAMBDA = 1e-8
 MAX_CONDITION = 1e8
+# Largest kappa(A) that ridge_solver certifies from the eigenvalues of
+# fl(A^T A), which are off by about n*u*w_max (n columns, u = 1.1e-16):
+# with w_min >= 1e-4 * w_max the kappa estimate holds to ~1e-9 and the
+# normal equations lose about kappa^2 * u <= 1e-12 against the SVD.
+GRAM_MAX_CONDITION = 100.0
 
 
 class IllConditionedError(ValueError):
@@ -173,17 +178,42 @@ def _build_design(grid: PointSet, bandlimit: int) -> np.ndarray:
 
 def ridge_solver(a: np.ndarray, ridge: float = RIDGE_LAMBDA,
                  max_condition: float = MAX_CONDITION) -> np.ndarray:
-    """SVD-based ridge pseudo-inverse of a design matrix.
+    """Ridge pseudo-inverse P = V diag(s / (s^2 + ridge)) U^T of a design
+    matrix A = U diag(s) V^T.
 
-    Returns G with shape (columns, rows) so that coeffs = G @ samples.
-    Raises IllConditionedError when sigma_max/sigma_min > max_condition.
+    Returns P with shape (columns, rows) so that coeffs = P @ samples.
+    Raises IllConditionedError when kappa(A) = s_max/s_min > max_condition.
+
+    Two routes give the same P up to rounding.  A matrix with at least
+    twice as many rows as columns is first tried through its Gram matrix:
+    A^T A = V diag(w) V^T with w = s^2, so P = V diag(1/(w + ridge)) V^T A^T,
+    which needs no (rows, columns) U.  The eigenvalues are trusted only
+    when they certify kappa(A) = sqrt(w_max/w_min) <= GRAM_MAX_CONDITION
+    = 100: the eigenvalues of fl(A^T A) are off by about n*u*w_max, so
+    there the kappa estimate holds to ~1e-9 and the normal equations lose
+    about kappa^2 * u <= 1e-12 against the SVD.  The ReLU tables (kappa
+    2.3-3.7) and full-sphere designs (kappa 1.07) take this route.  Every
+    other matrix (near-square, wide, rank-deficient or worse conditioned)
+    takes the SVD.
     """
+    if a.shape[0] >= 2 * a.shape[1]:
+        w, v = np.linalg.eigh(a.T @ a)
+        kappa = np.sqrt(w[-1] / w[0]) if w[0] > 0 else np.inf
+        if kappa <= GRAM_MAX_CONDITION:
+            if kappa > max_condition:
+                raise IllConditionedError(
+                    f"design matrix condition number exceeds {max_condition:g}")
+            # V^T A^T first: freeing that (columns, rows) temporary, as the
+            # SVD route frees U, raises glibc's dynamic mmap threshold past
+            # the training step's (B*C, Q) ReLU temporaries, which would
+            # otherwise be unmapped and page-faulted again on every step.
+            return (v / (w + ridge)) @ (v.T @ a.T)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[-1] <= 0 or s[0] / s[-1] > max_condition:
         raise IllConditionedError(
             f"design matrix condition number exceeds {max_condition:g}")
     filt = s / (s * s + ridge)
-    return (vh.conj().T * filt) @ u.conj().T
+    return (vh.T * filt) @ u.T
 
 
 def analysis_matrix(grid: PointSet, bandlimit: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 """The shared LRU cache and the operators cached through it."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,35 @@ def test_digest_covers_dtype_and_shape():
     assert digest(a) == digest(a.copy())
     assert digest(a) != digest(a.reshape(2, 3))
     assert digest(a) != digest(a.view(np.int64))
+
+
+def tobytes_digest(*arrays):
+    """The copying formula digest must keep matching byte for byte."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in map(np.asarray, arrays):
+        h.update(f"{a.dtype.str}{a.shape};".encode())
+        h.update(a.tobytes())
+    return h.digest()
+
+
+def test_digest_equals_the_tobytes_formula_on_every_layout():
+    base = np.random.default_rng(3).normal(size=(6, 8))
+    layouts = [base, np.asfortranarray(base), base.T, base[1::2, ::3],
+               np.array(2.5), np.zeros((0, 4)), np.arange(5, dtype=np.int32)]
+    for a in layouts:
+        assert digest(a) == tobytes_digest(a)
+    assert digest(*layouts) == tobytes_digest(*layouts)
+
+
+def test_digest_hashes_without_copying():
+    big = np.ones(4 * 1024 * 1024)              # 32 MB
+    tracemalloc.start()
+    try:
+        digest(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_second_trunk_pass_reuses_the_analysis(monkeypatch):

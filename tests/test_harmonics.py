@@ -6,10 +6,12 @@ from scipy.special import sph_harm_y
 
 from complex_basis import (complex_design, complex_to_real_matrix,
                            sph_harm_complex)
-from so3harmonics import grids
+from so3harmonics import grids, specconv
+from so3harmonics._cache import LRUCache
 from so3harmonics.harmonics import (IllConditionedError, PointSet,
                                     SphericalCoeffs, SphericalSignal, analyze,
-                                    design_matrix, sph_harm_real, synthesize)
+                                    design_matrix, ridge_solver, sph_harm_real,
+                                    synthesize)
 
 
 def gauss_quadrature_grid(n_theta=24, n_phi=48):
@@ -180,3 +182,81 @@ class TestAnalyzeSynthesize:
         with pytest.raises(ValueError, match="real"):
             PointSet(np.array([0.5]), np.array([0.1 + 1j]))
 
+
+
+def svd_ridge_inverse(a, ridge=1e-8):
+    """The SVD formula every ridge_solver route must reproduce."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return (vh.conj().T * (s / (s * s + ridge))) @ u.conj().T
+
+
+def relu_table(level, bandlimit):
+    return grids.so3_healpix(level).with_psi_table(bandlimit).psi_table
+
+
+class TestRidgeSolverRoutes:
+    """Tall, well-conditioned matrices go through the Gram eigensystem;
+    everything else through the SVD."""
+
+    def test_gram_route_calls_no_svd(self, monkeypatch):
+        table = relu_table(2, 6)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+        assert ridge_solver(table).shape == (455, 4608)
+        a, p = specconv._grid_operators(specconv.default_nonlin_grid(2), 6)
+        assert a.shape == (4608, 455) and p.shape == (455, 4608)
+
+    @pytest.mark.parametrize("name, bandlimit", [
+        ("so3_level2", 2), ("so3_level2", 4), ("so3_level2", 6),
+        ("sphere_level2", 6)])
+    def test_gram_route_matches_svd_formula(self, name, bandlimit):
+        if name == "so3_level2":
+            a = relu_table(2, bandlimit)
+        else:
+            a = design_matrix(grids.healpix_s2(2, "full"), bandlimit)
+        p, ref = ridge_solver(a), svd_ridge_inverse(a)
+        assert p.shape == ref.shape and p.flags.c_contiguous
+        assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_gram_route_keeps_the_ridge_bias(self):
+        # max|P A - I| is the 1e-8 ridge bias, the same on both routes
+        a = relu_table(2, 6)
+        eye = np.eye(a.shape[1])
+        gram = np.max(np.abs(ridge_solver(a) @ a - eye))
+        svd = np.max(np.abs(svd_ridge_inverse(a) @ a - eye))
+        assert abs(gram - svd) <= 1e-13
+
+    @pytest.mark.parametrize("case", ["so3_level1_L6", "zeros",
+                                      "gram_over_max_condition"])
+    def test_ill_conditioned_raises(self, case):
+        # the degenerate grid is TestAnalyzeSynthesize's
+        kwargs = {}
+        if case == "so3_level1_L6":
+            a = relu_table(1, 6)                    # kappa ~ 9e15
+        elif case == "zeros":
+            a = np.zeros((4, 2))
+        else:
+            a, kwargs = relu_table(2, 6), {"max_condition": 2}  # kappa 3.7
+        with pytest.raises(IllConditionedError):
+            ridge_solver(a, **kwargs)
+
+    def test_tall_matrix_past_gram_bound_takes_svd_route(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        u = np.linalg.qr(rng.normal(size=(200, 20)))[0]
+        v = np.linalg.qr(rng.normal(size=(20, 20)))[0]
+        a = (u * np.logspace(0, -3, 20)) @ v.T      # kappa = 1e3
+        expect = svd_ridge_inverse(a)
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert np.array_equal(ridge_solver(a), expect)
+        assert calls == [1]
