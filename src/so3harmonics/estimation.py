@@ -11,19 +11,22 @@ grid, softmaxes each row into a categorical pose distribution, and reads
 out the argmax rotation or refines it by gradient ascent on SO(3) with
 exact generator derivatives.  One private scoring function and its
 adjoint serve the distribution, the cross-entropy losses and
-``decode_poses``.  A HEALPix-Hopf grid is scored through its fibers
-(Yershova et al., IJRR 2010): its rotations are A_i Rz(psi_f) with
-psi_f = 2 pi f / F, and D^l(Rz(psi)) = sum_j T_j(psi) E^l_j for the
-trig basis T = (1, cos psi, sin psi, ..., cos L psi, sin L psi), so
-
-    scores = (psi(A) @ W(p)) @ T,   W(p)[:, j] = stack_l P_l (E^l_j)^T,
-
-with P_l the degree-l block of p, exact at every level.  ``fiber_table`` caches psi(A), the E^l_j and T
-(2.8 MB at level 3 and L = 6, against 134 MB for the dense table) after
-checking the fiber structure on the rotations themselves.  Other grids
-are scored against their dense psi table.  ``decode_poses`` walks the
-batch in row chunks of a fixed byte budget and keeps only each row's
-argmax and its confidence readouts.
+``decode_poses``; ``specconv``'s grid ReLU runs on the same table.  A
+HEALPix-Hopf grid is scored through its fibers (Yershova et al., IJRR
+2010): its rotations are A_i Rz(psi_f) with psi_f = 2 pi f / F, and
+D^l(Rz(psi)) only mixes the columns n and -n of one class |n| = k, with
+weights cos(k psi) and +-sin(k psi).  So per class k one GEMM of the
+rows p (and their signed partners) against the class's columns of
+psi(A) gives each fiber's cos/sin coefficients, and one product with
+the (2L+1, F) trig table gives its F scores: about 2 M N + (2L+1) N F
+multiply-adds per row against M N F for the dense table (N = 12 * 4^level
+fibers, M the vector length), exact at every level.
+``fiber_table`` caches psi(A) and T (2.8 MB at level 3 and L = 6,
+against 134 MB for the dense table) after checking the fiber structure
+on the rotations themselves.  Other grids are scored against their
+dense psi table.  ``decode_poses`` walks the batch in row chunks of a
+fixed byte budget and keeps only each row's argmax and its confidence
+readouts.
 """
 
 from __future__ import annotations
@@ -211,29 +214,88 @@ fiber_table_cache = LRUCache(6)
 @dataclass(frozen=True)
 class FiberTable:
     """Factored scoring table of a grid whose rotation i F + f is
-    A_i Rz(2 pi f / F)."""
+    A_i Rz(2 pi f / F).
 
-    base_psi: np.ndarray             # (N, M) harmonic vectors of the A_i
-    fiber: tuple[np.ndarray, ...]    # per degree (2l+1, J (2l+1)): E^l_j^T side by side
-    trig: np.ndarray                 # (J, F) trig basis at the fiber angles, J = 2L+1
-
-
-def _fiber_blocks(l: int, bandlimit: int) -> np.ndarray:
-    """E^l_j of D^l(Rz(psi)) = sum_j T_j(psi) E^l_j as one (2l+1, J (2l+1))
-    matrix whose column block j is (E^l_j)^T.
-
-    D^l(Rz(psi)) = expm(psi J_z), and J_z pairs m with -m, so on |m| = k
-    it squares to -k^2: expm(psi J_z) = sum_k cos(k psi) P_k +
-    sin(k psi) J_z P_k / k, with P_k the projector onto |m| = k.
+    D^l(Rz(psi)) keeps every column class |n| = k: it maps column n to
+    cos(k psi) times itself plus sin(k psi) times +-1 times column -n.
+    So with the columns sorted by class, each class k costs one GEMM of
+    the rows, stacked over their signed partner columns, against that
+    class's slice of psi(A) (cos and sin coefficients per fiber), and
+    one (J, F) trig product turns the J = 2L+1 coefficients of every
+    fiber into its F scores, in the grid's own order i F + f.
     """
-    jz = wigner.generators_real(l)[2]
-    absm = np.abs(np.arange(-l, l + 1))
-    e = np.zeros((2 * bandlimit + 1, 2 * l + 1, 2 * l + 1))
-    e[0] = np.diag(absm == 0)
-    for k in range(1, l + 1):
-        proj = np.diag((absm == k).astype(float))
-        e[2 * k - 1], e[2 * k] = proj, jz @ proj / k
-    return e.transpose(2, 0, 1).reshape(2 * l + 1, -1)
+
+    base_psi: np.ndarray           # (N, M) harmonic vectors of the A_i, columns in ``order``
+    order: np.ndarray              # (M,) column at each class position, |n| ascending
+    partner: np.ndarray            # (M,) column (l, m, -n) of that (l, m, n)
+    sign: np.ndarray               # (M,) its sin(k psi) coefficient in D^l(Rz(psi))
+    bounds: tuple[int, ...]        # class k holds positions bounds[k]:bounds[k + 1]
+    trig: np.ndarray               # (J, F) trig basis at the fiber angles
+
+    @property
+    def size(self) -> int:
+        """Number of grid rotations, N F."""
+        return len(self.base_psi) * self.trig.shape[1]
+
+    def _classes(self):
+        """Per class k: (h, j, cols), its h stacked row blocks (the rows
+        and, for k > 0, their signed partners), its first trig row j and
+        its column slice."""
+        for k, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
+            yield (2 if k else 1), max(2 * k - 1, 0), slice(lo, hi)
+
+    def scores(self, rows: np.ndarray) -> np.ndarray:
+        """<psi(R), p> for every grid rotation R and row p of (B, M): (B, N F)."""
+        b, (nbase, m) = len(rows), self.base_psi.shape
+        z = np.empty((2, b, m))  # the rows in class order, then their signed partners
+        z[0] = rows[:, self.order]
+        z[1] = rows[:, self.partner]
+        z[1] *= self.sign
+        x = np.empty((len(self.trig), b, nbase))
+        for h, j, cols in self._classes():
+            np.matmul(z[:h, :, cols].reshape(h * b, -1), self.base_psi[:, cols].T,
+                      out=x[j:j + h].reshape(h * b, nbase))
+        return (x.reshape(len(x), -1).T @ self.trig).reshape(b, -1)
+
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
+        """sum_R g[:, R] psi(R) for weights g (B, N F): (B, M), the
+        adjoint of ``scores``."""
+        b, (nbase, m) = len(g), self.base_psi.shape
+        y = self.trig @ g.reshape(b * nbase, -1).T
+        dz = np.empty((2, b, m))
+        dz[1, :, :self.bounds[1]] = 0.0  # class 0 has no partner block
+        for h, j, cols in self._classes():
+            np.matmul(y[j:j + h].reshape(h * b, nbase), self.base_psi[:, cols],
+                      out=dz[:h, :, cols].reshape(h * b, -1))
+        dz[1] *= self.sign
+        out = dz[0][:, np.argsort(self.order)]
+        out += dz[1][:, np.argsort(self.partner)]
+        return out
+
+
+def _fiber_classes(bandlimit: int):
+    """(order, partner, sign, bounds) of ``FiberTable`` at a band limit.
+
+    D^l(Rz(psi)) = expm(psi J_z), and J_z pairs n with -n, so on |n| = k
+    it squares to -k^2: expm(psi J_z) = sum_k cos(k psi) P_k +
+    sin(k psi) J_z P_k / k, with P_k the projector onto |n| = k.  Column
+    (l, m, n) of D^l(A) D^l(Rz(psi)) is cos(k psi) D^l(A)[m, n] +
+    sin(k psi) D^l(A)[m, -n] J_z[-n, n] / k, so a score pairs column
+    (l, m, n) of psi(A) with p[l, m, n] and, through the sign
+    J_z[n, -n] / k, with p[l, m, -n].
+    """
+    offs = np.array(wigner.block_offsets(bandlimit))
+    degree = np.repeat(np.arange(bandlimit + 1),
+                       (2 * np.arange(bandlimit + 1) + 1) ** 2)
+    n = (np.arange(offs[-1]) - offs[degree]) % (2 * degree + 1) - degree
+    sign = np.concatenate([
+        np.tile(np.fliplr(wigner.generators_real(l)[2]).diagonal()
+                / np.maximum(np.abs(np.arange(-l, l + 1)), 1), 2 * l + 1)
+        for l in range(bandlimit + 1)])
+    order = np.argsort(np.abs(n), kind="stable")
+    bounds = np.searchsorted(np.abs(n)[order], np.arange(bandlimit + 2))
+    return (order, (np.arange(offs[-1]) - 2 * n)[order], sign[order],
+            tuple(int(i) for i in bounds))
 
 
 def _build_fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
@@ -251,14 +313,18 @@ def _build_fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
     k = np.arange(1, bandlimit + 1)[:, None] * angles
     trig = np.concatenate([np.ones((1, nfiber)),
                            np.stack([np.cos(k), np.sin(k)], axis=1).reshape(-1, nfiber)])
-    fiber = tuple(_fiber_blocks(l, bandlimit) for l in range(bandlimit + 1))
-    return FiberTable(wigner.rotations_to_psi(rots[:, 0], bandlimit), fiber, trig)
+    order, partner, sign, bounds = _fiber_classes(bandlimit)
+    base_psi = wigner.rotations_to_psi(rots[:, 0], bandlimit)[:, order]
+    return FiberTable(base_psi, order, partner, sign, bounds, trig)
 
 
 def fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
     """The factored table of a HEALPix-Hopf grid at ``bandlimit``, or None.
 
-    The kind label and level only propose the fiber count F = 6 * 2^level;
+    The table holds psi of the N fiber-0 rotations with its columns
+    sorted into |n| classes, and the trig basis at the F fiber angles
+    (see ``FiberTable``).  The kind label and level only propose the
+    fiber count F = 6 * 2^level;
     the table is built, and cached per rotation content, only after every
     rotation is checked to be A_i Rz(2 pi f / F).  None means the grid
     is scored against its dense psi table.
@@ -279,39 +345,15 @@ def _dense_table(grid: SO3Grid) -> np.ndarray:
 
 def _scores(rows: np.ndarray, grid: SO3Grid) -> np.ndarray:
     """<psi(R), p> for every grid rotation R and row p of (B, M): (B, size)."""
-    bandlimit = wigner.bandlimit_of(rows.shape[-1])
-    table = fiber_table(grid, bandlimit)
-    if table is None:
-        return rows @ _dense_table(grid).T
-    offs = wigner.block_offsets(bandlimit)
-    b, j = len(rows), len(table.trig)
-    w = np.empty((b, j, offs[-1]))  # W(p) transposed, per row
-    for l, e in enumerate(table.fiber):
-        d = 2 * l + 1
-        p = rows[:, offs[l]:offs[l + 1]].reshape(b * d, d)
-        w[:, :, offs[l]:offs[l + 1]] = (p @ e).reshape(b, d, j, d).transpose(
-            0, 2, 1, 3).reshape(b, j, d * d)
-    x = (w.reshape(b * j, -1) @ table.base_psi.T).reshape(b, j, -1)
-    return (x.transpose(0, 2, 1) @ table.trig).reshape(b, -1)
+    table = fiber_table(grid, wigner.bandlimit_of(rows.shape[-1]))
+    return rows @ _dense_table(grid).T if table is None else table.scores(rows)
 
 
 def _scores_adjoint(g: np.ndarray, grid: SO3Grid, bandlimit: int) -> np.ndarray:
     """sum_R g[:, R] psi(R) for weights g (B, size): (B, M), the adjoint
     of ``_scores``."""
     table = fiber_table(grid, bandlimit)
-    if table is None:
-        return g @ _dense_table(grid)
-    offs = wigner.block_offsets(bandlimit)
-    b, j = len(g), len(table.trig)
-    x = (g.reshape(-1, table.trig.shape[1]) @ table.trig.T).reshape(b, -1, j)
-    h = np.ascontiguousarray(x.transpose(0, 2, 1)).reshape(b * j, -1) @ table.base_psi
-    out = np.empty((b, offs[-1]))
-    for l, e in enumerate(table.fiber):
-        d = 2 * l + 1
-        hl = h.reshape(b, j, -1)[:, :, offs[l]:offs[l + 1]].reshape(b, j, d, d)
-        out[:, offs[l]:offs[l + 1]] = (hl.transpose(0, 2, 1, 3).reshape(
-            b * d, j * d) @ e.T).reshape(b, -1)
-    return out
+    return g @ _dense_table(grid) if table is None else table.adjoint(g)
 
 
 # ---------------------------------------------------------------------------

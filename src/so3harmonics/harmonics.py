@@ -176,6 +176,39 @@ def _build_design(grid: PointSet, bandlimit: int) -> np.ndarray:
     return out
 
 
+def _certified_eigh(gram: np.ndarray, max_condition: float
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """(w, V) of a Gram matrix A^T A = V diag(w) V^T, or None when w does
+    not certify kappa(A) = sqrt(w_max/w_min) <= GRAM_MAX_CONDITION;
+    raises IllConditionedError when the certified kappa exceeds
+    ``max_condition``."""
+    w, v = np.linalg.eigh(gram)
+    kappa = np.sqrt(w[-1] / w[0]) if w[0] > 0 else np.inf
+    if kappa > GRAM_MAX_CONDITION:
+        return None
+    if kappa > max_condition:
+        raise IllConditionedError(
+            f"design matrix condition number exceeds {max_condition:g}")
+    return w, v
+
+
+def gram_ridge_inverse(gram: np.ndarray) -> np.ndarray | None:
+    """H = V diag(1/(w + RIDGE_LAMBDA)) V^T from the Gram matrix
+    A^T A = V diag(w) V^T of a design A, so that H A^T is
+    ``ridge_solver(A)``.
+
+    Returns None when the eigenvalues do not certify kappa(A) <=
+    GRAM_MAX_CONDITION (then only the SVD of A gives the inverse), and
+    raises IllConditionedError when the certified kappa exceeds
+    MAX_CONDITION.
+    """
+    eig = _certified_eigh(gram, MAX_CONDITION)
+    if eig is None:
+        return None
+    w, v = eig
+    return (v / (w + RIDGE_LAMBDA)) @ v.T
+
+
 def ridge_solver(a: np.ndarray, ridge: float = RIDGE_LAMBDA,
                  max_condition: float = MAX_CONDITION) -> np.ndarray:
     """Ridge pseudo-inverse P = V diag(s / (s^2 + ridge)) U^T of a design
@@ -191,22 +224,16 @@ def ridge_solver(a: np.ndarray, ridge: float = RIDGE_LAMBDA,
     when they certify kappa(A) = sqrt(w_max/w_min) <= GRAM_MAX_CONDITION
     = 100: the eigenvalues of fl(A^T A) are off by about n*u*w_max, so
     there the kappa estimate holds to ~1e-9 and the normal equations lose
-    about kappa^2 * u <= 1e-12 against the SVD.  The ReLU tables (kappa
-    2.3-3.7) and full-sphere designs (kappa 1.07) take this route.  Every
-    other matrix (near-square, wide, rank-deficient or worse conditioned)
-    takes the SVD.
+    about kappa^2 * u <= 1e-12 against the SVD.  Full-sphere designs
+    (kappa 1.07) take this route.  Every other matrix (near-square,
+    wide, rank-deficient or worse conditioned) takes the SVD.
     """
     if a.shape[0] >= 2 * a.shape[1]:
-        w, v = np.linalg.eigh(a.T @ a)
-        kappa = np.sqrt(w[-1] / w[0]) if w[0] > 0 else np.inf
-        if kappa <= GRAM_MAX_CONDITION:
-            if kappa > max_condition:
-                raise IllConditionedError(
-                    f"design matrix condition number exceeds {max_condition:g}")
-            # V^T A^T first: freeing that (columns, rows) temporary, as the
-            # SVD route frees U, raises glibc's dynamic mmap threshold past
-            # the training step's (B*C, Q) ReLU temporaries, which would
-            # otherwise be unmapped and page-faulted again on every step.
+        eig = _certified_eigh(a.T @ a, max_condition)
+        if eig is not None:
+            w, v = eig
+            # V^T A^T = diag(s) U^T: the SVD route's product, with the
+            # filter 1/(w + ridge) in place of s/(s^2 + ridge)
             return (v / (w + ridge)) @ (v.T @ a.T)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[-1] <= 0 or s[0] / s[-1] > max_condition:

@@ -17,7 +17,11 @@ the same layer functions the equivariance tests check.
   by the rotation's Wigner block on the row index.
 - The nonlinearity samples the group signal on an SO(3) grid (dot
   products with the grid's harmonic vectors), applies ReLU, and
-  projects back to band-limited blocks by ridge least squares.
+  projects back to band-limited blocks by ridge least squares.  On a
+  HEALPix-Hopf grid both steps run through the grid's fiber table
+  (``estimation.FiberTable``): out = adjoint(relu(sample(x))) @ H, with
+  H the ridge inverse of the Gram matrix A^T A of the sampling A, so no
+  dense (Q, M) table is held; other grids sample with their dense A.
 
 The toy network chains: lift/analysis of each input channel to harmonic
 coefficients (one linear operator per input kind), channel mixer, sphere
@@ -35,8 +39,10 @@ import numpy as np
 from . import mapper as mapper_mod
 from ._cache import LRUCache
 from .binio import IncompatibleFileError, read_blob, write_blob
+from .estimation import FiberTable, LossConfig, fiber_table, loss_and_grad
 from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
-from .harmonics import PointSet, SphericalSignal, analysis_matrix, ridge_solver
+from .harmonics import (IllConditionedError, PointSet, SphericalSignal,
+                        analysis_matrix, gram_ridge_inverse, ridge_solver)
 from .mapper import FeatureMap, MapperConfig
 from .rotations import axis_angles_to_matrices
 from .wigner import (HarmonicVector, bandlimit_of, block_offsets, m_total,
@@ -192,42 +198,85 @@ def so3_conv(x: np.ndarray, f: LocalSO3Filter) -> np.ndarray:
 nonlin_operator_cache = LRUCache(8)
 # one entry per level so3_healpix builds without allow_large
 nonlin_grid_cache = LRUCache(LARGE_GRID_LEVEL)
+# Byte budget of the (rows, Q) samples the grid ReLU and its backward
+# hold at once (at least one row); the level-2 grid has Q = 4,608.
+_RELU_CHUNK_BYTES = 8 << 20
 
 
-def _grid_operators(grid: SO3Grid, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sampling matrix A, ridge re-analysis P) for a grid at a band limit.
+def _grid_operators(grid: SO3Grid, bandlimit: int
+                    ) -> tuple[FiberTable | np.ndarray, np.ndarray]:
+    """(sampling, re-analysis) of the grid ReLU at a band limit.
 
-    Keyed on the grid's rotation content, so a new grid never receives
-    the operators of a freed one that happened to share its address.
+    A HEALPix-Hopf grid samples through its fiber table and re-analyses
+    with H = V diag(1/(w + ridge)) V^T, the ridge inverse of its Gram
+    matrix A^T A = V diag(w) V^T, built through the fiber table in
+    chunks of rows; P = H A^T is ``ridge_solver``'s Gram route.  H is
+    used only when the eigenvalues certify kappa(A), as there.  Every
+    other grid, and one whose kappa is not certified, gets its dense
+    sampling matrix A and P = ridge_solver(A).  Keyed on the grid's
+    rotation content, so a new grid never receives the operators of a
+    freed one that happened to share its address.
     """
-    def build() -> tuple[np.ndarray, np.ndarray]:
+    def build() -> tuple[FiberTable | np.ndarray, np.ndarray]:
+        table = fiber_table(grid, bandlimit)
+        if table is not None:
+            eye = np.eye(table.base_psi.shape[1])
+            step = _relu_chunk(grid.size)
+            h = gram_ridge_inverse(np.concatenate([
+                table.adjoint(table.scores(eye[i:i + step]))
+                for i in range(0, len(eye), step)]))
+            if h is not None:
+                return table, h
         a = grid.with_psi_table(bandlimit).psi_table
         return a, ridge_solver(a)
     return nonlin_operator_cache.get((grid.content_digest, bandlimit), build)
 
 
-def _grid_relu(x: np.ndarray, a: np.ndarray,
-               p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample with A, rectify, re-analyse with P; returns (out, mask).
+def _relu_chunk(size: int) -> int:
+    return max(1, _RELU_CHUNK_BYTES // (8 * size))
 
-    The leading dimensions of x (..., C, M) fold into the rows of one
-    2-D GEMM per step: a stacked (B, C, M) product would run as B GEMMs
-    of C rows.  out has x's shape; mask is (..., C, Q).
+
+def _grid_relu(x: np.ndarray, sample_op: FiberTable | np.ndarray,
+               reanalysis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample, rectify, re-analyse (see ``_grid_operators``); returns
+    (out, mask).
+
+    The leading dimensions of x (..., C, M) fold into rows, which run in
+    chunks of ``_RELU_CHUNK_BYTES`` of samples, each as 2-D GEMMs: a
+    stacked (B, C, M) product would run as B GEMMs of C rows.  out has
+    x's shape; mask is (..., C, Q).
     """
-    s = x.reshape(-1, x.shape[-1]) @ a.T
-    mask = s > 0
-    s *= mask
-    return ((s @ p.T).reshape(x.shape),
-            mask.reshape(x.shape[:-1] + mask.shape[-1:]))
+    rows = x.reshape(-1, x.shape[-1])
+    fiber = isinstance(sample_op, FiberTable)
+    out = np.empty_like(rows)
+    masks = []
+    step = _relu_chunk(sample_op.size if fiber else len(sample_op))
+    for i in range(0, len(rows), step):
+        s = sample_op.scores(rows[i:i + step]) if fiber else rows[i:i + step] @ sample_op.T
+        masks.append(s > 0)
+        s *= masks[-1]
+        out[i:i + step] = sample_op.adjoint(s) @ reanalysis if fiber else s @ reanalysis.T
+    mask = np.concatenate(masks)
+    return out.reshape(x.shape), mask.reshape(x.shape[:-1] + mask.shape[-1:])
 
 
-def _grid_relu_backward(d_out: np.ndarray, mask: np.ndarray, a: np.ndarray,
-                        p: np.ndarray) -> np.ndarray:
-    """d(x) of _grid_relu given d(out), on the same flat rows: one GEMM
-    through P, the mask applied in place, one GEMM through A."""
-    ds = d_out.reshape(-1, d_out.shape[-1]) @ p
-    ds *= mask.reshape(ds.shape)
-    return (ds @ a).reshape(d_out.shape)
+def _grid_relu_backward(d_out: np.ndarray, mask: np.ndarray,
+                        sample_op: FiberTable | np.ndarray,
+                        reanalysis: np.ndarray) -> np.ndarray:
+    """d(x) of _grid_relu given d(out), on the same flat row chunks:
+    transposed re-analysis, the mask applied in place, transposed
+    sampling."""
+    rows = d_out.reshape(-1, d_out.shape[-1])
+    mask = mask.reshape(len(rows), -1)
+    fiber = isinstance(sample_op, FiberTable)
+    out = np.empty_like(rows)
+    step = _relu_chunk(mask.shape[1])
+    for i in range(0, len(rows), step):
+        d = rows[i:i + step]
+        ds = sample_op.scores(d @ reanalysis) if fiber else d @ reanalysis
+        ds *= mask[i:i + step]
+        out[i:i + step] = sample_op.adjoint(ds) if fiber else ds @ sample_op
+    return out.reshape(d_out.shape)
 
 
 def so3_nonlinearity(x: np.ndarray, grid: SO3Grid) -> np.ndarray:
@@ -304,15 +353,38 @@ class TrunkState:
 
     Arrays keep their (B, C, ·) shapes.  relu_mask is a view of the
     grid ReLU's flat (B*C_h, Q) mask, so the ReLU backward reads it
-    back as flat rows without a copy.
+    back as flat rows without a copy.  The two ReLU operators are those
+    of ``_grid_operators``.
     """
 
     lifted: np.ndarray              # (B, C_in, (L+1)^2) input coefficients
     coeffs: np.ndarray              # (B, C_mid, (L+1)^2)
     relu_mask: np.ndarray           # (B, C_h, Q) grid samples kept by ReLU
     hidden_flat: np.ndarray         # (B, C_h, M)
-    sample_op: np.ndarray           # A (Q, M)
-    reanalysis: np.ndarray          # P (M, Q)
+    sample_op: FiberTable | np.ndarray  # the grid's fiber table, or dense A (Q, M)
+    reanalysis: np.ndarray          # H (M, M) after the fiber adjoint, or dense P (M, Q)
+
+
+# Train-mode image draws tried per call.  At the CLI defaults 7 in 44,000
+# dropout draws keep points whose design exceeds MAX_CONDITION.
+IMAGE_DRAWS = 8
+
+
+def _image_operator(cfg: MapperConfig, shape: tuple[int, int], mode: str,
+                    seed: int, bandlimit: int) -> np.ndarray:
+    """Analysis on the points ``mapper.lift`` keeps, times their weights.
+
+    Draw 0 uses ``seed``; draw d >= 1 uses a seed hashed from (seed, d).
+    """
+    for draw in range(IMAGE_DRAWS):
+        draw_seed = seed if draw == 0 else int(
+            np.random.SeedSequence((seed, draw)).generate_state(1)[0])
+        points, weights = mapper_mod.lift(cfg, *shape, mode, draw_seed)
+        try:
+            return analysis_matrix(points, bandlimit) @ weights
+        except IllConditionedError:
+            if mode != "train" or draw == IMAGE_DRAWS - 1:
+                raise
 
 
 def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
@@ -327,7 +399,10 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     ``op`` is the ridge analysis there.  'image': values (B, C_in, H, W)
     or (C_in, H, W); ``op`` is the analysis on the points ``mapper.lift``
     keeps through ``cfg`` in ``mode`` 'train' (seeded point dropout) or
-    'eval', times its weights.  The mixer then acts on coefficients.
+    'eval', times its weights.  A train-mode draw whose kept points give
+    an ill-conditioned analysis is replaced by the next draw of a fixed
+    sequence seeded from ``seed`` (at most ``IMAGE_DRAWS`` draws); a draw
+    that passes is used as it is.  The mixer then acts on coefficients.
     """
     L = model.bandlimit
     if np.iscomplexobj(values):
@@ -344,8 +419,7 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
             raise ValueError("image input needs a mapper config")
         if values.ndim == 3:
             values = values[None]
-        points, weights = mapper_mod.lift(cfg, *values.shape[-2:], mode, seed)
-        op = analysis_matrix(points, L) @ weights
+        op = _image_operator(cfg, values.shape[-2:], mode, seed, L)
     else:
         raise ValueError(f"unknown input kind: {kind!r}")
 
@@ -431,7 +505,6 @@ def backward(model: ToyModel, f, cfg: MapperConfig | None,
              target: HarmonicVector, loss_cfg=None,
              mode: str = "eval", seed: int = 0) -> tuple[float, ParamGrads]:
     """Loss value and parameter gradients for one input/target pair."""
-    from .estimation import LossConfig, loss_and_grad
     if loss_cfg is None:
         loss_cfg = LossConfig(bandlimit=model.bandlimit)
     hidden, state = _trunk_one(model, f, cfg, mode, seed)

@@ -235,7 +235,7 @@ class TestFactoredScoring:
     # the dense psi-table product is the reference for the fiber path
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
-    @pytest.mark.parametrize("bandlimit", [1, 4, 6])
+    @pytest.mark.parametrize("bandlimit", [1, 2, 4, 6])
     def test_scores_and_adjoint_match_dense_table(self, level, bandlimit):
         # levels 0 and 1 at L = 6 have F = 6, 12 <= 2L fiber angles
         grid = grids.so3_healpix(level)
@@ -256,8 +256,10 @@ class TestFactoredScoring:
         table = estimation.fiber_table(grid, 6)
         assert table.base_psi.shape == (768, 455)
         assert table.trig.shape == (13, 48)
+        # columns in |n| class order: a permutation of the harmonic vector
+        assert np.array_equal(np.sort(table.order), np.arange(455))
         assert np.array_equal(table.base_psi,
-                              wigner.rotations_to_psi(grid.rotations[::48], 6))
+                              wigner.rotations_to_psi(grid.rotations[::48], 6)[:, table.order])
 
     def test_ce_value_and_gradient_match_dense_computation(self):
         grid = grids.so3_healpix(2)

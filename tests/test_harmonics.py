@@ -207,8 +207,8 @@ class TestRidgeSolverRoutes:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
         assert ridge_solver(table).shape == (455, 4608)
-        a, p = specconv._grid_operators(specconv.default_nonlin_grid(2), 6)
-        assert a.shape == (4608, 455) and p.shape == (455, 4608)
+        fiber, h = specconv._grid_operators(specconv.default_nonlin_grid(2), 6)
+        assert fiber.size == 4608 and h.shape == (455, 455)
 
     @pytest.mark.parametrize("name, bandlimit", [
         ("so3_level2", 2), ("so3_level2", 4), ("so3_level2", 6),

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gradcheck import kink_safe_gradcheck
-from so3harmonics import grids, wigner
-from so3harmonics.estimation import LossConfig
-from so3harmonics.harmonics import SphericalCoeffs, synthesize
+from so3harmonics import grids, specconv, wigner
+from so3harmonics._cache import LRUCache
+from so3harmonics.estimation import FiberTable, LossConfig
+from so3harmonics.harmonics import (IllConditionedError, SphericalCoeffs,
+                                    ridge_solver, synthesize)
 from so3harmonics.mapper import FeatureMap, MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
@@ -38,6 +40,22 @@ def left_translate(x: np.ndarray, m: np.ndarray) -> np.ndarray:
         ob[...] = np.einsum("mn,...nk->...mk",
                             wigner.wigner_D_real(l, e).entries, xb)
     return out
+
+
+def dense_relu(x, d_out, grid, bandlimit):
+    """(out, mask, d_x) of the grid ReLU through the dense psi table and
+    ridge_solver, the reference for the fiber path."""
+    a = wigner.rotations_to_psi(grid.rotations, bandlimit)
+    p = ridge_solver(a)
+    s = x @ a.T
+    mask = s > 0
+    return (s * mask) @ p.T, mask, ((d_out @ p) * mask) @ a
+
+
+def assert_rows_close(got, ref):
+    assert got.shape == ref.shape
+    err = np.linalg.norm(got - ref, axis=-1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
 
 
 class TestS2Conv:
@@ -119,12 +137,13 @@ class TestNonlinearity:
         # non-negative, so ReLU is the identity up to re-analysis error
         rng = np.random.default_rng(4)
         grid = default_nonlin_grid(2)
-        _, p = _grid_operators(grid, L)
+        table, h = _grid_operators(grid, L)
         half = rng.normal(size=(2, wigner.m_total(L // 2)))
-        a_half, _ = _grid_operators(grid, L // 2)
-        samples = half @ a_half.T
+        half_table, _ = _grid_operators(grid, L // 2)
+        samples = half_table.scores(half)
         squared = samples ** 2
-        coeffs = squared @ p.T  # analysis at L is exact for the square
+        # analysis at L is exact for the square
+        coeffs = table.adjoint(squared) @ h
         out = so3_nonlinearity(coeffs, grid)
         rel = np.max(np.abs(out - coeffs)) / np.max(np.abs(coeffs))
         assert rel < 1e-6
@@ -178,24 +197,21 @@ class TestBatchedLayers:
 
     def test_flat_grid_relu_matches_stacked_products(self):
         # at the training shape (L=6, B=25, C=8, level-2 grid) the ReLU and
-        # its backward run as flat (B*C, .) GEMMs; a per-sample stacked
-        # product must give the same mask and the same rows up to rounding
-        a, p = _grid_operators(default_nonlin_grid(2), 6)
+        # its backward run on flat (B*C, .) rows; per-sample stacked
+        # products with the dense table and its ridge inverse must give
+        # the same mask and the same rows up to rounding
+        grid = default_nonlin_grid(2)
+        ops = _grid_operators(grid, 6)
         rng = np.random.default_rng(21)
-        x = rng.normal(size=(25, 8, a.shape[1]))
+        x = rng.normal(size=(25, 8, wigner.m_total(6)))
         d_out = rng.normal(size=x.shape)
-        s = x @ a.T
-        ref_mask = s > 0
-        ref_out = (s * ref_mask) @ p.T
-        ref_back = ((d_out @ p) * ref_mask) @ a
-        out, mask = _grid_relu(x, a, p)
-        back = _grid_relu_backward(d_out, mask, a, p)
+        ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, 6)
+        out, mask = _grid_relu(x, *ops)
+        back = _grid_relu_backward(d_out, mask, *ops)
         assert mask.shape == ref_mask.shape
         assert np.array_equal(mask, ref_mask)
-        for got, ref in ((out, ref_out), (back, ref_back)):
-            assert got.shape == ref.shape
-            err = np.linalg.norm(got - ref, axis=-1)
-            assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+        assert_rows_close(out, ref_out)
+        assert_rows_close(back, ref_back)
 
     def test_nonlinearity_rows_independent_of_leading_shape(self):
         grid = default_nonlin_grid(2)
@@ -216,6 +232,73 @@ class TestBatchedLayers:
             so3_nonlinearity(x, default_nonlin_grid(2))
         with pytest.raises(ValueError, match="channel"):
             so3_conv(np.zeros((3, wigner.m_total(L))), model.so3)
+
+
+class TestFiberRelu:
+    """HEALPix-Hopf ReLU grids sample through their fiber table and
+    re-analyse through the ridge inverse of its Gram matrix."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bandlimit", [1, 2, 4, 6])
+    def test_matches_dense_table_and_ridge_solver(self, level, bandlimit):
+        grid = grids.so3_healpix(level)
+        rng = np.random.default_rng(10 * level + bandlimit)
+        x = rng.normal(size=(2, 3, wigner.m_total(bandlimit)))
+        d_out = rng.normal(size=x.shape)
+        try:
+            ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, bandlimit)
+        except IllConditionedError:             # level 1 at L = 6
+            with pytest.raises(IllConditionedError):
+                _grid_operators(grid, bandlimit)
+            return
+        ops = _grid_operators(grid, bandlimit)
+        # a wide level-0 table has no certified Gram matrix
+        assert isinstance(ops[0], FiberTable) == (
+            grid.size >= 2 * wigner.m_total(bandlimit))
+        out, mask = _grid_relu(x, *ops)
+        assert np.array_equal(mask, ref_mask)
+        assert_rows_close(out, ref_out)
+        assert_rows_close(_grid_relu_backward(d_out, mask, *ops), ref_back)
+
+    @pytest.mark.parametrize("kind", ["random", "moved"])
+    def test_other_grids_take_the_dense_table(self, kind):
+        if kind == "random":
+            grid = grids.so3_random(3, grids.so3_healpix_count(1))
+        else:
+            mats = grids.so3_healpix(1).rotations.copy()
+            c, s = np.cos(1e-6), np.sin(1e-6)
+            mats[300] = mats[300] @ np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+            grid = grids.SO3Grid("healpix_hopf", mats, 30.0, level=1)
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(4, wigner.m_total(4)))
+        d_out = rng.normal(size=x.shape)
+        ops = _grid_operators(grid, 4)
+        assert np.array_equal(ops[0], wigner.rotations_to_psi(grid.rotations, 4))
+        ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, 4)
+        out, mask = _grid_relu(x, *ops)
+        assert np.array_equal(mask, ref_mask)
+        assert_rows_close(out, ref_out)
+        assert_rows_close(_grid_relu_backward(d_out, mask, *ops), ref_back)
+
+    def test_training_grid_holds_no_dense_table(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("dense psi table built")
+
+        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+        monkeypatch.setattr(grids.SO3Grid, "with_psi_table", no_table)
+        model6 = init_toy_model(2, 6, in_channels=2)
+        sphere = grids.healpix_s2(2)
+        values = np.random.default_rng(24).normal(size=(3, 2, sphere.size))
+        hidden, state = forward_trunk(model6, "spherical", values, grid=sphere)
+        specconv.backward_trunk(model6, state, np.ones_like(hidden))
+        grid = default_nonlin_grid(2)
+        assert grid.psi_table is None
+        table, h = _grid_operators(grid, 6)
+        assert state.sample_op is table and state.reanalysis is h
+        held = sum(v.nbytes for v in vars(table).values()
+                   if isinstance(v, np.ndarray)) + h.nbytes
+        assert held < 8e6  # the dense A and P would hold 33.6 MB
+
 
 class TestForward:
     def test_zero_input_zero_output(self, model):
@@ -262,6 +345,21 @@ class TestForward:
         psi_train = forward(model, f, cfg, mode="train", seed=3)
         assert len(psi_eval.data) == wigner.m_total(L)
         assert not np.array_equal(psi_eval.data, psi_train.data)
+
+    def test_ill_conditioned_dropout_draw_is_redrawn(self, monkeypatch):
+        # the kept points of this train-mode draw (step 229 of seed 37's
+        # image benchmark run) give a design with condition > 1e8
+        model6 = init_toy_model(0, 6, in_channels=3)
+        cfg = MapperConfig(grids.healpix_s2(2, "hemisphere"), 0.5)
+        values = np.random.default_rng(25).normal(size=(2, 3, 32, 32))
+        seed = 37 * 100003 + 229
+        hidden, _ = forward_trunk(model6, "image", values, cfg=cfg,
+                                  mode="train", seed=seed)
+        assert np.all(np.isfinite(hidden))
+        monkeypatch.setattr(specconv, "IMAGE_DRAWS", 1)
+        with pytest.raises(IllConditionedError):
+            forward_trunk(model6, "image", values, cfg=cfg, mode="train",
+                          seed=seed)
 
     @pytest.mark.parametrize("kind", ["spherical", "image"])
     def test_one_sample_equals_batch_row(self, model, kind):
