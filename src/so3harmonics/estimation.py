@@ -228,6 +228,8 @@ class FiberTable:
     base_psi: np.ndarray           # (N, M) harmonic vectors of the A_i, columns in ``order``
     order: np.ndarray              # (M,) column at each class position, |n| ascending
     partner: np.ndarray            # (M,) column (l, m, -n) of that (l, m, n)
+    order_inverse: np.ndarray      # (M,) class position of each column: argsort(order)
+    partner_inverse: np.ndarray    # (M,) argsort(partner)
     sign: np.ndarray               # (M,) its sin(k psi) coefficient in D^l(Rz(psi))
     bounds: tuple[int, ...]        # class k holds positions bounds[k]:bounds[k + 1]
     trig: np.ndarray               # (J, F) trig basis at the fiber angles
@@ -268,8 +270,8 @@ class FiberTable:
             np.matmul(y[j:j + h].reshape(h * b, nbase), self.base_psi[:, cols],
                       out=dz[:h, :, cols].reshape(h * b, -1))
         dz[1] *= self.sign
-        out = dz[0][:, np.argsort(self.order)]
-        out += dz[1][:, np.argsort(self.partner)]
+        out = dz[0][:, self.order_inverse]
+        out += dz[1][:, self.partner_inverse]
         return out
 
 
@@ -315,7 +317,8 @@ def _build_fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
                            np.stack([np.cos(k), np.sin(k)], axis=1).reshape(-1, nfiber)])
     order, partner, sign, bounds = _fiber_classes(bandlimit)
     base_psi = wigner.rotations_to_psi(rots[:, 0], bandlimit)[:, order]
-    return FiberTable(base_psi, order, partner, sign, bounds, trig)
+    return FiberTable(base_psi, order, partner, np.argsort(order),
+                      np.argsort(partner), sign, bounds, trig)
 
 
 def fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
@@ -406,7 +409,8 @@ def _decode_chunk(rows: np.ndarray, grid: SO3Grid, temperature: float):
     s /= temperature
     e = np.exp(s)
     z = e.sum(axis=1)
-    return best, 1.0 / z, np.log(z) - np.einsum("ij,ij->i", e, s) / z, margin
+    es = (e[:, None] @ s[:, :, None])[:, 0, 0]  # sum_j e s, one BLAS dot per row
+    return best, 1.0 / z, np.log(z) - es / z, margin
 
 
 def decode_poses(pred, grid: SO3Grid, temperature: float = 1.0) -> PoseReadout:

@@ -411,8 +411,17 @@ def inference_grid(level: int, bandlimit: int, kind: str = "healpix_hopf",
 
     A HEALPix-Hopf grid carries no psi table: its factored fiber table
     is built into ``estimation.fiber_table_cache`` instead.  A grid of
-    any other kind carries its dense psi table.
+    any other kind carries its dense psi table.  Levels from
+    ``grids.LARGE_GRID_LEVEL`` up raise ``ResourceLimitError``: refining
+    the argmax of a smaller grid reads poses more precisely, for less.
     """
+    if level >= grids.LARGE_GRID_LEVEL:
+        raise grids.ResourceLimitError(
+            f"inference level {level} needs {grids.so3_healpix_count(level):,} "
+            f"grid rotations; decode at level {grids.LARGE_GRID_LEVEL - 1} or "
+            "below and refine the argmax by gradient ascent instead "
+            "(eval --grad-ascent, RunConfig.grad_ascent_steps), which is "
+            "more precise and much cheaper")
     n = count or grids.so3_healpix_count(level)
     # only the parameters the grid kind uses enter the key
     key = {"healpix_hopf": (level,), "random": (n, seed)}.get(kind, (n,))

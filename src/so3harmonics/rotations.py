@@ -292,7 +292,7 @@ def matrices_to_zyz(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def geodesic_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise (broadcast) geodesic angle between (..., 3, 3) stacks."""
-    t = np.einsum("...ij,...ij->...", a, b)
+    t = np.sum(a * b, axis=(-2, -1))
     return np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0))
 
 

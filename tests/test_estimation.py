@@ -258,6 +258,8 @@ class TestFactoredScoring:
         assert table.trig.shape == (13, 48)
         # columns in |n| class order: a permutation of the harmonic vector
         assert np.array_equal(np.sort(table.order), np.arange(455))
+        assert np.array_equal(table.order[table.order_inverse], np.arange(455))
+        assert np.array_equal(table.partner[table.partner_inverse], np.arange(455))
         assert np.array_equal(table.base_psi,
                               wigner.rotations_to_psi(grid.rotations[::48], 6)[:, table.order])
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from so3harmonics import estimation, harness, wigner
+from so3harmonics import estimation, grids, harness, wigner
 from so3harmonics.harness import (DivergenceError, RunConfig, evaluate,
                                   gen_dataset, load_checkpoint, load_dataset,
                                   params_to_matrices, save_checkpoint,
@@ -201,6 +201,30 @@ class TestEvaluate:
         te = evaluate(model, spherical_ds, cfg, split="test")["metrics"]
         assert tr["acc_at_15"] >= te["acc_at_15"] - 0.05
         assert tr["median_error_deg"] <= te["median_error_deg"] + 1.0
+
+    def test_large_infer_level_points_to_refinement(self, spherical_ds):
+        model, _ = train(fast_cfg(epochs=1), spherical_ds)
+        with pytest.raises(grids.ResourceLimitError,
+                           match="refine the argmax") as err:
+            evaluate(model, spherical_ds, fast_cfg(infer_level=5))
+        assert "--grad-ascent" in str(err.value)
+        assert "grad_ascent_steps" in str(err.value)
+        assert "allow_large" not in str(err.value)
+
+    def test_training_and_decode_call_no_einsum(self, spherical_ds, monkeypatch):
+        # the spectral layers and the decode run as BLAS products
+        image_cfg = fast_cfg(dataset_kind="image", image_size=16, epochs=1,
+                             learning_rate=1e-4)
+        image_ds = gen_dataset(image_cfg)
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError(f"np.einsum called with {args[0]!r}")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        cfg = fast_cfg(epochs=1)
+        model, _ = train(cfg, spherical_ds)
+        train(image_cfg, image_ds)
+        evaluate(model, spherical_ds, cfg, grad_ascent=False)
 
     def test_empty_split_errors(self, spherical_ds):
         cfg = fast_cfg()
