@@ -20,7 +20,7 @@ import dataclasses
 import json
 import sys
 
-from . import __version__, estimation, grids, harness, rotations
+from . import __version__, binio, estimation, grids, harmonics, harness, rotations
 
 
 def _load_config(args) -> harness.RunConfig:
@@ -199,7 +199,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (binio.IncompatibleFileError, grids.ResourceLimitError,
+            harmonics.IllConditionedError, harness.DivergenceError,
+            OSError) as exc:  # a bad file, path or setting, as argparse does
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

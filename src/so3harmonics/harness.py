@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, estimation, grids, harmonics, mapper, specconv, wigner
+from . import __version__, estimation, grids, harmonics, mapper, wigner
 from ._cache import LRUCache
-from .binio import read_blob, write_blob
+from .binio import IncompatibleFileError, read_blob, write_blob
 from .estimation import LossConfig
 from .grids import SO3Grid
 from .harmonics import PointSet, SphericalCoeffs
@@ -32,10 +32,12 @@ from .mapper import MapperConfig
 from .rotations import (axis_angles_to_matrices, matrices_to_axis_angles,
                         matrices_to_quats, matrices_to_zyz, quats_to_matrices,
                         sample_uniform_matrices, zyz_to_matrices)
-from .specconv import (S2FilterBank, backward_head_wigner, backward_trunk,
-                       forward_trunk, head_wigner, init_toy_model, save_model)
+from .specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
+                       backward_head_wigner, backward_trunk, forward_trunk,
+                       head_wigner, init_toy_model)
 
 DATASET_LAYOUT_VERSION = 1
+CHECKPOINT_LAYOUT_VERSION = 1
 
 HEAD_DIMS = {"euler": 3, "quaternion": 4, "axis_angle": 4, "rotmat": 9}
 
@@ -206,7 +208,6 @@ def save_dataset(path: str, ds: SyntheticDataset) -> None:
 def load_dataset(path: str) -> SyntheticDataset:
     _, meta, arrays = read_blob(path, expect_kind="dataset")
     if meta.get("layout_version") != DATASET_LAYOUT_VERSION:
-        from .binio import IncompatibleFileError
         raise IncompatibleFileError(f"{path}: unsupported dataset layout")
     grid = None
     if "grid_theta" in arrays:
@@ -232,6 +233,15 @@ class SpatialHeadModel:
     head_kind: str
     head_w: np.ndarray  # (dim, hidden * M)
     nonlin_level: int = 2
+
+    def __post_init__(self):
+        self.mixer = np.asarray(self.mixer, dtype=float)
+        if self.mixer.ndim != 2 or self.mixer.shape[1] != self.s2.in_channels:
+            raise ValueError("mixer output does not match sphere-filter input")
+        shape = (HEAD_DIMS[self.head_kind],
+                 self.hidden_channels * wigner.m_total(self.bandlimit))
+        if np.shape(self.head_w) != shape:
+            raise ValueError(f"head_w must have shape {shape}")
 
     @property
     def hidden_channels(self) -> int:
@@ -486,27 +496,68 @@ def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
 # Checkpoints for either head
 # ---------------------------------------------------------------------------
 
+def _header_copies(cfg: RunConfig) -> dict:
+    """The ``cfg`` fields a checkpoint header repeats beside ``config``."""
+    copies = {"bandlimit": cfg.bandlimit, "nonlin_level": cfg.nonlin_level,
+              "head": cfg.head}
+    if cfg.head == "wigner":
+        copies["support_angle"] = cfg.support_angle
+    return copies
+
+
 def save_checkpoint(path: str, model, cfg: RunConfig) -> None:
-    config = json.loads(cfg.to_json())
+    """Writes ``cfg``, the trunk fields (``mixer``, ``s2_spectra_{l}``) and
+    the head fields (``so3_taps`` and ``so3_weights``, or ``head_w``).
+    Raises ValueError if the model disagrees with ``_header_copies(cfg)``.
+    """
+    meta = {"bandlimit": model.bandlimit, "nonlin_level": model.nonlin_level}
+    arrays = {f"s2_spectra_{l}": s for l, s in enumerate(model.s2.spectra)}
+    arrays["mixer"] = model.mixer
     if isinstance(model, SpatialHeadModel):
-        specconv.write_checkpoint(
-            path, model, {"head": model.head_kind, "config": config},
-            {"head_w": model.head_w})
+        meta["head"] = model.head_kind
+        arrays["head_w"] = model.head_w
     else:
-        save_model(path, model, {"head": "wigner", "config": config})
+        meta.update(head="wigner", support_angle=model.so3.support_angle)
+        arrays.update(so3_taps=model.so3.taps, so3_weights=model.so3.weights)
+    copies = _header_copies(cfg)
+    if meta != copies:
+        raise ValueError(f"model {meta} disagrees with its config {copies}")
+    meta.update(layout_version=CHECKPOINT_LAYOUT_VERSION,
+                config=json.loads(cfg.to_json()))
+    write_blob(path, "checkpoint", meta, arrays)
 
 
 def load_checkpoint(path: str):
-    """Returns (model, RunConfig)."""
-    meta, arrays = specconv.read_checkpoint(path)
-    cfg = RunConfig(**meta["config"])
-    if meta.get("head", "wigner") == "wigner":
-        return specconv.model_from_arrays(meta, arrays), cfg
-    model = SpatialHeadModel(
-        meta["bandlimit"], arrays["mixer"],
-        specconv.s2_bank_from_arrays(meta["bandlimit"], arrays),
-        meta["head"], arrays["head_w"], meta["nonlin_level"])
-    return model, cfg
+    """Returns (model, RunConfig), both built from the file's ``config``.
+
+    A malformed file raises IncompatibleFileError naming ``path``: a
+    missing field, a ``config`` that RunConfig rejects, a header copy
+    that disagrees with it, or arrays the model rejects.
+    """
+    _, meta, arrays = read_blob(path, expect_kind="checkpoint")
+    if meta.get("layout_version") != CHECKPOINT_LAYOUT_VERSION:
+        raise IncompatibleFileError(f"{path}: unsupported checkpoint layout")
+    try:
+        cfg = RunConfig(**meta["config"])
+        copies = _header_copies(cfg)
+        header = {key: meta[key] for key in copies}
+        if header != copies:
+            raise ValueError(f"header {header} disagrees with config {copies}")
+        L = cfg.bandlimit
+        if type(L) is not int or type(cfg.nonlin_level) is not int:
+            raise TypeError("bandlimit and nonlin_level must be integers")
+        s2 = S2FilterBank(L, tuple(arrays[f"s2_spectra_{l}"]
+                                   for l in range(L + 1)))
+        if cfg.head != "wigner":
+            return SpatialHeadModel(L, arrays["mixer"], s2, cfg.head,
+                                    arrays["head_w"], cfg.nonlin_level), cfg
+        so3 = LocalSO3Filter(L, cfg.support_angle, arrays["so3_taps"],
+                             arrays["so3_weights"])
+        return ToyModel(L, arrays["mixer"], s2, so3, cfg.nonlin_level), cfg
+    except IncompatibleFileError:  # a missing field; it names the path
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise IncompatibleFileError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ import numpy as np
 
 from . import mapper as mapper_mod
 from ._cache import LRUCache
-from .binio import IncompatibleFileError, read_blob, write_blob
 from .estimation import FiberTable, LossConfig, fiber_table, loss_and_grad
 from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
 from .harmonics import (IllConditionedError, PointSet, SphericalSignal,
@@ -50,8 +49,6 @@ from .mapper import FeatureMap, MapperConfig
 from .rotations import axis_angles_to_matrices
 from .wigner import (HarmonicVector, bandlimit_of, block_offsets, m_total,
                      rotations_to_psi)
-
-CHECKPOINT_LAYOUT_VERSION = 1
 
 
 @dataclass
@@ -339,7 +336,7 @@ class ToyModel:
 
     def __post_init__(self):
         self.mixer = np.asarray(self.mixer, dtype=float)
-        if self.s2.in_channels != self.mixer.shape[1]:
+        if self.mixer.ndim != 2 or self.mixer.shape[1] != self.s2.in_channels:
             raise ValueError("mixer output does not match sphere-filter input")
         if self.so3.weights.shape[1] != self.s2.out_channels:
             raise ValueError("group-filter input does not match hidden width")
@@ -547,61 +544,3 @@ def backward(model: ToyModel, f, cfg: MapperConfig | None,
     d_hidden, d_w = backward_head_wigner(model, state, d_psi[None])
     d_mixer, d_spectra = backward_trunk(model, state, d_hidden)
     return value, ParamGrads(d_mixer, d_spectra, so3_weights=d_w)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-def write_checkpoint(path: str, model, head_meta: dict,
-                     head_arrays: dict[str, np.ndarray]) -> None:
-    """Checkpoint of a trunk (mixer, sphere filters) plus head fields.
-
-    ``model`` is a ToyModel or any model with the same trunk attributes.
-    """
-    meta = {"layout_version": CHECKPOINT_LAYOUT_VERSION,
-            "bandlimit": model.bandlimit,
-            "nonlin_level": model.nonlin_level, **head_meta}
-    arrays = {"mixer": model.mixer, **head_arrays}
-    for l, s in enumerate(model.s2.spectra):
-        arrays[f"s2_spectra_{l}"] = s
-    write_blob(path, "checkpoint", meta, arrays)
-
-
-def save_model(path: str, model: ToyModel, extra_meta: dict | None = None) -> None:
-    write_checkpoint(path, model,
-                     {"support_angle": model.so3.support_angle,
-                      **(extra_meta or {})},
-                     {"so3_taps": model.so3.taps,
-                      "so3_weights": model.so3.weights})
-
-
-def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of a checkpoint file of either head kind."""
-    _, meta, arrays = read_blob(path, expect_kind="checkpoint")
-    if meta.get("layout_version") != CHECKPOINT_LAYOUT_VERSION:
-        raise IncompatibleFileError(f"{path}: unsupported checkpoint layout")
-    return meta, arrays
-
-
-def s2_bank_from_arrays(bandlimit: int, arrays: dict) -> S2FilterBank:
-    """Sphere-convolution filters stored in a checkpoint."""
-    return S2FilterBank(bandlimit, tuple(arrays[f"s2_spectra_{l}"]
-                                         for l in range(bandlimit + 1)))
-
-
-def model_from_arrays(meta: dict, arrays: dict) -> ToyModel:
-    """Wigner-head model from the contents of a checkpoint."""
-    bandlimit = meta["bandlimit"]
-    return ToyModel(
-        bandlimit=bandlimit,
-        mixer=arrays["mixer"],
-        s2=s2_bank_from_arrays(bandlimit, arrays),
-        so3=LocalSO3Filter(bandlimit, meta["support_angle"],
-                           arrays["so3_taps"], arrays["so3_weights"]),
-        nonlin_level=meta["nonlin_level"])
-
-
-def load_model(path: str) -> tuple[ToyModel, dict]:
-    meta, arrays = read_checkpoint(path)
-    return model_from_arrays(meta, arrays), meta

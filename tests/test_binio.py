@@ -1,5 +1,6 @@
 """Corrupt-input handling of the binary container reader."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -76,12 +77,13 @@ def trained():
 
 
 def test_load_model_missing_array(tmp_path, trained):
-    from so3harmonics.specconv import load_model, save_model
+    from so3harmonics.harness import load_checkpoint, save_checkpoint
+    cfg, _, model = trained
     path = tmp_path / "m.bin"
-    save_model(str(path), trained[2])
+    save_checkpoint(str(path), model, cfg)
     _drop_field(path, "s2_spectra_0", from_arrays=True)
     with pytest.raises(IncompatibleFileError, match="s2_spectra_0"):
-        load_model(str(path))
+        load_checkpoint(str(path))
 
 
 def test_load_checkpoint_missing_header_key(tmp_path, trained):
@@ -92,6 +94,72 @@ def test_load_checkpoint_missing_header_key(tmp_path, trained):
     _drop_field(path, "config", from_arrays=False)
     with pytest.raises(IncompatibleFileError, match="config"):
         load_checkpoint(str(path))
+
+
+# A well-formed container holding a checkpoint with one field tampered.
+
+def _set(field, value, config_too=False):
+    def edit(meta, arrays):
+        meta[field] = value
+        if config_too:
+            meta["config"][field] = value
+    return edit
+
+
+def _edit_config(edit_config):
+    def edit(meta, arrays):
+        meta["config"] = edit_config(meta["config"])
+    return edit
+
+
+def _edit_array(field, edit_array):
+    def edit(meta, arrays):
+        arrays[field] = edit_array(arrays[field])
+    return edit
+
+
+def _quarter_turns(taps):
+    return np.tile(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                             [0.0, 0.0, 1.0]]), (len(taps), 1, 1))
+
+
+TAMPERED_CHECKPOINTS = {
+    "unknown_config_key": _edit_config(lambda c: {**c, "bogus": 1}),
+    "config_not_a_mapping": _edit_config(lambda c: [c]),
+    "string_bandlimit": _set("bandlimit", "2", config_too=True),
+    "string_nonlin_level": _set("nonlin_level", "2", config_too=True),
+    "header_bandlimit_string": _set("bandlimit", "2"),
+    "header_bandlimit_differs": _set("bandlimit", 3),
+    "header_nonlin_level_differs": _set("nonlin_level", 1),
+    "header_support_angle_differs": _set("support_angle", 0.5),
+    "header_head_differs": _set("head", "rotmat"),
+    "header_head_missing": lambda meta, arrays: meta.pop("head"),
+    "s2_spectra_1_shape": _edit_array("s2_spectra_1", lambda a: a[..., :2]),
+    "so3_weights_shape": _edit_array("so3_weights", lambda a: a[0]),
+    "taps_outside_support": _edit_array("so3_taps", _quarter_turns),
+    "mixer_1d": _edit_array("mixer", np.ravel),
+    "rotmat_head_w_shape": _edit_array("head_w", lambda a: a[:, :3]),
+    "rotmat_mixer_1d": _edit_array("mixer", np.ravel),
+    "rotmat_header_head_differs": _set("head", "euler"),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED_CHECKPOINTS)
+def test_load_checkpoint_tampered_field(tmp_path, trained, case):
+    from so3harmonics.harness import (init_spatial_head_model,
+                                      load_checkpoint, save_checkpoint)
+    cfg, _, model = trained
+    if case.startswith("rotmat_"):
+        cfg = dataclasses.replace(cfg, head="rotmat")
+        model = init_spatial_head_model(1, cfg, cfg.template_channels)
+    path = tmp_path / "c.bin"
+    save_checkpoint(str(path), model, cfg)
+    kind, meta, arrays = read_blob(str(path))
+    TAMPERED_CHECKPOINTS[case](meta, arrays)
+    write_blob(str(path), kind, meta, arrays)
+    with pytest.raises(IncompatibleFileError) as err:
+        load_checkpoint(str(path))
+    assert str(path) in str(err.value)
 
 
 def test_load_dataset_missing_header_key(tmp_path, trained):

@@ -304,18 +304,59 @@ class TestCheckpointIO:
 
     def test_checkpoint_file_is_read_once(self, tmp_path, spherical_ds,
                                           monkeypatch):
-        from so3harmonics import specconv
         cfg = fast_cfg(epochs=1)
         model, _ = train(cfg, spherical_ds)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model, cfg)
         reads = []
-        real = specconv.read_blob
-        monkeypatch.setattr(specconv, "read_blob",
+        real = harness.read_blob
+        monkeypatch.setattr(harness, "read_blob",
                             lambda *a, **k: reads.append(a) or real(*a, **k))
         back, _ = load_checkpoint(path)
         assert len(reads) == 1
         assert np.array_equal(back.so3.weights, model.so3.weights)
+
+    @pytest.mark.parametrize("head", ["wigner", "rotmat"])
+    def test_layout_1_is_pinned(self, tmp_path, spherical_ds, head):
+        from so3harmonics.binio import write_blob
+        cfg = fast_cfg(head=head, epochs=1)
+        model, _ = train(cfg, spherical_ds)
+        # the layout-1 field list, written without save_checkpoint
+        meta = {"layout_version": 1, "bandlimit": 3, "nonlin_level": 2,
+                "head": head, "config": json.loads(cfg.to_json())}
+        arrays = {"mixer": model.mixer,
+                  **{f"s2_spectra_{l}": model.s2.spectra[l] for l in range(4)}}
+        if head == "wigner":
+            meta["support_angle"] = cfg.support_angle
+            arrays.update(so3_taps=model.so3.taps,
+                          so3_weights=model.so3.weights)
+        else:
+            arrays["head_w"] = model.head_w
+        oracle, path = str(tmp_path / "oracle.ckpt"), str(tmp_path / "m.ckpt")
+        write_blob(oracle, "checkpoint", meta, arrays)
+        save_checkpoint(path, model, cfg)
+        assert open(path, "rb").read() == open(oracle, "rb").read()
+        back, cfg2 = load_checkpoint(oracle)
+        assert cfg2.hash() == cfg.hash()
+        head_fields = {"so3_taps": back.so3.taps, "so3_weights": back.so3.weights
+                       } if head == "wigner" else {"head_w": back.head_w}
+        loaded = {"mixer": back.mixer, **head_fields,
+                  **{f"s2_spectra_{l}": s for l, s in enumerate(back.s2.spectra)}}
+        assert loaded.keys() == arrays.keys()
+        for name, arr in arrays.items():
+            assert np.array_equal(loaded[name], arr), name
+
+    @pytest.mark.parametrize("field, value", [
+        ("bandlimit", 4), ("nonlin_level", 1), ("support_angle", 0.5),
+        ("head", "rotmat")])
+    def test_writer_rejects_model_config_disagreement(self, tmp_path,
+                                                      spherical_ds, field, value):
+        cfg = fast_cfg(epochs=1)
+        model, _ = train(cfg, spherical_ds)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="disagrees"):
+            save_checkpoint(str(path), model, fast_cfg(epochs=1, **{field: value}))
+        assert not path.exists()
 
     def test_incompatible_file_rejected(self, tmp_path, spherical_ds):
         from so3harmonics.binio import IncompatibleFileError
@@ -385,6 +426,23 @@ class TestCli:
         rep = json.loads(open(report).read())
         assert rep["grad_ascent"] is True
         assert "argmax_metrics" in rep
+
+    def test_user_errors_exit_2_without_traceback(self, tmp_path, spherical_ds):
+        cfg = fast_cfg(epochs=1)
+        ckpt, ds_path = str(tmp_path / "model.ckpt"), str(tmp_path / "ds.bin")
+        save_checkpoint(ckpt, train(cfg, spherical_ds)[0], cfg)
+        save_dataset(ds_path, spherical_ds)
+        cases = [(["--checkpoint", ckpt, "--infer-level", "5"], "--grad-ascent"),
+                 (["--checkpoint", ds_path], f"{ds_path}: kind 'dataset'"),
+                 (["--checkpoint", str(tmp_path / "none")], "No such file")]
+        for args, message in cases:
+            proc = subprocess.run(
+                [sys.executable, "-m", "so3harmonics.cli", "eval",
+                 "--dataset", ds_path, *args], capture_output=True, text=True)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("so3harmonics: error: ")
+            assert message in proc.stderr and "Traceback" not in proc.stderr
+            assert len(proc.stderr.splitlines()) == 1
 
     def test_grids_command(self, tmp_path):
         path = str(tmp_path / "grid.bin")

@@ -17,8 +17,7 @@ from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
                                    _grid_relu_backward, backward,
                                    default_nonlin_grid, forward, forward_trunk,
                                    init_toy_model, local_tap_rotations,
-                                   load_model, s2_conv, save_model, so3_conv,
-                                   so3_nonlinearity)
+                                   s2_conv, so3_conv, so3_nonlinearity)
 
 L = 4
 
@@ -573,10 +572,14 @@ class TestBackward:
 
 class TestCheckpoint:
     def test_round_trip(self, model, tmp_path):
+        from so3harmonics.harness import (RunConfig, load_checkpoint,
+                                          save_checkpoint)
+        cfg = RunConfig(bandlimit=L, template_channels=2, mid_channels=3,
+                        hidden_channels=4, tap_count=12)
         path = str(tmp_path / "ckpt.bin")
-        save_model(path, model, {"note": 1})
-        back, meta = load_model(path)
-        assert meta["note"] == 1
+        save_checkpoint(path, model, cfg)
+        back, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg
         assert np.array_equal(back.mixer, model.mixer)
         assert np.array_equal(back.so3.weights, model.so3.weights)
         for a, b in zip(back.s2.spectra, model.s2.spectra):
