@@ -30,7 +30,7 @@ def digest(*arrays: np.ndarray) -> bytes:
 def _nbytes(value) -> int:
     if isinstance(value, np.ndarray):
         return value.nbytes
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return sum(map(_nbytes, value))
     if hasattr(value, "__dict__"):
         return sum(map(_nbytes, vars(value).values()))

@@ -173,7 +173,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("grids", help="generate/export SO(3) grids")
     p.add_argument("--kind", default="healpix_hopf",
-                   choices=["healpix_hopf", "random", "super_fibonacci"])
+                   choices=grids.GRID_KINDS)
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--count", type=int)
     p.add_argument("--bandlimit", type=int,

@@ -11,7 +11,8 @@ grid, softmaxes each row into a categorical pose distribution, and reads
 out the argmax rotation or refines it by gradient ascent on SO(3) with
 exact generator derivatives.  One private scoring function and its
 adjoint serve the distribution, the cross-entropy losses and
-``decode_poses``; ``specconv``'s grid ReLU runs on the same table.  A
+``decode_poses``; ``specconv``'s grid ReLU builds its per-class tables
+from the same table (``FiberTable.class_blocks``).  A
 HEALPix-Hopf grid is scored through its fibers (Yershova et al., IJRR
 2010): its rotations are A_i Rz(psi_f) with psi_f = 2 pi f / F, and
 D^l(Rz(psi)) only mixes the columns n and -n of one class |n| = k, with
@@ -26,7 +27,8 @@ against 134 MB for the dense table) after checking the fiber structure
 on the rotations themselves.  Other grids are scored against their
 dense psi table.  ``decode_poses`` walks the batch in row chunks of a
 fixed byte budget and keeps only each row's argmax and its confidence
-readouts.
+readouts.  Refinement takes its generator derivatives as one stacked
+matmul per step.
 """
 
 from __future__ import annotations
@@ -274,6 +276,24 @@ class FiberTable:
         out += dz[1][:, self.partner_inverse]
         return out
 
+    def class_blocks(self) -> list[tuple[int, slice, np.ndarray]]:
+        """Per class k, (j, cols, U_k): its first trig row, its column
+        slice and U_k (h, N, M_k), the class's slice of ``base_psi`` and,
+        for k > 0, its copy with each column moved to its partner's
+        position and signed.  Rows x in class order then give the class's
+        cos and sin fiber coefficients as x[:, cols] @ U_k[t].T, with the
+        partner gather and sign folded into U_k."""
+        partner_pos = self.order_inverse[self.partner]
+        blocks = []
+        for h, j, cols in self._classes():
+            base = self.base_psi[:, cols]
+            u = np.zeros((h,) + base.shape)
+            u[0] = base
+            if h == 2:
+                u[1][:, partner_pos[cols] - cols.start] = base * self.sign[cols]
+            blocks.append((j, cols, u))
+        return blocks
+
 
 def _fiber_classes(bandlimit: int):
     """(order, partner, sign, bounds) of ``FiberTable`` at a band limit.
@@ -462,7 +482,7 @@ def gradient_ascent_pose(pred, start, steps: int = 20,
 
     def score_and_grad(r, sel):
         psi = wigner.rotations_to_psi(r, bandlimit)
-        return np.sum(psi * rows[sel], axis=1), np.einsum("nm,nkm->nk", psi, q[sel])
+        return np.sum(psi * rows[sel], axis=1), (q[sel] @ psi[:, :, None])[:, :, 0]
 
     r = np.array(getattr(start, "m", start), dtype=float).reshape(-1, 3, 3)
     score, grad = score_and_grad(r, slice(None))

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import rotations, wigner
 from ._cache import digest
-from .binio import read_blob, write_blob
+from .binio import IncompatibleFileError, read_blob, write_blob
 from .harmonics import PointSet
 
 LARGE_GRID_LEVEL = 5
+GRID_KINDS = ("healpix_hopf", "random", "super_fibonacci")
 
 
 class ResourceLimitError(RuntimeError):
@@ -265,10 +266,37 @@ def save_grid(path: str, grid: SO3Grid) -> None:
     write_blob(path, "so3grid", meta, arrays)
 
 
+def _grid_file_problem(kind, level, rots: np.ndarray, table, bandlimit) -> str | None:
+    """What makes a grid file's fields unusable, or None."""
+    if kind not in GRID_KINDS:
+        return f"unknown grid kind {kind!r}"
+    if level is not None and type(level) is not int:
+        return f"level {level!r} is not an integer"
+    if not (rots.ndim == 3 and rots.shape[1:] == (3, 3)
+            and rots.dtype.kind in "fiu" and np.all(np.isfinite(rots))):
+        return f"rotations are not a finite (n, 3, 3) array: {rots.dtype} {rots.shape}"
+    if table is None:
+        return None
+    if type(bandlimit) is not int or bandlimit < 0:
+        return f"psi_bandlimit {bandlimit!r} is not a band limit"
+    if table.shape != (len(rots), wigner.m_total(bandlimit)):
+        return (f"psi_table shape {table.shape} disagrees with "
+                f"{len(rots)} rotations at band limit {bandlimit}")
+    return None
+
+
 def load_grid(path: str) -> SO3Grid:
+    """The grid ``save_grid`` wrote.  A malformed file raises
+    IncompatibleFileError naming ``path``: a missing field, an unknown
+    kind, a level that is not an integer, rotations that are not a finite
+    (n, 3, 3) array, or a psi table whose shape disagrees with its band
+    limit."""
     _, meta, arrays = read_blob(path, expect_kind="so3grid")
-    return SO3Grid(kind=meta["grid_kind"], rotations=arrays["rotations"],
+    kind, level, bandlimit = meta["grid_kind"], meta["level"], meta.get("psi_bandlimit")
+    rots, table = arrays["rotations"], arrays.get("psi_table")
+    problem = _grid_file_problem(kind, level, rots, table, bandlimit)
+    if problem is not None:
+        raise IncompatibleFileError(f"{path}: {problem}")
+    return SO3Grid(kind=kind, rotations=rots,
                    nominal_resolution_deg=meta["nominal_resolution_deg"],
-                   level=meta["level"],
-                   psi_table=arrays.get("psi_table"),
-                   psi_bandlimit=meta.get("psi_bandlimit"))
+                   level=level, psi_table=table, psi_bandlimit=bandlimit)

@@ -176,37 +176,38 @@ def _build_design(grid: PointSet, bandlimit: int) -> np.ndarray:
     return out
 
 
-def _certified_eigh(gram: np.ndarray, max_condition: float
-                    ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(w, V) of a Gram matrix A^T A = V diag(w) V^T, or None when w does
-    not certify kappa(A) = sqrt(w_max/w_min) <= GRAM_MAX_CONDITION;
-    raises IllConditionedError when the certified kappa exceeds
-    ``max_condition``."""
-    w, v = np.linalg.eigh(gram)
-    kappa = np.sqrt(w[-1] / w[0]) if w[0] > 0 else np.inf
+def _certified_eigh(grams: list[np.ndarray], max_condition: float
+                    ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """(w, V) of each diagonal block of a block-diagonal Gram matrix
+    A^T A = V diag(w) V^T, or None when the eigenvalues of all blocks
+    together do not certify kappa(A) = sqrt(w_max/w_min) <=
+    GRAM_MAX_CONDITION; raises IllConditionedError when the certified
+    kappa exceeds ``max_condition``."""
+    eigs = [np.linalg.eigh(gram) for gram in grams]
+    w = np.concatenate([block_w for block_w, _ in eigs])
+    kappa = np.sqrt(w.max() / w.min()) if w.min() > 0 else np.inf
     if kappa > GRAM_MAX_CONDITION:
         return None
     if kappa > max_condition:
         raise IllConditionedError(
             f"design matrix condition number exceeds {max_condition:g}")
-    return w, v
+    return eigs
 
 
-def gram_ridge_inverse(gram: np.ndarray) -> np.ndarray | None:
-    """H = V diag(1/(w + RIDGE_LAMBDA)) V^T from the Gram matrix
-    A^T A = V diag(w) V^T of a design A, so that H A^T is
-    ``ridge_solver(A)``.
+def gram_ridge_inverse(grams: list[np.ndarray]) -> list[np.ndarray] | None:
+    """H = V diag(1/(w + RIDGE_LAMBDA)) V^T, block by block, from the
+    diagonal blocks of a block-diagonal Gram matrix A^T A = V diag(w) V^T
+    of a design A, so that H A^T is ``ridge_solver(A)``.
 
     Returns None when the eigenvalues do not certify kappa(A) <=
     GRAM_MAX_CONDITION (then only the SVD of A gives the inverse), and
     raises IllConditionedError when the certified kappa exceeds
     MAX_CONDITION.
     """
-    eig = _certified_eigh(gram, MAX_CONDITION)
-    if eig is None:
+    eigs = _certified_eigh(grams, MAX_CONDITION)
+    if eigs is None:
         return None
-    w, v = eig
-    return (v / (w + RIDGE_LAMBDA)) @ v.T
+    return [(v / (w + RIDGE_LAMBDA)) @ v.T for w, v in eigs]
 
 
 def ridge_solver(a: np.ndarray, ridge: float = RIDGE_LAMBDA,
@@ -229,9 +230,9 @@ def ridge_solver(a: np.ndarray, ridge: float = RIDGE_LAMBDA,
     wide, rank-deficient or worse conditioned) takes the SVD.
     """
     if a.shape[0] >= 2 * a.shape[1]:
-        eig = _certified_eigh(a.T @ a, max_condition)
+        eig = _certified_eigh([a.T @ a], max_condition)
         if eig is not None:
-            w, v = eig
+            (w, v), = eig
             # V^T A^T = diag(s) U^T: the SVD route's product, with the
             # filter 1/(w + ridge) in place of s/(s^2 + ridge)
             return (v / (w + ridge)) @ (v.T @ a.T)

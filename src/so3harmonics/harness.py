@@ -599,7 +599,7 @@ def run_ablation(kind: str, base: RunConfig, ds: SyntheticDataset | None = None,
     elif kind == "grid_type":
         model, _ = train(base, ds)
         count = grids.so3_healpix_count(base.infer_level)
-        for gkind in ("healpix_hopf", "random", "super_fibonacci"):
+        for gkind in grids.GRID_KINDS:
             grid = inference_grid(base.infer_level, base.bandlimit,
                                   kind=gkind, count=count, seed=99)
             rows.append(_row(gkind, base, model=model, grid=grid))

@@ -20,11 +20,16 @@ the same layer functions the equivariance tests check.
   (``_channel_gemm``).
 - The nonlinearity samples the group signal on an SO(3) grid (dot
   products with the grid's harmonic vectors), applies ReLU, and
-  projects back to band-limited blocks by ridge least squares.  On a
-  HEALPix-Hopf grid both steps run through the grid's fiber table
-  (``estimation.FiberTable``): out = adjoint(relu(sample(x))) @ H, with
-  H the ridge inverse of the Gram matrix A^T A of the sampling A, so no
-  dense (Q, M) table is held; other grids sample with their dense A.
+  projects back to band-limited blocks by ridge least squares:
+  out = relu(x A^T) A H, with H the ridge inverse of the Gram matrix
+  A^T A of the sampling A.  On a HEALPix-Hopf grid this runs in fiber
+  coefficients (``FiberRelu``): A^T A and so H are block-diagonal in
+  the |n| column classes of ``estimation.FiberTable``, so per class one
+  table U_k maps rows to fiber cos/sin coefficients and one table
+  G_k = U_k H_k maps rectified coefficients back, with a small trig
+  product between them; no dense (Q, M) table or (M, M) product is
+  used.  Other grids run through their dense A and P = H A^T
+  (``DenseRelu``).
 
 The toy network chains: lift/analysis of each input channel to harmonic
 coefficients (one linear operator per input kind), channel mixer, sphere
@@ -228,91 +233,203 @@ def so3_conv(x: np.ndarray, f: LocalSO3Filter) -> np.ndarray:
 nonlin_operator_cache = LRUCache(8)
 # one entry per level so3_healpix builds without allow_large
 nonlin_grid_cache = LRUCache(LARGE_GRID_LEVEL)
-# Byte budget of the (rows, Q) samples the grid ReLU and its backward
-# hold at once (at least one row); the level-2 grid has Q = 4,608.
+# Byte budget of the widest per-row temporary the grid ReLU and its
+# backward hold at once (at least one row): the fiber coefficients, or
+# the (rows, Q) samples of a dense grid.  ``harness.evaluate`` runs the
+# ReLU on a whole split at once.
 _RELU_CHUNK_BYTES = 8 << 20
+# Byte budget of the samples one trig product writes: the rectify and
+# the transposed trig product then read them from cache.
+_TRIG_CHUNK_BYTES = 256 << 10
+# Largest off-class entry of a grid's Gram matrix, relative to its
+# largest entry, for which the ReLU runs class by class.
+_CLASS_TOL = 1e-12
 
 
-def _grid_operators(grid: SO3Grid, bandlimit: int
-                    ) -> tuple[FiberTable | np.ndarray, np.ndarray]:
-    """(sampling, re-analysis) of the grid ReLU at a band limit.
+def _chunk_rows(width: int) -> int:
+    """Rows of a ReLU pass chunk: ``_RELU_CHUNK_BYTES`` of its widest
+    per-row temporary, ``width`` doubles a row (at least one row)."""
+    return max(1, _RELU_CHUNK_BYTES // (8 * width))
 
-    A HEALPix-Hopf grid samples through its fiber table and re-analyses
-    with H = V diag(1/(w + ridge)) V^T, the ridge inverse of its Gram
-    matrix A^T A = V diag(w) V^T, built through the fiber table in
-    chunks of rows; P = H A^T is ``ridge_solver``'s Gram route.  H is
-    used only when the eigenvalues certify kappa(A), as there.  Every
-    other grid, and one whose kappa is not certified, gets its dense
-    sampling matrix A and P = ridge_solver(A).  Keyed on the grid's
-    rotation content, so a new grid never receives the operators of a
+
+def _row_chunks(count: int, width: int):
+    step = _chunk_rows(width)
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+@dataclass(frozen=True)
+class DenseRelu:
+    """Grid ReLU through the dense sampling A (Q, M) and its ridge inverse
+    P = ridge_solver(A): out = relu(x A^T) P^T."""
+
+    a: np.ndarray   # (Q, M) harmonic vectors of the grid rotations
+    p: np.ndarray   # (M, Q)
+
+    @property
+    def size(self) -> int:
+        return len(self.a)
+
+    def forward(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = np.empty_like(rows)
+        mask = np.empty((len(rows), self.size), dtype=bool)
+        for r in _row_chunks(len(rows), self.size):
+            s = rows[r] @ self.a.T
+            np.greater(s, 0, out=mask[r])
+            s *= mask[r]
+            np.matmul(s, self.p.T, out=out[r])
+        return out, mask
+
+    def backward(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rows)
+        for r in _row_chunks(len(rows), self.size):
+            ds = rows[r] @ self.p
+            ds *= mask[r]
+            np.matmul(ds, self.a, out=out[r])
+        return out
+
+
+@dataclass(frozen=True)
+class FiberRelu:
+    """Grid ReLU of a HEALPix-Hopf grid run in fiber coefficients.
+
+    With the columns in |n|-class order (``FiberTable``), class k's rows
+    x_k give each fiber's cos and sin coefficients as x_k U_k^T, and the
+    (J, F) trig table turns the J coefficients of a fiber into its F
+    samples.  The ridge inverse H of the Gram matrix A^T A is
+    block-diagonal in the classes, so the re-analysis adjoint(y) @ H is,
+    per class, y_k U_k H_k = y_k G_k.  The forward is one pass:
+
+        coefficients x_k U_k^T -> trig product -> mask, ReLU ->
+        transposed trig product -> y_k G_k
+
+    and the backward is the same pass with G_k^T in, the mask multiply,
+    and U_k out.  No (M, M) product, partner gather or whole (rows, Q)
+    float sample array is made.
+    """
+
+    order: np.ndarray          # (M,) column at each class position
+    order_inverse: np.ndarray  # (M,) class position of each column
+    trig: np.ndarray           # (J, F) trig basis at the fiber angles
+    spans: tuple               # per class, (first trig row, class positions)
+    u: tuple                   # per class, U_k (h, N, M_k) of FiberTable.class_blocks
+    g: tuple                   # per class, G_k = U_k H_k (h, N, M_k)
+
+    @property
+    def size(self) -> int:
+        return self.u[0].shape[1] * self.trig.shape[1]
+
+    def forward(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mask = np.empty((len(rows), self.size), dtype=bool)
+        return self._pass(rows, mask, self.u, self.g, True), mask
+
+    def backward(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return self._pass(rows, mask, self.g, self.u, False)
+
+    def _pass(self, rows, mask, first, last, forward: bool) -> np.ndarray:
+        """The rows gathered into class order once, run in row chunks
+        (``_row_chunks`` of their J N fiber coefficients), the result
+        written back over them and un-gathered once."""
+        x = rows[:, self.order]
+        (j_count, nfiber), nbase = self.trig.shape, self.u[0].shape[1]
+        step = max(1, _TRIG_CHUNK_BYTES // (8 * nfiber))
+        buf = np.empty((j_count, min(len(x), _chunk_rows(j_count * nbase)), nbase))
+        for r in _row_chunks(len(x), j_count * nbase):
+            xr = x[r]
+            c = buf[:, :len(xr)]
+            for (j, cols), f in zip(self.spans, first):
+                for t, ft in enumerate(f):
+                    np.matmul(xr[:, cols], ft.T, out=c[j + t])
+            flat = c.reshape(j_count, -1)           # (J, fibers of the chunk)
+            m = mask[r].reshape(-1, nfiber)         # (fibers of the chunk, F)
+            for i in range(0, flat.shape[1], step):
+                s = flat[:, i:i + step].T @ self.trig
+                if forward:
+                    np.greater(s, 0, out=m[i:i + step])
+                    np.maximum(s, 0, out=s)
+                else:
+                    s *= m[i:i + step]
+                np.matmul(self.trig, s.T, out=flat[:, i:i + step])
+            for (j, cols), f in zip(self.spans, last):
+                np.matmul(c[j], f[0], out=xr[:, cols])
+                for t in range(1, len(f)):
+                    xr[:, cols] += c[j + t] @ f[t]
+        return x[:, self.order_inverse]
+
+
+def _fiber_relu(table: FiberTable) -> FiberRelu | None:
+    """The class-by-class ReLU of a fiber table, or None.
+
+    The Gram matrix A^T A is built through the table in chunks of rows.
+    None unless its off-class blocks vanish (to ``_CLASS_TOL``) and the
+    eigenvalues of its class blocks certify kappa(A), as in
+    ``ridge_solver``'s Gram route; then each class block gives its
+    H_k = V_k diag(1/(w_k + ridge)) V_k^T, so that P = H A^T.
+    """
+    m = table.base_psi.shape[1]
+    eye = np.eye(m)
+    gram = np.concatenate([table.adjoint(table.scores(eye[r]))
+                           for r in _row_chunks(m, table.size)])
+    gram = gram[np.ix_(table.order, table.order)]
+    blocks = table.class_blocks()
+    off = gram.copy()
+    for _, cols, _ in blocks:
+        off[cols, cols] = 0.0
+    if not np.max(np.abs(off)) <= _CLASS_TOL * np.max(np.abs(gram)):
+        return None
+    h = gram_ridge_inverse([gram[cols, cols] for _, cols, _ in blocks])
+    if h is None:
+        return None
+    return FiberRelu(table.order, table.order_inverse, table.trig,
+                     tuple((j, cols) for j, cols, _ in blocks),
+                     tuple(u for _, _, u in blocks),
+                     tuple(u @ hk for (_, _, u), hk in zip(blocks, h)))
+
+
+def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu | DenseRelu:
+    """The grid ReLU's operator at a band limit.
+
+    A HEALPix-Hopf grid whose Gram matrix is block-diagonal in the |n|
+    classes and certified gets ``FiberRelu``.  Every other grid gets its
+    dense sampling matrix A and P = ridge_solver(A).  Keyed on the grid's
+    rotation content, so a new grid never receives the operator of a
     freed one that happened to share its address.
     """
-    def build() -> tuple[FiberTable | np.ndarray, np.ndarray]:
+    def build() -> FiberRelu | DenseRelu:
         table = fiber_table(grid, bandlimit)
-        if table is not None:
-            eye = np.eye(table.base_psi.shape[1])
-            step = _relu_chunk(grid.size)
-            h = gram_ridge_inverse(np.concatenate([
-                table.adjoint(table.scores(eye[i:i + step]))
-                for i in range(0, len(eye), step)]))
-            if h is not None:
-                return table, h
-        a = grid.with_psi_table(bandlimit).psi_table
-        return a, ridge_solver(a)
+        relu = None if table is None else _fiber_relu(table)
+        if relu is None:
+            a = grid.with_psi_table(bandlimit).psi_table
+            relu = DenseRelu(a, ridge_solver(a))
+        return relu
     return nonlin_operator_cache.get((grid.content_digest, bandlimit), build)
 
 
-def _relu_chunk(size: int) -> int:
-    return max(1, _RELU_CHUNK_BYTES // (8 * size))
-
-
-def _grid_relu(x: np.ndarray, sample_op: FiberTable | np.ndarray,
-               reanalysis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample, rectify, re-analyse (see ``_grid_operators``); returns
+def _grid_relu(x: np.ndarray, op: FiberRelu | DenseRelu
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Sample, rectify, re-analyse (see ``_relu_operator``); returns
     (out, mask).
 
     The leading dimensions of x (..., C, M) fold into rows, which run in
-    chunks of ``_RELU_CHUNK_BYTES`` of samples, each as 2-D GEMMs: a
-    stacked (B, C, M) product would run as B GEMMs of C rows.  out has
-    x's shape; mask is (..., C, Q).
+    ``_row_chunks``, each as 2-D GEMMs: a stacked (B, C, M) product
+    would run as B GEMMs of C rows.  out has x's shape; mask is
+    (..., C, Q).
     """
-    rows = x.reshape(-1, x.shape[-1])
-    fiber = isinstance(sample_op, FiberTable)
-    size = sample_op.size if fiber else len(sample_op)
-    out = np.empty_like(rows)
-    mask = np.empty((len(rows), size), dtype=bool)
-    step = _relu_chunk(size)
-    for i in range(0, len(rows), step):
-        s = sample_op.scores(rows[i:i + step]) if fiber else rows[i:i + step] @ sample_op.T
-        np.greater(s, 0, out=mask[i:i + step])
-        s *= mask[i:i + step]
-        out[i:i + step] = sample_op.adjoint(s) @ reanalysis if fiber else s @ reanalysis.T
-    return out.reshape(x.shape), mask.reshape(x.shape[:-1] + (size,))
+    out, mask = op.forward(x.reshape(-1, x.shape[-1]))
+    return out.reshape(x.shape), mask.reshape(x.shape[:-1] + (op.size,))
 
 
 def _grid_relu_backward(d_out: np.ndarray, mask: np.ndarray,
-                        sample_op: FiberTable | np.ndarray,
-                        reanalysis: np.ndarray) -> np.ndarray:
+                        op: FiberRelu | DenseRelu) -> np.ndarray:
     """d(x) of _grid_relu given d(out), on the same flat row chunks:
     transposed re-analysis, the mask applied in place, transposed
     sampling."""
     rows = d_out.reshape(-1, d_out.shape[-1])
-    mask = mask.reshape(len(rows), -1)
-    fiber = isinstance(sample_op, FiberTable)
-    out = np.empty_like(rows)
-    step = _relu_chunk(mask.shape[1])
-    for i in range(0, len(rows), step):
-        d = rows[i:i + step]
-        ds = sample_op.scores(d @ reanalysis) if fiber else d @ reanalysis
-        ds *= mask[i:i + step]
-        out[i:i + step] = sample_op.adjoint(ds) if fiber else ds @ sample_op
-    return out.reshape(d_out.shape)
+    return op.backward(rows, mask.reshape(len(rows), -1)).reshape(d_out.shape)
 
 
 def so3_nonlinearity(x: np.ndarray, grid: SO3Grid) -> np.ndarray:
     """Grid ReLU of group signals (..., C, M), band limit read from M."""
-    a, p = _grid_operators(grid, bandlimit_of(x.shape[-1]))
-    return _grid_relu(x, a, p)[0]
+    return _grid_relu(x, _relu_operator(grid, bandlimit_of(x.shape[-1])))[0]
 
 
 def default_nonlin_grid(level: int = 2) -> SO3Grid:
@@ -383,16 +500,15 @@ class TrunkState:
 
     Arrays keep their (B, C, ·) shapes.  relu_mask is a view of the
     grid ReLU's flat (B*C_h, Q) mask, so the ReLU backward reads it
-    back as flat rows without a copy.  The two ReLU operators are those
-    of ``_grid_operators``.
+    back as flat rows without a copy.  relu is the operator of
+    ``_relu_operator``.
     """
 
     lifted: np.ndarray              # (B, C_in, (L+1)^2) input coefficients
     coeffs: np.ndarray              # (B, C_mid, (L+1)^2)
     relu_mask: np.ndarray           # (B, C_h, Q) grid samples kept by ReLU
     hidden_flat: np.ndarray         # (B, C_h, M)
-    sample_op: FiberTable | np.ndarray  # the grid's fiber table, or dense A (Q, M)
-    reanalysis: np.ndarray          # H (M, M) after the fiber adjoint, or dense P (M, Q)
+    relu: FiberRelu | DenseRelu     # the grid ReLU's operator
 
 
 # Train-mode image draws tried per call.  At the CLI defaults 7 in 44,000
@@ -456,10 +572,10 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     b, c_in = values.shape[:2]
     lifted = (values.reshape(b * c_in, -1) @ op.T).reshape(b, c_in, -1)
     coeffs = _channel_gemm(lifted[..., None], model.mixer[:, None, :, None])[..., 0]
-    a_grid, p_grid = _grid_operators(default_nonlin_grid(model.nonlin_level), L)
-    hidden, mask = _grid_relu(s2_conv(coeffs, model.s2), a_grid, p_grid)
+    relu = _relu_operator(default_nonlin_grid(model.nonlin_level), L)
+    hidden, mask = _grid_relu(s2_conv(coeffs, model.s2), relu)
     state = TrunkState(lifted=lifted, coeffs=coeffs, relu_mask=mask,
-                       hidden_flat=hidden, sample_op=a_grid, reanalysis=p_grid)
+                       hidden_flat=hidden, relu=relu)
     return hidden, state
 
 
@@ -476,8 +592,7 @@ def backward_trunk(model: ToyModel, state: TrunkState,
     forward does.
     """
     L = model.bandlimit
-    d_flat_pre = _grid_relu_backward(d_hidden, state.relu_mask,
-                                     state.sample_op, state.reanalysis)
+    d_flat_pre = _grid_relu_backward(d_hidden, state.relu_mask, state.relu)
     d_spectra = []
     d_coeffs = np.empty_like(state.coeffs)
     for l, d_pre in enumerate(_blocks(d_flat_pre, L)):

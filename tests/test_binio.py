@@ -178,3 +178,44 @@ def test_load_grid_missing_header_key(tmp_path):
     _drop_field(path, "grid_kind", from_arrays=False)
     with pytest.raises(IncompatibleFileError, match="grid_kind"):
         load_grid(str(path))
+
+
+# A well-formed container holding a grid with one field tampered.
+
+TAMPERED_GRIDS = {
+    "rotations_1d": _edit_array("rotations", lambda a: np.zeros(5)),
+    "rotations_not_3x3": _edit_array("rotations", lambda a: a[:, :, :2]),
+    "rotations_nan": _edit_array(
+        "rotations", lambda a: np.where(np.arange(9).reshape(3, 3) == 4, np.nan, a)),
+    "level_string": _set("level", "x"),
+    "level_float": _set("level", 0.5),
+    "unknown_kind": _set("grid_kind", "hopf"),
+    "psi_table_shape": _edit_array("psi_table", lambda a: a[:, :-1]),
+    "psi_bandlimit_differs": _set("psi_bandlimit", 1),
+    "psi_bandlimit_string": _set("psi_bandlimit", "2"),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED_GRIDS)
+def test_load_grid_tampered_field(tmp_path, case):
+    from so3harmonics.grids import load_grid, save_grid, so3_healpix
+    path = tmp_path / "g.bin"
+    save_grid(str(path), so3_healpix(0).with_psi_table(2))
+    kind, meta, arrays = read_blob(str(path))
+    TAMPERED_GRIDS[case](meta, arrays)
+    write_blob(str(path), kind, meta, arrays)
+    with pytest.raises(IncompatibleFileError) as err:
+        load_grid(str(path))
+    assert str(path) in str(err.value)
+
+
+def test_load_grid_keeps_a_grid_without_level_or_table(tmp_path):
+    # the checks above accept what save_grid writes for a random grid
+    from so3harmonics.grids import load_grid, save_grid, so3_random
+    grid = so3_random(3, 10)
+    path = tmp_path / "g.bin"
+    save_grid(str(path), grid)
+    back = load_grid(str(path))
+    assert (back.kind, back.level, back.psi_table, back.psi_bandlimit) == (
+        "random", None, None, None)
+    assert np.array_equal(back.rotations, grid.rotations)

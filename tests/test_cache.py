@@ -35,6 +35,23 @@ def test_lru_evicts_least_recently_used():
     assert (cache.hits, cache.misses) == (2, 5)
 
 
+def test_nbytes_counts_lists_tuples_and_fields():
+    cache = LRUCache(4)
+    cache.get("list", lambda: [np.zeros(3), [np.zeros(2)]])
+    cache.get("tuple", lambda: (np.zeros(4), "text"))
+    assert cache.nbytes == 8 * (3 + 2 + 4)
+
+
+def test_relu_operator_bytes_are_its_arrays(monkeypatch):
+    # the level-2, L = 6 training ReLU: its per-class tables are counted
+    from so3harmonics import specconv
+    monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+    op = specconv._relu_operator(specconv.default_nonlin_grid(2), 6)
+    arrays = [op.order, op.order_inverse, op.trig, *op.u, *op.g]
+    assert specconv.nonlin_operator_cache.nbytes == sum(a.nbytes for a in arrays)
+    assert specconv.nonlin_operator_cache.nbytes < 8e6
+
+
 def test_digest_covers_dtype_and_shape():
     a = np.arange(6, dtype=np.float64)
     assert digest(a) == digest(a.copy())

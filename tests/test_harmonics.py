@@ -8,10 +8,10 @@ from complex_basis import (complex_design, complex_to_real_matrix,
                            sph_harm_complex)
 from so3harmonics import grids, specconv
 from so3harmonics._cache import LRUCache
-from so3harmonics.harmonics import (IllConditionedError, PointSet,
-                                    SphericalCoeffs, SphericalSignal, analyze,
-                                    design_matrix, ridge_solver, sph_harm_real,
-                                    synthesize)
+from so3harmonics.harmonics import (RIDGE_LAMBDA, IllConditionedError,
+                                    PointSet, SphericalCoeffs, SphericalSignal,
+                                    analyze, design_matrix, gram_ridge_inverse,
+                                    ridge_solver, sph_harm_real, synthesize)
 
 
 def gauss_quadrature_grid(n_theta=24, n_phi=48):
@@ -207,8 +207,15 @@ class TestRidgeSolverRoutes:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
         assert ridge_solver(table).shape == (455, 4608)
-        fiber, h = specconv._grid_operators(specconv.default_nonlin_grid(2), 6)
-        assert fiber.size == 4608 and h.shape == (455, 455)
+        relu = specconv._relu_operator(specconv.default_nonlin_grid(2), 6)
+        assert isinstance(relu, specconv.FiberRelu) and relu.size == 4608
+
+    def test_block_inverse_certifies_all_blocks_together(self):
+        # each block alone has kappa 1; together kappa(A) = sqrt(1e5) > 100
+        assert gram_ridge_inverse([np.eye(2), 1e5 * np.eye(1)]) is None
+        h = gram_ridge_inverse([np.eye(2), 4.0 * np.eye(1)])
+        assert np.allclose(h[0], np.eye(2) / (1 + RIDGE_LAMBDA), rtol=1e-15)
+        assert np.allclose(h[1], 1 / (4 + RIDGE_LAMBDA), rtol=1e-15)
 
     @pytest.mark.parametrize("name, bandlimit", [
         ("so3_level2", 2), ("so3_level2", 4), ("so3_level2", 6),

@@ -225,6 +225,7 @@ class TestEvaluate:
         model, _ = train(cfg, spherical_ds)
         train(image_cfg, image_ds)
         evaluate(model, spherical_ds, cfg, grad_ascent=False)
+        evaluate(model, spherical_ds, cfg, grad_ascent=True)
 
     def test_empty_split_errors(self, spherical_ds):
         cfg = fast_cfg()

@@ -1,20 +1,22 @@
 """Spectral layer contracts: equivariance, nonlinearity, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gradcheck import kink_safe_gradcheck
 from so3harmonics import grids, specconv, wigner
 from so3harmonics._cache import LRUCache
-from so3harmonics.estimation import FiberTable, LossConfig
+from so3harmonics.estimation import LossConfig, fiber_table
 from so3harmonics.harmonics import (IllConditionedError, SphericalCoeffs,
                                     ridge_solver, synthesize)
 from so3harmonics.mapper import FeatureMap, MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
 from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
-                                   _blocks, _grid_operators, _grid_relu,
-                                   _grid_relu_backward, backward,
+                                   DenseRelu, FiberRelu, _blocks, _grid_relu,
+                                   _grid_relu_backward, _relu_operator, backward,
                                    default_nonlin_grid, forward, forward_trunk,
                                    init_toy_model, local_tap_rotations,
                                    s2_conv, so3_conv, so3_nonlinearity)
@@ -91,8 +93,7 @@ def einsum_backward_head_wigner(model, state, d_psi):
 
 def einsum_backward_trunk(model, state, d_hidden):
     L = model.bandlimit
-    d_flat_pre = _grid_relu_backward(d_hidden, state.relu_mask,
-                                     state.sample_op, state.reanalysis)
+    d_flat_pre = _grid_relu_backward(d_hidden, state.relu_mask, state.relu)
     d_spectra = []
     d_coeffs = np.zeros_like(state.coeffs)
     for l, d_pre in enumerate(_blocks(d_flat_pre, L)):
@@ -182,13 +183,12 @@ class TestNonlinearity:
         # non-negative, so ReLU is the identity up to re-analysis error
         rng = np.random.default_rng(4)
         grid = default_nonlin_grid(2)
-        table, h = _grid_operators(grid, L)
         half = rng.normal(size=(2, wigner.m_total(L // 2)))
-        half_table, _ = _grid_operators(grid, L // 2)
-        samples = half_table.scores(half)
+        samples = fiber_table(grid, L // 2).scores(half)
         squared = samples ** 2
         # analysis at L is exact for the square
-        coeffs = table.adjoint(squared) @ h
+        coeffs = squared @ ridge_solver(
+            wigner.rotations_to_psi(grid.rotations, L)).T
         out = so3_nonlinearity(coeffs, grid)
         rel = np.max(np.abs(out - coeffs)) / np.max(np.abs(coeffs))
         assert rel < 1e-6
@@ -205,7 +205,7 @@ class TestNonlinearity:
         expect = [wigner.rotations_to_psi(m, 2) for m in stacks]
         for i, mats in enumerate(stacks):
             grid = grids.SO3Grid("random", mats.copy(), 1.0)
-            assert np.array_equal(_grid_operators(grid, 2)[0], expect[i]), i
+            assert np.array_equal(_relu_operator(grid, 2).a, expect[i]), i
             del grid
 
     def test_approximate_equivariance(self):
@@ -246,13 +246,13 @@ class TestBatchedLayers:
         # products with the dense table and its ridge inverse must give
         # the same mask and the same rows up to rounding
         grid = default_nonlin_grid(2)
-        ops = _grid_operators(grid, 6)
+        op = _relu_operator(grid, 6)
         rng = np.random.default_rng(21)
         x = rng.normal(size=(25, 8, wigner.m_total(6)))
         d_out = rng.normal(size=x.shape)
         ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, 6)
-        out, mask = _grid_relu(x, *ops)
-        back = _grid_relu_backward(d_out, mask, *ops)
+        out, mask = _grid_relu(x, op)
+        back = _grid_relu_backward(d_out, mask, op)
         assert mask.shape == ref_mask.shape
         assert np.array_equal(mask, ref_mask)
         assert_rows_close(out, ref_out)
@@ -325,8 +325,60 @@ class TestGemmLayersMatchEinsum:
 
 
 class TestFiberRelu:
-    """HEALPix-Hopf ReLU grids sample through their fiber table and
-    re-analyse through the ridge inverse of its Gram matrix."""
+    """HEALPix-Hopf ReLU grids run class by class in fiber coefficients,
+    with the ridge inverse of their Gram matrix folded into the tables."""
+
+    def test_class_path_needs_a_block_diagonal_gram(self, monkeypatch):
+        # at level 0 (F = 6 fiber angles) and L = 4 the trig rows of
+        # classes 2 and 4 are not orthogonal, so the Gram matrix couples
+        # them; the check on the Gram rejects the table before inverting
+        def no_inverse(gram):
+            raise AssertionError("Gram matrix inverted")
+
+        monkeypatch.setattr(specconv, "gram_ridge_inverse", no_inverse)
+        assert specconv._fiber_relu(fiber_table(grids.so3_healpix(0), 4)) is None
+
+    def test_training_relu_has_no_m_by_m_operand(self):
+        op = _relu_operator(default_nonlin_grid(2), 6)
+        m = wigner.m_total(6)
+        assert isinstance(op, FiberRelu)
+        for a in (op.trig, *op.u, *op.g):
+            assert a.shape[-1] < m and a.shape[-2] < m, a.shape
+
+    def test_row_chunks_match_one_chunk(self, monkeypatch):
+        # one row per chunk, and a last chunk shorter than the others,
+        # against all rows in one chunk
+        op = _relu_operator(default_nonlin_grid(2), 4)
+        assert isinstance(op, FiberRelu)
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(7, wigner.m_total(4)))
+        d_out = rng.normal(size=x.shape)
+        ref_out, ref_mask = _grid_relu(x, op)
+        ref_back = _grid_relu_backward(d_out, ref_mask, op)
+        for rows_per_chunk in (1, 3):
+            coefficients = len(op.trig) * op.u[0].shape[1]  # J N per row
+            monkeypatch.setattr(specconv, "_RELU_CHUNK_BYTES",
+                                rows_per_chunk * 8 * coefficients)
+            out, mask = _grid_relu(x, op)
+            assert np.array_equal(mask, ref_mask)
+            assert_rows_close(out, ref_out)
+            assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
+
+    def test_memory_stays_within_the_row_chunks(self):
+        # a whole split of 100 views at C_h = 8 runs through the ReLU at
+        # once as 800 rows
+        op = _relu_operator(default_nonlin_grid(2), 6)
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(800, wigner.m_total(6)))
+        d_out = rng.normal(size=x.shape)
+        tracemalloc.start()
+        try:
+            out, mask = _grid_relu(x, op)
+            _grid_relu_backward(d_out, mask, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * specconv._RELU_CHUNK_BYTES
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     @pytest.mark.parametrize("bandlimit", [1, 2, 4, 6])
@@ -339,16 +391,16 @@ class TestFiberRelu:
             ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, bandlimit)
         except IllConditionedError:             # level 1 at L = 6
             with pytest.raises(IllConditionedError):
-                _grid_operators(grid, bandlimit)
+                _relu_operator(grid, bandlimit)
             return
-        ops = _grid_operators(grid, bandlimit)
+        op = _relu_operator(grid, bandlimit)
         # a wide level-0 table has no certified Gram matrix
-        assert isinstance(ops[0], FiberTable) == (
+        assert isinstance(op, FiberRelu) == (
             grid.size >= 2 * wigner.m_total(bandlimit))
-        out, mask = _grid_relu(x, *ops)
+        out, mask = _grid_relu(x, op)
         assert np.array_equal(mask, ref_mask)
         assert_rows_close(out, ref_out)
-        assert_rows_close(_grid_relu_backward(d_out, mask, *ops), ref_back)
+        assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
 
     @pytest.mark.parametrize("kind", ["random", "moved"])
     def test_other_grids_take_the_dense_table(self, kind):
@@ -362,13 +414,14 @@ class TestFiberRelu:
         rng = np.random.default_rng(23)
         x = rng.normal(size=(4, wigner.m_total(4)))
         d_out = rng.normal(size=x.shape)
-        ops = _grid_operators(grid, 4)
-        assert np.array_equal(ops[0], wigner.rotations_to_psi(grid.rotations, 4))
+        op = _relu_operator(grid, 4)
+        assert isinstance(op, DenseRelu)
+        assert np.array_equal(op.a, wigner.rotations_to_psi(grid.rotations, 4))
         ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, 4)
-        out, mask = _grid_relu(x, *ops)
+        out, mask = _grid_relu(x, op)
         assert np.array_equal(mask, ref_mask)
         assert_rows_close(out, ref_out)
-        assert_rows_close(_grid_relu_backward(d_out, mask, *ops), ref_back)
+        assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
 
     def test_training_grid_holds_no_dense_table(self, monkeypatch):
         def no_table(*args, **kwargs):
@@ -383,11 +436,9 @@ class TestFiberRelu:
         specconv.backward_trunk(model6, state, np.ones_like(hidden))
         grid = default_nonlin_grid(2)
         assert grid.psi_table is None
-        table, h = _grid_operators(grid, 6)
-        assert state.sample_op is table and state.reanalysis is h
-        held = sum(v.nbytes for v in vars(table).values()
-                   if isinstance(v, np.ndarray)) + h.nbytes
-        assert held < 8e6  # the dense A and P would hold 33.6 MB
+        op = _relu_operator(grid, 6)
+        assert state.relu is op and isinstance(op, FiberRelu)
+        assert specconv.nonlin_operator_cache.nbytes < 8e6  # dense A and P: 33.6 MB
 
 
 class TestForward:
