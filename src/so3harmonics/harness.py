@@ -34,7 +34,7 @@ from .rotations import (axis_angles_to_matrices, matrices_to_axis_angles,
                         sample_uniform_matrices, zyz_to_matrices)
 from .specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
                        backward_head_wigner, backward_trunk, forward_trunk,
-                       head_wigner, init_toy_model)
+                       head_wigner, init_toy_model, nonlin_operator)
 
 DATASET_LAYOUT_VERSION = 1
 CHECKPOINT_LAYOUT_VERSION = 1
@@ -242,6 +242,7 @@ class SpatialHeadModel:
                  self.hidden_channels * wigner.m_total(self.bandlimit))
         if np.shape(self.head_w) != shape:
             raise ValueError(f"head_w must have shape {shape}")
+        nonlin_operator(self.nonlin_level, self.bandlimit)
 
     @property
     def hidden_channels(self) -> int:
@@ -532,7 +533,8 @@ def load_checkpoint(path: str):
 
     A malformed file raises IncompatibleFileError naming ``path``: a
     missing field, a ``config`` that RunConfig rejects, a header copy
-    that disagrees with it, or arrays the model rejects.
+    that disagrees with it, or arrays or a ``nonlin_level`` the model
+    rejects.
     """
     _, meta, arrays = read_blob(path, expect_kind="checkpoint")
     if meta.get("layout_version") != CHECKPOINT_LAYOUT_VERSION:
@@ -556,7 +558,8 @@ def load_checkpoint(path: str):
         return ToyModel(L, arrays["mixer"], s2, so3, cfg.nonlin_level), cfg
     except IncompatibleFileError:  # a missing field; it names the path
         raise
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError,
+            grids.ResourceLimitError) as exc:
         raise IncompatibleFileError(f"{path}: {exc}") from None
 
 

@@ -18,18 +18,19 @@ the same layer functions the equivariance tests check.
 - Per degree, both convolutions and their gradients contract the
   (channel, column) axes of the blocks as BLAS matrix products
   (``_channel_gemm``).
-- The nonlinearity samples the group signal on an SO(3) grid (dot
-  products with the grid's harmonic vectors), applies ReLU, and
-  projects back to band-limited blocks by ridge least squares:
+- The nonlinearity samples the group signal on a HEALPix-Hopf SO(3)
+  grid (dot products with the grid's harmonic vectors), applies ReLU,
+  and projects back to band-limited blocks by ridge least squares:
   out = relu(x A^T) A H, with H the ridge inverse of the Gram matrix
-  A^T A of the sampling A.  On a HEALPix-Hopf grid this runs in fiber
-  coefficients (``FiberRelu``): A^T A and so H are block-diagonal in
-  the |n| column classes of ``estimation.FiberTable``, so per class one
-  table U_k maps rows to fiber cos/sin coefficients and one table
-  G_k = U_k H_k maps rectified coefficients back, with a small trig
-  product between them; no dense (Q, M) table or (M, M) product is
-  used.  Other grids run through their dense A and P = H A^T
-  (``DenseRelu``).
+  A^T A of the sampling A.  It runs in fiber coefficients
+  (``FiberRelu``): A^T A and so H are block-diagonal in the |n| column
+  classes of ``estimation.FiberTable``, so per class one table U_k maps
+  rows to fiber cos/sin coefficients and one table G_k = U_k H_k maps
+  rectified coefficients back, with a small trig product between them.
+  Any other grid raises ``IllConditionedError``, and so does a model
+  whose grid cannot certify at its band limit, when it is built
+  (``nonlin_operator``): level 0 certifies L <= 2, level 1 L <= 5, and
+  levels 2 and 3 L <= 8.
 
 The toy network chains: lift/analysis of each input channel to harmonic
 coefficients (one linear operator per input kind), channel mixer, sphere
@@ -40,16 +41,19 @@ by hand through the (almost entirely linear) stages.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mapper as mapper_mod
 from ._cache import LRUCache
-from .estimation import FiberTable, LossConfig, fiber_table, loss_and_grad
+from .estimation import LossConfig, fiber_table, loss_and_grad
 from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
-from .harmonics import (IllConditionedError, PointSet, SphericalSignal,
-                        analysis_matrix, gram_ridge_inverse, ridge_solver)
+from .harmonics import (GRAM_MAX_CONDITION, IllConditionedError, PointSet,
+                        SphericalSignal, analysis_matrix, gram_ridge_inverse)
+# unused here; perfbench's tracer tests call it through this module
+from .harmonics import ridge_solver  # noqa: F401
 from .mapper import FeatureMap, MapperConfig
 from .rotations import axis_angles_to_matrices
 from .wigner import (HarmonicVector, bandlimit_of, block_offsets, m_total,
@@ -234,9 +238,8 @@ nonlin_operator_cache = LRUCache(8)
 # one entry per level so3_healpix builds without allow_large
 nonlin_grid_cache = LRUCache(LARGE_GRID_LEVEL)
 # Byte budget of the widest per-row temporary the grid ReLU and its
-# backward hold at once (at least one row): the fiber coefficients, or
-# the (rows, Q) samples of a dense grid.  ``harness.evaluate`` runs the
-# ReLU on a whole split at once.
+# backward hold at once, the J N fiber coefficients of a row (at least
+# one row).  ``harness.evaluate`` runs the ReLU on a whole split at once.
 _RELU_CHUNK_BYTES = 8 << 20
 # Byte budget of the samples one trig product writes: the rectify and
 # the transposed trig product then read them from cache.
@@ -255,37 +258,6 @@ def _chunk_rows(width: int) -> int:
 def _row_chunks(count: int, width: int):
     step = _chunk_rows(width)
     return (slice(i, i + step) for i in range(0, count, step))
-
-
-@dataclass(frozen=True)
-class DenseRelu:
-    """Grid ReLU through the dense sampling A (Q, M) and its ridge inverse
-    P = ridge_solver(A): out = relu(x A^T) P^T."""
-
-    a: np.ndarray   # (Q, M) harmonic vectors of the grid rotations
-    p: np.ndarray   # (M, Q)
-
-    @property
-    def size(self) -> int:
-        return len(self.a)
-
-    def forward(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = np.empty_like(rows)
-        mask = np.empty((len(rows), self.size), dtype=bool)
-        for r in _row_chunks(len(rows), self.size):
-            s = rows[r] @ self.a.T
-            np.greater(s, 0, out=mask[r])
-            s *= mask[r]
-            np.matmul(s, self.p.T, out=out[r])
-        return out, mask
-
-    def backward(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rows)
-        for r in _row_chunks(len(rows), self.size):
-            ds = rows[r] @ self.p
-            ds *= mask[r]
-            np.matmul(ds, self.a, out=out[r])
-        return out
 
 
 @dataclass(frozen=True)
@@ -356,56 +328,51 @@ class FiberRelu:
         return x[:, self.order_inverse]
 
 
-def _fiber_relu(table: FiberTable) -> FiberRelu | None:
-    """The class-by-class ReLU of a fiber table, or None.
-
-    The Gram matrix A^T A is built through the table in chunks of rows.
-    None unless its off-class blocks vanish (to ``_CLASS_TOL``) and the
-    eigenvalues of its class blocks certify kappa(A), as in
-    ``ridge_solver``'s Gram route; then each class block gives its
-    H_k = V_k diag(1/(w_k + ridge)) V_k^T, so that P = H A^T.
-    """
-    m = table.base_psi.shape[1]
-    eye = np.eye(m)
-    gram = np.concatenate([table.adjoint(table.scores(eye[r]))
-                           for r in _row_chunks(m, table.size)])
-    gram = gram[np.ix_(table.order, table.order)]
-    blocks = table.class_blocks()
-    off = gram.copy()
-    for _, cols, _ in blocks:
-        off[cols, cols] = 0.0
-    if not np.max(np.abs(off)) <= _CLASS_TOL * np.max(np.abs(gram)):
-        return None
-    h = gram_ridge_inverse([gram[cols, cols] for _, cols, _ in blocks])
-    if h is None:
-        return None
-    return FiberRelu(table.order, table.order_inverse, table.trig,
-                     tuple((j, cols) for j, cols, _ in blocks),
-                     tuple(u for _, _, u in blocks),
-                     tuple(u @ hk for (_, _, u), hk in zip(blocks, h)))
-
-
-def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu | DenseRelu:
+def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu:
     """The grid ReLU's operator at a band limit.
 
-    A HEALPix-Hopf grid whose Gram matrix is block-diagonal in the |n|
-    classes and certified gets ``FiberRelu``.  Every other grid gets its
-    dense sampling matrix A and P = ridge_solver(A).  Keyed on the grid's
-    rotation content, so a new grid never receives the operator of a
-    freed one that happened to share its address.
+    The Gram matrix A^T A is built through the grid's fiber table in
+    chunks of rows.  Raises IllConditionedError for a grid without a
+    fiber table (not HEALPix-Hopf, or rotations moved off their fibers),
+    or unless the Gram's off-class blocks vanish (to ``_CLASS_TOL``) and
+    the eigenvalues of its class blocks certify kappa(A), as in
+    ``ridge_solver``'s Gram route; then each class block gives its
+    H_k = V_k diag(1/(w_k + ridge)) V_k^T, so that P = H A^T.  Keyed on
+    the grid's rotation content, so a new grid never receives the
+    operator of a freed one that happened to share its address.
     """
-    def build() -> FiberRelu | DenseRelu:
+    def build() -> FiberRelu:
         table = fiber_table(grid, bandlimit)
-        relu = None if table is None else _fiber_relu(table)
-        if relu is None:
-            a = grid.with_psi_table(bandlimit).psi_table
-            relu = DenseRelu(a, ridge_solver(a))
-        return relu
+        if table is None:
+            raise IllConditionedError(f"the {grid.kind} grid of {grid.size} "
+                                      "rotations has no Hopf fiber structure")
+        m = table.base_psi.shape[1]
+        where = f"the {grid.size}-rotation grid at M = {m}"
+        eye = np.eye(m)
+        gram = np.concatenate([table.adjoint(table.scores(eye[r]))
+                               for r in _row_chunks(m, table.size)])
+        gram = gram[np.ix_(table.order, table.order)]
+        blocks = table.class_blocks()
+        off = gram.copy()
+        for _, cols, _ in blocks:
+            off[cols, cols] = 0.0
+        if not np.max(np.abs(off)) <= _CLASS_TOL * np.max(np.abs(gram)):
+            raise IllConditionedError(f"the Gram matrix of {where} couples "
+                                      "its |n| classes")
+        h = gram_ridge_inverse([gram[cols, cols] for _, cols, _ in blocks])
+        if h is None:
+            raise IllConditionedError(
+                f"the Gram matrix of {where} does not certify kappa <= "
+                f"{GRAM_MAX_CONDITION:g}"
+                + (" (fewer samples than coefficients)" if grid.size < m else ""))
+        return FiberRelu(table.order, table.order_inverse, table.trig,
+                         tuple((j, cols) for j, cols, _ in blocks),
+                         tuple(u for _, _, u in blocks),
+                         tuple(u @ hk for (_, _, u), hk in zip(blocks, h)))
     return nonlin_operator_cache.get((grid.content_digest, bandlimit), build)
 
 
-def _grid_relu(x: np.ndarray, op: FiberRelu | DenseRelu
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _grid_relu(x: np.ndarray, op: FiberRelu) -> tuple[np.ndarray, np.ndarray]:
     """Sample, rectify, re-analyse (see ``_relu_operator``); returns
     (out, mask).
 
@@ -419,7 +386,7 @@ def _grid_relu(x: np.ndarray, op: FiberRelu | DenseRelu
 
 
 def _grid_relu_backward(d_out: np.ndarray, mask: np.ndarray,
-                        op: FiberRelu | DenseRelu) -> np.ndarray:
+                        op: FiberRelu) -> np.ndarray:
     """d(x) of _grid_relu given d(out), on the same flat row chunks:
     transposed re-analysis, the mask applied in place, transposed
     sampling."""
@@ -434,6 +401,29 @@ def so3_nonlinearity(x: np.ndarray, grid: SO3Grid) -> np.ndarray:
 
 def default_nonlin_grid(level: int = 2) -> SO3Grid:
     return nonlin_grid_cache.get(level, lambda: so3_healpix(level))
+
+
+def nonlin_operator(level: int, bandlimit: int) -> FiberRelu:
+    """``default_nonlin_grid(level)``'s ReLU operator at ``bandlimit``.
+
+    Models call it when they are built.  Its IllConditionedError names
+    the smallest level below ``LARGE_GRID_LEVEL`` that certifies at the
+    band limit; a level outside that range raises ResourceLimitError.
+    """
+    try:
+        return _relu_operator(default_nonlin_grid(level), bandlimit)
+    except IllConditionedError as exc:
+        reason = exc
+    for k in range(LARGE_GRID_LEVEL):
+        with suppress(IllConditionedError):
+            _relu_operator(default_nonlin_grid(k), bandlimit)
+            hint = f"nonlin_level {k} is the smallest that certifies"
+            break
+    else:
+        hint = f"no nonlin_level in 0..{LARGE_GRID_LEVEL - 1} certifies"
+    raise IllConditionedError(f"nonlin_level {level} cannot run the grid "
+                              f"ReLU at band limit {bandlimit}: {reason}; "
+                              f"{hint}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +449,7 @@ class ToyModel:
             raise ValueError("group-filter input does not match hidden width")
         if self.so3.weights.shape[0] != 1:
             raise ValueError("final group filter must have one output channel")
+        nonlin_operator(self.nonlin_level, self.bandlimit)
 
     @property
     def hidden_channels(self) -> int:
@@ -501,14 +492,14 @@ class TrunkState:
     Arrays keep their (B, C, ·) shapes.  relu_mask is a view of the
     grid ReLU's flat (B*C_h, Q) mask, so the ReLU backward reads it
     back as flat rows without a copy.  relu is the operator of
-    ``_relu_operator``.
+    ``nonlin_operator``.
     """
 
     lifted: np.ndarray              # (B, C_in, (L+1)^2) input coefficients
     coeffs: np.ndarray              # (B, C_mid, (L+1)^2)
     relu_mask: np.ndarray           # (B, C_h, Q) grid samples kept by ReLU
     hidden_flat: np.ndarray         # (B, C_h, M)
-    relu: FiberRelu | DenseRelu     # the grid ReLU's operator
+    relu: FiberRelu                 # the grid ReLU's operator
 
 
 # Train-mode image draws tried per call.  At the CLI defaults 7 in 44,000
@@ -572,7 +563,7 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     b, c_in = values.shape[:2]
     lifted = (values.reshape(b * c_in, -1) @ op.T).reshape(b, c_in, -1)
     coeffs = _channel_gemm(lifted[..., None], model.mixer[:, None, :, None])[..., 0]
-    relu = _relu_operator(default_nonlin_grid(model.nonlin_level), L)
+    relu = nonlin_operator(model.nonlin_level, L)
     hidden, mask = _grid_relu(s2_conv(coeffs, model.s2), relu)
     state = TrunkState(lifted=lifted, coeffs=coeffs, relu_mask=mask,
                        hidden_flat=hidden, relu=relu)

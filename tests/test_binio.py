@@ -128,6 +128,8 @@ TAMPERED_CHECKPOINTS = {
     "config_not_a_mapping": _edit_config(lambda c: [c]),
     "string_bandlimit": _set("bandlimit", "2", config_too=True),
     "string_nonlin_level": _set("nonlin_level", "2", config_too=True),
+    "negative_nonlin_level": _set("nonlin_level", -1, config_too=True),
+    "nonlin_level_7": _set("nonlin_level", 7, config_too=True),
     "header_bandlimit_string": _set("bandlimit", "2"),
     "header_bandlimit_differs": _set("bandlimit", 3),
     "header_nonlin_level_differs": _set("nonlin_level", 1),
@@ -141,6 +143,7 @@ TAMPERED_CHECKPOINTS = {
     "rotmat_head_w_shape": _edit_array("head_w", lambda a: a[:, :3]),
     "rotmat_mixer_1d": _edit_array("mixer", np.ravel),
     "rotmat_header_head_differs": _set("head", "euler"),
+    "rotmat_nonlin_level_7": _set("nonlin_level", 7, config_too=True),
 }
 
 
@@ -158,6 +161,23 @@ def test_load_checkpoint_tampered_field(tmp_path, trained, case):
     TAMPERED_CHECKPOINTS[case](meta, arrays)
     write_blob(str(path), kind, meta, arrays)
     with pytest.raises(IncompatibleFileError) as err:
+        load_checkpoint(str(path))
+    assert str(path) in str(err.value)
+
+
+def test_load_checkpoint_uncertifiable_nonlin_level(tmp_path):
+    # level 0 (72 rotations) cannot certify the grid ReLU at L = 4
+    from so3harmonics.harness import RunConfig, load_checkpoint, save_checkpoint
+    from so3harmonics.specconv import init_toy_model
+    cfg = RunConfig(bandlimit=4, tap_count=4)
+    model = init_toy_model(0, 4, cfg.template_channels, tap_count=4)
+    path = tmp_path / "c.bin"
+    save_checkpoint(str(path), model, cfg)
+    kind, meta, arrays = read_blob(str(path))
+    _set("nonlin_level", 0, config_too=True)(meta, arrays)
+    write_blob(str(path), kind, meta, arrays)
+    with pytest.raises(IncompatibleFileError,
+                       match="nonlin_level 1 is the smallest") as err:
         load_checkpoint(str(path))
     assert str(path) in str(err.value)
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from so3harmonics import estimation, grids, harness, wigner
+from so3harmonics import estimation, grids, harmonics, harness, wigner
 from so3harmonics.harness import (DivergenceError, RunConfig, evaluate,
                                   gen_dataset, load_checkpoint, load_dataset,
                                   params_to_matrices, save_checkpoint,
@@ -121,6 +121,19 @@ class TestTrain:
         losses = [e["loss"] for e in log]
         assert losses[-1] < losses[0]
         assert all(b <= a * 1.02 + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("head", ["wigner", "rotmat"])
+    def test_uncertifiable_relu_grid_fails_before_any_epoch(
+            self, spherical_ds, monkeypatch, head):
+        # the level-0 ReLU grid (72 rotations) cannot certify at L = 4
+        def no_step(*args, **kwargs):
+            raise AssertionError("trunk run")
+
+        monkeypatch.setattr(harness, "forward_trunk", no_step)
+        cfg = fast_cfg(bandlimit=4, nonlin_level=0, head=head)
+        with pytest.raises(harmonics.IllConditionedError,
+                           match="nonlin_level 1 is the smallest"):
+            train(cfg, spherical_ds)
 
     def test_divergence_guard(self, spherical_ds):
         cfg = fast_cfg(learning_rate=50.0, epochs=5)
@@ -433,13 +446,20 @@ class TestCli:
         ckpt, ds_path = str(tmp_path / "model.ckpt"), str(tmp_path / "ds.bin")
         save_checkpoint(ckpt, train(cfg, spherical_ds)[0], cfg)
         save_dataset(ds_path, spherical_ds)
-        cases = [(["--checkpoint", ckpt, "--infer-level", "5"], "--grad-ascent"),
-                 (["--checkpoint", ds_path], f"{ds_path}: kind 'dataset'"),
-                 (["--checkpoint", str(tmp_path / "none")], "No such file")]
+        # the level-0 ReLU grid (72 rotations) cannot certify at L = 4
+        bad_cfg = tmp_path / "bad.json"
+        bad_cfg.write_text(json.dumps({"bandlimit": 4, "nonlin_level": 0}))
+        evaluate = ["eval", "--dataset", ds_path, "--checkpoint"]
+        cases = [([*evaluate, ckpt, "--infer-level", "5"], "--grad-ascent"),
+                 ([*evaluate, ds_path], f"{ds_path}: kind 'dataset'"),
+                 ([*evaluate, str(tmp_path / "none")], "No such file"),
+                 (["train", "--config", str(bad_cfg), "--dataset", ds_path,
+                   "--out", str(tmp_path / "bad.ckpt")],
+                  "nonlin_level 1 is the smallest")]
         for args, message in cases:
             proc = subprocess.run(
-                [sys.executable, "-m", "so3harmonics.cli", "eval",
-                 "--dataset", ds_path, *args], capture_output=True, text=True)
+                [sys.executable, "-m", "so3harmonics.cli", *args],
+                capture_output=True, text=True)
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr.startswith("so3harmonics: error: ")
             assert message in proc.stderr and "Traceback" not in proc.stderr

@@ -15,7 +15,7 @@ from so3harmonics.mapper import FeatureMap, MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
 from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
-                                   DenseRelu, FiberRelu, _blocks, _grid_relu,
+                                   FiberRelu, _blocks, _grid_relu,
                                    _grid_relu_backward, _relu_operator, backward,
                                    default_nonlin_grid, forward, forward_trunk,
                                    init_toy_model, local_tap_rotations,
@@ -200,13 +200,22 @@ class TestNonlinearity:
 
     def test_freed_grids_never_share_operators(self):
         # a freed grid's rotation array can leave its address to the next
-        # grid of the same size; each grid must still get its own sampling
-        stacks = [grids.so3_random(seed, 300).rotations for seed in range(8)]
-        expect = [wigner.rotations_to_psi(m, 2) for m in stacks]
-        for i, mats in enumerate(stacks):
-            grid = grids.SO3Grid("random", mats.copy(), 1.0)
-            assert np.array_equal(_relu_operator(grid, 2).a, expect[i]), i
-            del grid
+        # grid of the same size; each grid must still get its own operator.
+        # Left-rotated copies of a HEALPix-Hopf grid keep its fibers.
+        base = grids.so3_healpix(1)
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(3, wigner.m_total(2)))
+        d_out = rng.normal(size=x.shape)
+        for i, turn in enumerate(sample_uniform_matrices(28, 8)):
+            grid = grids.SO3Grid("healpix_hopf", turn @ base.rotations,
+                                 base.nominal_resolution_deg, level=1)
+            ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, 2)
+            op = _relu_operator(grid, 2)
+            out, mask = _grid_relu(x, op)
+            assert np.array_equal(mask, ref_mask), i
+            assert_rows_close(out, ref_out)
+            assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
+            del grid, op
 
     def test_approximate_equivariance(self):
         rng = np.random.default_rng(5)
@@ -336,7 +345,8 @@ class TestFiberRelu:
             raise AssertionError("Gram matrix inverted")
 
         monkeypatch.setattr(specconv, "gram_ridge_inverse", no_inverse)
-        assert specconv._fiber_relu(fiber_table(grids.so3_healpix(0), 4)) is None
+        with pytest.raises(IllConditionedError, match="couples its"):
+            _relu_operator(grids.so3_healpix(0), 4)
 
     def test_training_relu_has_no_m_by_m_operand(self):
         op = _relu_operator(default_nonlin_grid(2), 6)
@@ -387,23 +397,22 @@ class TestFiberRelu:
         rng = np.random.default_rng(10 * level + bandlimit)
         x = rng.normal(size=(2, 3, wigner.m_total(bandlimit)))
         d_out = rng.normal(size=x.shape)
-        try:
-            ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, bandlimit)
-        except IllConditionedError:             # level 1 at L = 6
+        # the wide level-0 table (Q = 72 < M) and level 1 at L = 6
+        # (kappa(A) > 100) have no certified Gram matrix
+        if (level, bandlimit) in ((0, 4), (0, 6), (1, 6)):
             with pytest.raises(IllConditionedError):
                 _relu_operator(grid, bandlimit)
             return
+        ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, bandlimit)
         op = _relu_operator(grid, bandlimit)
-        # a wide level-0 table has no certified Gram matrix
-        assert isinstance(op, FiberRelu) == (
-            grid.size >= 2 * wigner.m_total(bandlimit))
+        assert isinstance(op, FiberRelu)
         out, mask = _grid_relu(x, op)
         assert np.array_equal(mask, ref_mask)
         assert_rows_close(out, ref_out)
         assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
 
     @pytest.mark.parametrize("kind", ["random", "moved"])
-    def test_other_grids_take_the_dense_table(self, kind):
+    def test_random_and_moved_grids_are_rejected(self, kind):
         if kind == "random":
             grid = grids.so3_random(3, grids.so3_healpix_count(1))
         else:
@@ -411,17 +420,11 @@ class TestFiberRelu:
             c, s = np.cos(1e-6), np.sin(1e-6)
             mats[300] = mats[300] @ np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
             grid = grids.SO3Grid("healpix_hopf", mats, 30.0, level=1)
-        rng = np.random.default_rng(23)
-        x = rng.normal(size=(4, wigner.m_total(4)))
-        d_out = rng.normal(size=x.shape)
-        op = _relu_operator(grid, 4)
-        assert isinstance(op, DenseRelu)
-        assert np.array_equal(op.a, wigner.rotations_to_psi(grid.rotations, 4))
-        ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, 4)
-        out, mask = _grid_relu(x, op)
-        assert np.array_equal(mask, ref_mask)
-        assert_rows_close(out, ref_out)
-        assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
+        x = np.random.default_rng(23).normal(size=(4, wigner.m_total(4)))
+        with pytest.raises(IllConditionedError, match="fiber structure"):
+            _relu_operator(grid, 4)
+        with pytest.raises(IllConditionedError, match="fiber structure"):
+            so3_nonlinearity(x, grid)
 
     def test_training_grid_holds_no_dense_table(self, monkeypatch):
         def no_table(*args, **kwargs):
@@ -439,6 +442,27 @@ class TestFiberRelu:
         op = _relu_operator(grid, 6)
         assert state.relu is op and isinstance(op, FiberRelu)
         assert specconv.nonlin_operator_cache.nbytes < 8e6  # dense A and P: 33.6 MB
+
+    # the largest band limit at which each nonlin level's grid certifies
+    # (Q = 72, 576, 4,608, 36,864), over L = 0..8
+    CERTIFIED_UP_TO = {0: 2, 1: 5, 2: 8, 3: 8}
+
+    @pytest.mark.parametrize("bandlimit", range(9))
+    def test_model_construction_rejects_uncertifiable_grids(self, monkeypatch,
+                                                            bandlimit):
+        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+        smallest = min(level for level, top in self.CERTIFIED_UP_TO.items()
+                       if bandlimit <= top)
+        for level, top in self.CERTIFIED_UP_TO.items():
+            if bandlimit <= top:
+                model = init_toy_model(0, bandlimit, 1, 1, 1, 1,
+                                       nonlin_level=level)
+                op = specconv.nonlin_operator(model.nonlin_level, bandlimit)
+                assert isinstance(op, FiberRelu)
+            else:
+                with pytest.raises(IllConditionedError,
+                                   match=f"nonlin_level {smallest} is the smallest"):
+                    init_toy_model(0, bandlimit, 1, 1, 1, 1, nonlin_level=level)
 
 
 class TestForward:
