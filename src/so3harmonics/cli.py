@@ -23,12 +23,21 @@ import sys
 from . import __version__, binio, estimation, grids, harmonics, harness, rotations
 
 
+class ConfigError(Exception):
+    """A --config file or config flag that RunConfig rejects."""
+
+
 def _load_config(args) -> harness.RunConfig:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = harness.RunConfig.from_json(fh.read())
-    else:
-        cfg = harness.RunConfig()
+    path = getattr(args, "config", None)
+    try:
+        if path:
+            with open(path) as fh:
+                cfg = harness.RunConfig.from_json(fh.read())
+        else:
+            cfg = harness.RunConfig()
+    # an unknown key raises TypeError; JSONDecodeError is a ValueError
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     for name in vars(args):
         if name in ("config", "print_config", "func", "out", "dataset",
                     "checkpoint", "csv", "json_out", "kind", "level",
@@ -36,7 +45,10 @@ def _load_config(args) -> harness.RunConfig:
             continue
         val = getattr(args, name)
         if val is not None and hasattr(cfg, name):
-            cfg = dataclasses.replace(cfg, **{name: val})
+            try:
+                cfg = dataclasses.replace(cfg, **{name: val})
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
     if getattr(args, "print_config", False):
         print(cfg.to_json())
     return cfg
@@ -201,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (binio.IncompatibleFileError, grids.ResourceLimitError,
+    except (binio.IncompatibleFileError, ConfigError, grids.ResourceLimitError,
             harmonics.IllConditionedError, harness.DivergenceError,
             OSError) as exc:  # a bad file, path or setting, as argparse does
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

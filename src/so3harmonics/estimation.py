@@ -12,7 +12,8 @@ out the argmax rotation or refines it by gradient ascent on SO(3) with
 exact generator derivatives.  One private scoring function and its
 adjoint serve the distribution, the cross-entropy losses and
 ``decode_poses``; ``specconv``'s grid ReLU builds its per-class tables
-from the same table (``FiberTable.class_blocks``).  A
+and Gram blocks from the same table (``FiberTable.class_blocks``,
+``FiberTable.gram``).  A
 HEALPix-Hopf grid is scored through its fibers (Yershova et al., IJRR
 2010): its rotations are A_i Rz(psi_f) with psi_f = 2 pi f / F, and
 D^l(Rz(psi)) only mixes the columns n and -n of one class |n| = k, with
@@ -293,6 +294,24 @@ class FiberTable:
                 u[1][:, partner_pos[cols] - cols.start] = base * self.sign[cols]
             blocks.append((j, cols, u))
         return blocks
+
+    def gram(self, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(T, per-class Gram blocks) of the scoring matrix A, columns in
+        class order, from ``blocks = class_blocks()``.
+
+        A = sum_j trig_j^T (x) U_j, with U_j the (N, M) table of trig row
+        j (``class_blocks``' U_k[t] for j = j_k + t), so A^T A =
+        sum_{j, j'} T[j, j'] U_j^T U_j' with T = trig trig^T (J, J).
+        Class k's diagonal block is sum_{t, t'} T[j_k + t, j_k + t']
+        U_k[t]^T U_k[t']; the off-class blocks vanish where T does.
+        """
+        t = self.trig @ self.trig.T
+        grams = []
+        for j, _, u in blocks:
+            h, nbase, width = u.shape
+            tu = np.tensordot(t[j:j + h, j:j + h], u, axes=1)
+            grams.append(u.reshape(h * nbase, width).T @ tu.reshape(h * nbase, width))
+        return t, grams
 
 
 def _fiber_classes(bandlimit: int):

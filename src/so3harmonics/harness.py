@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,11 @@ DATASET_LAYOUT_VERSION = 1
 CHECKPOINT_LAYOUT_VERSION = 1
 
 HEAD_DIMS = {"euler": 3, "quaternion": 4, "axis_angle": 4, "rotmat": 9}
+
+# The value types RunConfig accepts for its integer fields, by annotation
+# (a string, under ``from __future__ import annotations``): 2.0 or True
+# is not a level, a band limit or a count.
+_INT_FIELD_TYPES = {"int": (int,), "int | None": (int, type(None))}
 
 
 class DivergenceError(RuntimeError):
@@ -94,6 +99,10 @@ class RunConfig:
     train_seed: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _INT_FIELD_TYPES.get(f.type, (type(value),)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.head not in ("wigner",) + tuple(HEAD_DIMS):
             raise ValueError(f"unknown head kind {self.head!r}")
         if self.dataset_kind not in ("spherical", "image"):
@@ -546,8 +555,6 @@ def load_checkpoint(path: str):
         if header != copies:
             raise ValueError(f"header {header} disagrees with config {copies}")
         L = cfg.bandlimit
-        if type(L) is not int or type(cfg.nonlin_level) is not int:
-            raise TypeError("bandlimit and nonlin_level must be integers")
         s2 = S2FilterBank(L, tuple(arrays[f"s2_spectra_{l}"]
                                    for l in range(L + 1)))
         if cfg.head != "wigner":

@@ -23,9 +23,12 @@ the same layer functions the equivariance tests check.
   and projects back to band-limited blocks by ridge least squares:
   out = relu(x A^T) A H, with H the ridge inverse of the Gram matrix
   A^T A of the sampling A.  It runs in fiber coefficients
-  (``FiberRelu``): A^T A and so H are block-diagonal in the |n| column
-  classes of ``estimation.FiberTable``, so per class one table U_k maps
-  rows to fiber cos/sin coefficients and one table G_k = U_k H_k maps
+  (``FiberRelu``): the sampling is A = sum_j trig_j^T (x) U_j over the
+  trig rows j, so A^T A = sum_{j, j'} T[j, j'] U_j^T U_j' with T =
+  trig trig^T, built in closed form (``FiberTable.gram``).  T, and so
+  A^T A and H, are block-diagonal in the |n| column classes of
+  ``estimation.FiberTable``, so per class one table U_k maps rows to
+  fiber cos/sin coefficients and one table G_k = U_k H_k maps
   rectified coefficients back, with a small trig product between them.
   Any other grid raises ``IllConditionedError``, and so does a model
   whose grid cannot certify at its band limit, when it is built
@@ -244,7 +247,7 @@ _RELU_CHUNK_BYTES = 8 << 20
 # Byte budget of the samples one trig product writes: the rectify and
 # the transposed trig product then read them from cache.
 _TRIG_CHUNK_BYTES = 256 << 10
-# Largest off-class entry of a grid's Gram matrix, relative to its
+# Largest off-class entry of a grid's T = trig trig^T, relative to its
 # largest entry, for which the ReLU runs class by class.
 _CLASS_TOL = 1e-12
 
@@ -258,6 +261,24 @@ def _chunk_rows(width: int) -> int:
 def _row_chunks(count: int, width: int):
     step = _chunk_rows(width)
     return (slice(i, i + step) for i in range(0, count, step))
+
+
+def _raise_mmap_threshold() -> None:
+    """Allocate and free one untouched block larger than any per-call
+    temporary the chunk budgets allow.
+
+    glibc maps a request at or above M_MMAP_THRESHOLD (128 KiB at start)
+    afresh, and freeing an mmapped chunk raises M_MMAP_THRESHOLD to that
+    chunk's size, up to 32 MiB, and M_TRIM_THRESHOLD to twice that size.
+    After this free the ReLU's (J, rows, N) coefficient buffers and
+    ``decode_poses``' score chunks (~4 MB each at L = 6) come from the
+    heap.  Without it they can be mapped and page-faulted afresh on every
+    call: ~2,000 minor faults a ``train_image`` step.  Other allocators
+    ignore the block.  Its size is in bytes: as many float64 entries
+    would pass the 32 MiB cap and change nothing.
+    """
+    # a MiB above the budget covers malloc's chunk header and page rounding
+    np.empty(_RELU_CHUNK_BYTES + (1 << 20), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -331,11 +352,12 @@ class FiberRelu:
 def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu:
     """The grid ReLU's operator at a band limit.
 
-    The Gram matrix A^T A is built through the grid's fiber table in
-    chunks of rows.  Raises IllConditionedError for a grid without a
-    fiber table (not HEALPix-Hopf, or rotations moved off their fibers),
-    or unless the Gram's off-class blocks vanish (to ``_CLASS_TOL``) and
-    the eigenvalues of its class blocks certify kappa(A), as in
+    The Gram matrix A^T A comes in closed form from the grid's fiber
+    table (``FiberTable.gram``).  Raises IllConditionedError for a grid
+    without a fiber table (not HEALPix-Hopf, or rotations moved off
+    their fibers), or unless T = trig trig^T is block-diagonal in the
+    |n| classes (to ``_CLASS_TOL``), so that A^T A is too, and the
+    eigenvalues of its class blocks certify kappa(A), as in
     ``ridge_solver``'s Gram route; then each class block gives its
     H_k = V_k diag(1/(w_k + ridge)) V_k^T, so that P = H A^T.  Keyed on
     the grid's rotation content, so a new grid never receives the
@@ -348,23 +370,20 @@ def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu:
                                       "rotations has no Hopf fiber structure")
         m = table.base_psi.shape[1]
         where = f"the {grid.size}-rotation grid at M = {m}"
-        eye = np.eye(m)
-        gram = np.concatenate([table.adjoint(table.scores(eye[r]))
-                               for r in _row_chunks(m, table.size)])
-        gram = gram[np.ix_(table.order, table.order)]
         blocks = table.class_blocks()
-        off = gram.copy()
-        for _, cols, _ in blocks:
-            off[cols, cols] = 0.0
-        if not np.max(np.abs(off)) <= _CLASS_TOL * np.max(np.abs(gram)):
+        t, grams = table.gram(blocks)
+        classes = (np.arange(len(t)) + 1) // 2  # trig rows 2k - 1, 2k are class k's
+        off = np.where(classes[:, None] != classes, t, 0.0)
+        if not np.max(np.abs(off)) <= _CLASS_TOL * np.max(np.abs(t)):
             raise IllConditionedError(f"the Gram matrix of {where} couples "
                                       "its |n| classes")
-        h = gram_ridge_inverse([gram[cols, cols] for _, cols, _ in blocks])
+        h = gram_ridge_inverse(grams)
         if h is None:
             raise IllConditionedError(
                 f"the Gram matrix of {where} does not certify kappa <= "
                 f"{GRAM_MAX_CONDITION:g}"
                 + (" (fewer samples than coefficients)" if grid.size < m else ""))
+        _raise_mmap_threshold()
         return FiberRelu(table.order, table.order_inverse, table.trig,
                          tuple((j, cols) for j, cols, _ in blocks),
                          tuple(u for _, _, u in blocks),

@@ -456,13 +456,25 @@ class TestCli:
                  (["train", "--config", str(bad_cfg), "--dataset", ds_path,
                    "--out", str(tmp_path / "bad.ckpt")],
                   "nonlin_level 1 is the smallest")]
-        for args, message in cases:
+        # config files RunConfig rejects: a float level, an unknown head,
+        # an unknown key and malformed JSON
+        for name, text, message in [
+                ("float", '{"nonlin_level": 2.0}', "nonlin_level must be an integer"),
+                ("head", '{"head": "nope"}', "unknown head kind 'nope'"),
+                ("key", '{"bogus": 1}', "unexpected keyword argument 'bogus'"),
+                ("json", '{"bandlimit": ', "Expecting value")]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            cases.append((["gen-dataset", "--config", str(path), "--out",
+                           str(tmp_path / "x.bin")], f"{path}: ", message))
+        for args, *messages in cases:
             proc = subprocess.run(
                 [sys.executable, "-m", "so3harmonics.cli", *args],
                 capture_output=True, text=True)
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr.startswith("so3harmonics: error: ")
-            assert message in proc.stderr and "Traceback" not in proc.stderr
+            assert all(m in proc.stderr for m in messages)
+            assert "Traceback" not in proc.stderr
             assert len(proc.stderr.splitlines()) == 1
 
     def test_grids_command(self, tmp_path):

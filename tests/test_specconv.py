@@ -1,5 +1,9 @@
 """Spectral layer contracts: equivariance, nonlinearity, gradients."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -339,14 +343,38 @@ class TestFiberRelu:
 
     def test_class_path_needs_a_block_diagonal_gram(self, monkeypatch):
         # at level 0 (F = 6 fiber angles) and L = 4 the trig rows of
-        # classes 2 and 4 are not orthogonal, so the Gram matrix couples
-        # them; the check on the Gram rejects the table before inverting
+        # classes 2 and 4 are not orthogonal, so T = trig trig^T and the
+        # Gram matrix couple them; the check on T rejects the table
+        # before inverting
         def no_inverse(gram):
             raise AssertionError("Gram matrix inverted")
 
         monkeypatch.setattr(specconv, "gram_ridge_inverse", no_inverse)
         with pytest.raises(IllConditionedError, match="couples its"):
             _relu_operator(grids.so3_healpix(0), 4)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bandlimit", range(1, 7))
+    def test_closed_form_gram_matches_dense_table(self, level, bandlimit):
+        # the class blocks of FiberTable.gram against A^T A of the dense
+        # psi table, columns in class order; where the grid certifies,
+        # T and A^T A vanish off the class blocks
+        grid = grids.so3_healpix(level)
+        table = fiber_table(grid, bandlimit)
+        a = wigner.rotations_to_psi(grid.rotations, bandlimit)[:, table.order]
+        dense = a.T @ a
+        blocks = table.class_blocks()
+        t, grams = table.gram(blocks)
+        scale = np.max(np.abs(dense))
+        off = dense.copy()
+        for (_, cols, _), gram in zip(blocks, grams):
+            assert np.max(np.abs(gram - dense[cols, cols])) <= 1e-13 * scale
+            off[cols, cols] = 0.0
+        if bandlimit <= self.CERTIFIED_UP_TO[level]:
+            classes = (np.arange(len(t)) + 1) // 2
+            t_off = np.where(classes[:, None] != classes, t, 0.0)
+            assert np.max(np.abs(t_off)) <= 1e-15 * np.max(np.abs(t))
+            assert np.max(np.abs(off)) <= 1e-13 * scale
 
     def test_training_relu_has_no_m_by_m_operand(self):
         op = _relu_operator(default_nonlin_grid(2), 6)
@@ -463,6 +491,53 @@ class TestFiberRelu:
                 with pytest.raises(IllConditionedError,
                                    match=f"nonlin_level {smallest} is the smallest"):
                     init_toy_model(0, bandlimit, 1, 1, 1, 1, nonlin_level=level)
+
+
+# Trains on spherical L = 6 inputs (4 steps of B = 25 an epoch) and
+# decodes 40 rows at level 3, then prints the minor page faults per
+# training step of 2 more epochs and of one more decode.
+_FAULT_CHILD = """
+import resource
+import numpy as np
+from so3harmonics import grids, harness, wigner
+from so3harmonics.estimation import decode_poses
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+cfg = harness.RunConfig(bandlimit=6, epochs=1, learning_rate=0.003)
+ds = harness.gen_dataset(cfg)
+steps = len(ds.train_idx) // cfg.batch_size
+preds = np.random.default_rng(0).normal(size=(40, wigner.m_total(6)))
+grid = grids.so3_healpix(3)
+for _ in range(2):
+    harness.train(cfg, ds)
+    decode_poses(preds, grid)
+start = faults()
+for _ in range(2):
+    harness.train(cfg, ds)
+per_step = (faults() - start) / (2 * steps)
+start = faults()
+decode_poses(preds, grid)
+print(per_step, faults() - start)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the mmap threshold rule is glibc's")
+def test_hot_path_takes_no_page_faults():
+    # a fresh process: earlier tests leave this one's malloc thresholds
+    # raised.  Without specconv._raise_mmap_threshold the ReLU's
+    # coefficient buffer and the decode's score chunks are mapped afresh
+    # on every call: 300-500 faults a step and 4,000-5,600 a decode.
+    src = os.path.dirname(os.path.dirname(specconv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FAULT_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    per_step, decode = map(float, proc.stdout.split())
+    assert per_step <= 10 and decode <= 10, (per_step, decode)
 
 
 class TestForward:
