@@ -38,17 +38,13 @@ def _load_config(args) -> harness.RunConfig:
     # an unknown key raises TypeError; JSONDecodeError is a ValueError
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    for name in vars(args):
-        if name in ("config", "print_config", "func", "out", "dataset",
-                    "checkpoint", "csv", "json_out", "kind", "level",
-                    "count", "allow_large", "to", "command", "grad_ascent"):
-            continue
-        val = getattr(args, name)
-        if val is not None and hasattr(cfg, name):
-            try:
-                cfg = dataclasses.replace(cfg, **{name: val})
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+    fields = {f.name for f in dataclasses.fields(harness.RunConfig)}
+    flags = {name: val for name, val in vars(args).items()
+             if name in fields and val is not None}
+    try:
+        cfg = dataclasses.replace(cfg, **flags)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if getattr(args, "print_config", False):
         print(cfg.to_json())
     return cfg

@@ -11,25 +11,12 @@ grid, softmaxes each row into a categorical pose distribution, and reads
 out the argmax rotation or refines it by gradient ascent on SO(3) with
 exact generator derivatives.  One private scoring function and its
 adjoint serve the distribution, the cross-entropy losses and
-``decode_poses``; ``specconv``'s grid ReLU builds its per-class tables
-and Gram blocks from the same table (``FiberTable.class_blocks``,
-``FiberTable.gram``).  A
-HEALPix-Hopf grid is scored through its fibers (Yershova et al., IJRR
-2010): its rotations are A_i Rz(psi_f) with psi_f = 2 pi f / F, and
-D^l(Rz(psi)) only mixes the columns n and -n of one class |n| = k, with
-weights cos(k psi) and +-sin(k psi).  So per class k one GEMM of the
-rows p (and their signed partners) against the class's columns of
-psi(A) gives each fiber's cos/sin coefficients, and one product with
-the (2L+1, F) trig table gives its F scores: about 2 M N + (2L+1) N F
-multiply-adds per row against M N F for the dense table (N = 12 * 4^level
-fibers, M the vector length), exact at every level.
-``fiber_table`` caches psi(A) and T (2.8 MB at level 3 and L = 6,
-against 134 MB for the dense table) after checking the fiber structure
-on the rotations themselves.  Other grids are scored against their
-dense psi table.  ``decode_poses`` walks the batch in row chunks of a
-fixed byte budget and keeps only each row's argmax and its confidence
-readouts.  Refinement takes its generator derivatives as one stacked
-matmul per step.
+``decode_poses``.  A HEALPix-Hopf grid is scored through its fiber table
+(``fibers.fiber_table``), any other grid against its dense psi table.
+``decode_poses`` walks the batch in row chunks of a fixed byte budget
+and keeps only each row's argmax and its confidence readouts.
+Refinement takes its generator derivatives as one stacked matmul per
+step.
 """
 
 from __future__ import annotations
@@ -40,9 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rotations, wigner
-from ._cache import LRUCache
-from .grids import SO3Grid, nearest_index, so3_healpix_count
+from . import fibers, rotations, wigner
+from .grids import SO3Grid, nearest_index
 from .rotations import RotationMatrix
 
 LOSS_KINDS = ("mse", "l1", "huber", "cosine", "distribution_ce", "mse_plus_ce")
@@ -200,184 +186,6 @@ def loss_and_grad(pred, gt, cfg: LossConfig, gt_rotation=None,
 # Grid scoring
 # ---------------------------------------------------------------------------
 
-# Byte budget of one decode chunk's (rows, grid size) score array (at
-# least one row).  A chunk also holds its softmax numerators, so a decode
-# peaks near twice this on top of the tables, whatever the batch: the
-# whole (1000, 36864) level-3 array of a 1,000-row batch is 295 MB.  The
-# softmax passes then run on cache-sized arrays: a 40-row level-3 decode
-# took ~14 ms at 4 MB against ~26 ms at 16 MB on a 2-CPU x86 VM.
-_CHUNK_BYTES = 4 << 20
-# Largest entry of |R - A_i Rz(psi_f)| a grid may show and still be
-# scored through its fibers.
-_FIBER_TOL = 1e-12
-
-fiber_table_cache = LRUCache(6)
-
-
-@dataclass(frozen=True)
-class FiberTable:
-    """Factored scoring table of a grid whose rotation i F + f is
-    A_i Rz(2 pi f / F).
-
-    D^l(Rz(psi)) keeps every column class |n| = k: it maps column n to
-    cos(k psi) times itself plus sin(k psi) times +-1 times column -n.
-    So with the columns sorted by class, each class k costs one GEMM of
-    the rows, stacked over their signed partner columns, against that
-    class's slice of psi(A) (cos and sin coefficients per fiber), and
-    one (J, F) trig product turns the J = 2L+1 coefficients of every
-    fiber into its F scores, in the grid's own order i F + f.
-    """
-
-    base_psi: np.ndarray           # (N, M) harmonic vectors of the A_i, columns in ``order``
-    order: np.ndarray              # (M,) column at each class position, |n| ascending
-    partner: np.ndarray            # (M,) column (l, m, -n) of that (l, m, n)
-    order_inverse: np.ndarray      # (M,) class position of each column: argsort(order)
-    partner_inverse: np.ndarray    # (M,) argsort(partner)
-    sign: np.ndarray               # (M,) its sin(k psi) coefficient in D^l(Rz(psi))
-    bounds: tuple[int, ...]        # class k holds positions bounds[k]:bounds[k + 1]
-    trig: np.ndarray               # (J, F) trig basis at the fiber angles
-
-    @property
-    def size(self) -> int:
-        """Number of grid rotations, N F."""
-        return len(self.base_psi) * self.trig.shape[1]
-
-    def _classes(self):
-        """Per class k: (h, j, cols), its h stacked row blocks (the rows
-        and, for k > 0, their signed partners), its first trig row j and
-        its column slice."""
-        for k, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
-            yield (2 if k else 1), max(2 * k - 1, 0), slice(lo, hi)
-
-    def scores(self, rows: np.ndarray) -> np.ndarray:
-        """<psi(R), p> for every grid rotation R and row p of (B, M): (B, N F)."""
-        b, (nbase, m) = len(rows), self.base_psi.shape
-        z = np.empty((2, b, m))  # the rows in class order, then their signed partners
-        z[0] = rows[:, self.order]
-        z[1] = rows[:, self.partner]
-        z[1] *= self.sign
-        x = np.empty((len(self.trig), b, nbase))
-        for h, j, cols in self._classes():
-            np.matmul(z[:h, :, cols].reshape(h * b, -1), self.base_psi[:, cols].T,
-                      out=x[j:j + h].reshape(h * b, nbase))
-        return (x.reshape(len(x), -1).T @ self.trig).reshape(b, -1)
-
-    def adjoint(self, g: np.ndarray) -> np.ndarray:
-        """sum_R g[:, R] psi(R) for weights g (B, N F): (B, M), the
-        adjoint of ``scores``."""
-        b, (nbase, m) = len(g), self.base_psi.shape
-        y = self.trig @ g.reshape(b * nbase, -1).T
-        dz = np.empty((2, b, m))
-        dz[1, :, :self.bounds[1]] = 0.0  # class 0 has no partner block
-        for h, j, cols in self._classes():
-            np.matmul(y[j:j + h].reshape(h * b, nbase), self.base_psi[:, cols],
-                      out=dz[:h, :, cols].reshape(h * b, -1))
-        dz[1] *= self.sign
-        out = dz[0][:, self.order_inverse]
-        out += dz[1][:, self.partner_inverse]
-        return out
-
-    def class_blocks(self) -> list[tuple[int, slice, np.ndarray]]:
-        """Per class k, (j, cols, U_k): its first trig row, its column
-        slice and U_k (h, N, M_k), the class's slice of ``base_psi`` and,
-        for k > 0, its copy with each column moved to its partner's
-        position and signed.  Rows x in class order then give the class's
-        cos and sin fiber coefficients as x[:, cols] @ U_k[t].T, with the
-        partner gather and sign folded into U_k."""
-        partner_pos = self.order_inverse[self.partner]
-        blocks = []
-        for h, j, cols in self._classes():
-            base = self.base_psi[:, cols]
-            u = np.zeros((h,) + base.shape)
-            u[0] = base
-            if h == 2:
-                u[1][:, partner_pos[cols] - cols.start] = base * self.sign[cols]
-            blocks.append((j, cols, u))
-        return blocks
-
-    def gram(self, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(T, per-class Gram blocks) of the scoring matrix A, columns in
-        class order, from ``blocks = class_blocks()``.
-
-        A = sum_j trig_j^T (x) U_j, with U_j the (N, M) table of trig row
-        j (``class_blocks``' U_k[t] for j = j_k + t), so A^T A =
-        sum_{j, j'} T[j, j'] U_j^T U_j' with T = trig trig^T (J, J).
-        Class k's diagonal block is sum_{t, t'} T[j_k + t, j_k + t']
-        U_k[t]^T U_k[t']; the off-class blocks vanish where T does.
-        """
-        t = self.trig @ self.trig.T
-        grams = []
-        for j, _, u in blocks:
-            h, nbase, width = u.shape
-            tu = np.tensordot(t[j:j + h, j:j + h], u, axes=1)
-            grams.append(u.reshape(h * nbase, width).T @ tu.reshape(h * nbase, width))
-        return t, grams
-
-
-def _fiber_classes(bandlimit: int):
-    """(order, partner, sign, bounds) of ``FiberTable`` at a band limit.
-
-    D^l(Rz(psi)) = expm(psi J_z), and J_z pairs n with -n, so on |n| = k
-    it squares to -k^2: expm(psi J_z) = sum_k cos(k psi) P_k +
-    sin(k psi) J_z P_k / k, with P_k the projector onto |n| = k.  Column
-    (l, m, n) of D^l(A) D^l(Rz(psi)) is cos(k psi) D^l(A)[m, n] +
-    sin(k psi) D^l(A)[m, -n] J_z[-n, n] / k, so a score pairs column
-    (l, m, n) of psi(A) with p[l, m, n] and, through the sign
-    J_z[n, -n] / k, with p[l, m, -n].
-    """
-    offs = np.array(wigner.block_offsets(bandlimit))
-    degree = np.repeat(np.arange(bandlimit + 1),
-                       (2 * np.arange(bandlimit + 1) + 1) ** 2)
-    n = (np.arange(offs[-1]) - offs[degree]) % (2 * degree + 1) - degree
-    sign = np.concatenate([
-        np.tile(np.fliplr(wigner.generators_real(l)[2]).diagonal()
-                / np.maximum(np.abs(np.arange(-l, l + 1)), 1), 2 * l + 1)
-        for l in range(bandlimit + 1)])
-    order = np.argsort(np.abs(n), kind="stable")
-    bounds = np.searchsorted(np.abs(n)[order], np.arange(bandlimit + 2))
-    return (order, (np.arange(offs[-1]) - 2 * n)[order], sign[order],
-            tuple(int(i) for i in bounds))
-
-
-def _build_fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
-    nfiber = 6 * 2 ** grid.level
-    if grid.size != so3_healpix_count(grid.level):
-        return None
-    rots = grid.rotations.reshape(-1, nfiber, 3, 3)
-    angles = 2.0 * np.pi * np.arange(nfiber) / nfiber
-    spin = rotations.zyz_to_matrices(angles, 0.0, 0.0)
-    step = max(1, _CHUNK_BYTES // rots[0].nbytes)
-    for start in range(0, len(rots), step):
-        block = rots[start:start + step]
-        if not np.max(np.abs(block - block[:, :1] @ spin)) <= _FIBER_TOL:
-            return None
-    k = np.arange(1, bandlimit + 1)[:, None] * angles
-    trig = np.concatenate([np.ones((1, nfiber)),
-                           np.stack([np.cos(k), np.sin(k)], axis=1).reshape(-1, nfiber)])
-    order, partner, sign, bounds = _fiber_classes(bandlimit)
-    base_psi = wigner.rotations_to_psi(rots[:, 0], bandlimit)[:, order]
-    return FiberTable(base_psi, order, partner, np.argsort(order),
-                      np.argsort(partner), sign, bounds, trig)
-
-
-def fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
-    """The factored table of a HEALPix-Hopf grid at ``bandlimit``, or None.
-
-    The table holds psi of the N fiber-0 rotations with its columns
-    sorted into |n| classes, and the trig basis at the F fiber angles
-    (see ``FiberTable``).  The kind label and level only propose the
-    fiber count F = 6 * 2^level;
-    the table is built, and cached per rotation content, only after every
-    rotation is checked to be A_i Rz(2 pi f / F).  None means the grid
-    is scored against its dense psi table.
-    """
-    if grid.kind != "healpix_hopf" or grid.level is None:
-        return None
-    return fiber_table_cache.get(
-        (grid.content_digest, grid.level, bandlimit),
-        lambda: _build_fiber_table(grid, bandlimit))
-
-
 def _dense_table(grid: SO3Grid) -> np.ndarray:
     if grid.psi_table is None:
         raise ValueError("grid needs a precomputed harmonic-vector table "
@@ -387,14 +195,14 @@ def _dense_table(grid: SO3Grid) -> np.ndarray:
 
 def _scores(rows: np.ndarray, grid: SO3Grid) -> np.ndarray:
     """<psi(R), p> for every grid rotation R and row p of (B, M): (B, size)."""
-    table = fiber_table(grid, wigner.bandlimit_of(rows.shape[-1]))
+    table = fibers.fiber_table(grid, wigner.bandlimit_of(rows.shape[-1]))
     return rows @ _dense_table(grid).T if table is None else table.scores(rows)
 
 
 def _scores_adjoint(g: np.ndarray, grid: SO3Grid, bandlimit: int) -> np.ndarray:
     """sum_R g[:, R] psi(R) for weights g (B, size): (B, M), the adjoint
     of ``_scores``."""
-    table = fiber_table(grid, bandlimit)
+    table = fibers.fiber_table(grid, bandlimit)
     return g @ _dense_table(grid) if table is None else table.adjoint(g)
 
 
@@ -457,13 +265,13 @@ def decode_poses(pred, grid: SO3Grid, temperature: float = 1.0) -> PoseReadout:
     batch (B, M), with the readouts of ``PoseReadout``.
 
     Equals ``argmax_pose(infer_distribution(pred, grid, temperature))``
-    row by row, but scores the batch in chunks of ``_CHUNK_BYTES`` and
+    row by row, but scores the batch in chunks of ``fibers._CHUNK_BYTES`` and
     keeps no (B, size) array.
     """
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     rows = np.atleast_2d(_flat(pred))
-    step = max(1, _CHUNK_BYTES // (8 * grid.size))
+    step = max(1, fibers._CHUNK_BYTES // (8 * grid.size))
     idx, top1, entropy, margin = map(np.concatenate, zip(*(
         _decode_chunk(rows[i:i + step], grid, temperature)
         for i in range(0, len(rows), step))))

@@ -24,6 +24,7 @@ from .harmonics import PointSet
 
 LARGE_GRID_LEVEL = 5
 GRID_KINDS = ("healpix_hopf", "random", "super_fibonacci")
+_PROBE_CHUNK = 256  # probe rotations ``covering_radius`` scores in one product
 
 
 class ResourceLimitError(RuntimeError):
@@ -219,8 +220,7 @@ def so3_super_fibonacci(n: int) -> SO3Grid:
                    nominal_resolution_deg=_equivalent_resolution_deg(n))
 
 
-def covering_radius(grid: SO3Grid, probes: int, seed: int,
-                    chunk: int = 256) -> float:
+def covering_radius(grid: SO3Grid, probes: int, seed: int) -> float:
     """Monte Carlo covering radius estimate in degrees.
 
     Maximum over random probe rotations of the geodesic distance to the
@@ -231,8 +231,8 @@ def covering_radius(grid: SO3Grid, probes: int, seed: int,
     probe_mats = rotations.sample_uniform_matrices(seed, probes)
     grid_flat = grid.rotations.reshape(grid.size, 9)
     worst = 0.0
-    for start in range(0, probes, chunk):
-        block = probe_mats[start:start + chunk].reshape(-1, 9)
+    for start in range(0, probes, _PROBE_CHUNK):
+        block = probe_mats[start:start + _PROBE_CHUNK].reshape(-1, 9)
         traces = block @ grid_flat.T
         best = np.max(traces, axis=1)  # max trace = min angle
         ang = np.arccos(np.clip((best - 1.0) / 2.0, -1.0, 1.0))

@@ -176,22 +176,17 @@ def _build_design(grid: PointSet, bandlimit: int) -> np.ndarray:
     return out
 
 
-def _certified_eigh(grams: list[np.ndarray], max_condition: float
+def _certified_eigh(grams: list[np.ndarray]
                     ) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """(w, V) of each diagonal block of a block-diagonal Gram matrix
     A^T A = V diag(w) V^T, or None when the eigenvalues of all blocks
     together do not certify kappa(A) = sqrt(w_max/w_min) <=
-    GRAM_MAX_CONDITION; raises IllConditionedError when the certified
-    kappa exceeds ``max_condition``."""
+    GRAM_MAX_CONDITION (below MAX_CONDITION, so a certified matrix is
+    never rejected)."""
     eigs = [np.linalg.eigh(gram) for gram in grams]
     w = np.concatenate([block_w for block_w, _ in eigs])
     kappa = np.sqrt(w.max() / w.min()) if w.min() > 0 else np.inf
-    if kappa > GRAM_MAX_CONDITION:
-        return None
-    if kappa > max_condition:
-        raise IllConditionedError(
-            f"design matrix condition number exceeds {max_condition:g}")
-    return eigs
+    return None if kappa > GRAM_MAX_CONDITION else eigs
 
 
 def gram_ridge_inverse(grams: list[np.ndarray]) -> list[np.ndarray] | None:
@@ -200,23 +195,20 @@ def gram_ridge_inverse(grams: list[np.ndarray]) -> list[np.ndarray] | None:
     of a design A, so that H A^T is ``ridge_solver(A)``.
 
     Returns None when the eigenvalues do not certify kappa(A) <=
-    GRAM_MAX_CONDITION (then only the SVD of A gives the inverse), and
-    raises IllConditionedError when the certified kappa exceeds
-    MAX_CONDITION.
+    GRAM_MAX_CONDITION (then only the SVD of A gives the inverse).
     """
-    eigs = _certified_eigh(grams, MAX_CONDITION)
+    eigs = _certified_eigh(grams)
     if eigs is None:
         return None
     return [(v / (w + RIDGE_LAMBDA)) @ v.T for w, v in eigs]
 
 
-def ridge_solver(a: np.ndarray, ridge: float = RIDGE_LAMBDA,
-                 max_condition: float = MAX_CONDITION) -> np.ndarray:
+def ridge_solver(a: np.ndarray) -> np.ndarray:
     """Ridge pseudo-inverse P = V diag(s / (s^2 + ridge)) U^T of a design
-    matrix A = U diag(s) V^T.
+    matrix A = U diag(s) V^T, with ridge = RIDGE_LAMBDA.
 
     Returns P with shape (columns, rows) so that coeffs = P @ samples.
-    Raises IllConditionedError when kappa(A) = s_max/s_min > max_condition.
+    Raises IllConditionedError when kappa(A) = s_max/s_min > MAX_CONDITION.
 
     Two routes give the same P up to rounding.  A matrix with at least
     twice as many rows as columns is first tried through its Gram matrix:
@@ -230,17 +222,17 @@ def ridge_solver(a: np.ndarray, ridge: float = RIDGE_LAMBDA,
     wide, rank-deficient or worse conditioned) takes the SVD.
     """
     if a.shape[0] >= 2 * a.shape[1]:
-        eig = _certified_eigh([a.T @ a], max_condition)
+        eig = _certified_eigh([a.T @ a])
         if eig is not None:
             (w, v), = eig
             # V^T A^T = diag(s) U^T: the SVD route's product, with the
             # filter 1/(w + ridge) in place of s/(s^2 + ridge)
-            return (v / (w + ridge)) @ (v.T @ a.T)
+            return (v / (w + RIDGE_LAMBDA)) @ (v.T @ a.T)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[-1] <= 0 or s[0] / s[-1] > max_condition:
+    if s[-1] <= 0 or s[0] / s[-1] > MAX_CONDITION:
         raise IllConditionedError(
-            f"design matrix condition number exceeds {max_condition:g}")
-    filt = s / (s * s + ridge)
+            f"design matrix condition number exceeds {MAX_CONDITION:g}")
+    filt = s / (s * s + RIDGE_LAMBDA)
     return (vh.T * filt) @ u.T
 
 

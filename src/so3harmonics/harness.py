@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import __version__, estimation, grids, harmonics, mapper, wigner
+from . import __version__, estimation, fibers, grids, harmonics, mapper, wigner
 from ._cache import LRUCache
 from .binio import IncompatibleFileError, read_blob, write_blob
 from .estimation import LossConfig
@@ -149,9 +149,10 @@ class SyntheticDataset:
         return len(self.inputs)
 
 
-def gen_dataset(cfg: RunConfig, seed: int | None = None) -> SyntheticDataset:
-    """Deterministic synthetic pose dataset from a seeded template."""
-    seed = cfg.data_seed if seed is None else seed
+def gen_dataset(cfg: RunConfig) -> SyntheticDataset:
+    """Deterministic synthetic pose dataset from a template seeded by
+    ``cfg.data_seed``."""
+    seed = cfg.data_seed
     rng = np.random.default_rng(seed)
     lt = cfg.template_bandlimit
     template = SphericalCoeffs(
@@ -214,10 +215,47 @@ def save_dataset(path: str, ds: SyntheticDataset) -> None:
     write_blob(path, "dataset", ds.meta, arrays)
 
 
+def _finite(a: np.ndarray, shape: tuple) -> bool:
+    """A finite real array of ``shape``; None in ``shape`` matches any length."""
+    return (a.ndim == len(shape) and a.dtype.kind in "fiu"
+            and all(s is None or s == t for s, t in zip(shape, a.shape))
+            and bool(np.all(np.isfinite(a))))
+
+
+def _dataset_file_problem(kind, bandlimit, arrays) -> str | None:
+    """What makes a dataset file's fields unusable, or None."""
+    if kind not in ("spherical", "image"):
+        return f"unknown input kind {kind!r}"
+    if type(bandlimit) is not int or bandlimit < 0:
+        return f"template_bandlimit {bandlimit!r} is not a band limit"
+    inputs = arrays["inputs"]
+    if not _finite(inputs, (None,) * (3 if kind == "spherical" else 4)):
+        return f"inputs {inputs.shape} are not a finite array of {kind} inputs"
+    n = len(inputs)
+    shapes = {"template": (None, (bandlimit + 1) ** 2), "gt": (n, 3, 3)}
+    if kind == "spherical":  # the point set of the inputs
+        shapes["grid_theta"] = shapes["grid_phi"] = inputs.shape[-1:]
+    for name, shape in shapes.items():
+        if name not in arrays or not _finite(arrays[name], shape):
+            return f"{name} is missing or not a finite array of shape {shape}"
+    for name in ("train_idx", "test_idx"):
+        idx = arrays[name]
+        if not (idx.ndim == 1 and idx.dtype.kind in "iu"
+                and np.all((idx >= 0) & (idx < n))):
+            return f"{name} is not a 1-D array of indices below {n}"
+    return None
+
+
 def load_dataset(path: str) -> SyntheticDataset:
+    """The dataset ``save_dataset`` wrote.  A malformed file raises
+    IncompatibleFileError naming ``path`` (``_dataset_file_problem``)."""
     _, meta, arrays = read_blob(path, expect_kind="dataset")
     if meta.get("layout_version") != DATASET_LAYOUT_VERSION:
         raise IncompatibleFileError(f"{path}: unsupported dataset layout")
+    problem = _dataset_file_problem(meta["input_kind"], meta["template_bandlimit"],
+                                    arrays)
+    if problem is not None:
+        raise IncompatibleFileError(f"{path}: {problem}")
     grid = None
     if "grid_theta" in arrays:
         grid = PointSet(arrays["grid_theta"], arrays["grid_phi"])
@@ -429,8 +467,9 @@ def inference_grid(level: int, bandlimit: int, kind: str = "healpix_hopf",
                    count: int | None = None, seed: int = 0) -> SO3Grid:
     """``grids.so3_grid`` ready to decode at ``bandlimit``.
 
-    A HEALPix-Hopf grid carries no psi table: its factored fiber table
-    is built into ``estimation.fiber_table_cache`` instead.  A grid of
+    A HEALPix-Hopf grid carries no psi table: it is scored through its
+    fibers, and its table is built into ``fibers.fiber_table_cache``
+    instead.  A grid of
     any other kind carries its dense psi table.  Levels from
     ``grids.LARGE_GRID_LEVEL`` up raise ``ResourceLimitError``: refining
     the argmax of a smaller grid reads poses more precisely, for less.
@@ -447,7 +486,7 @@ def inference_grid(level: int, bandlimit: int, kind: str = "healpix_hopf",
     key = {"healpix_hopf": (level,), "random": (n, seed)}.get(kind, (n,))
     def build() -> SO3Grid:
         grid = grids.so3_grid(kind, level, count, seed)
-        if estimation.fiber_table(grid, bandlimit) is None:
+        if fibers.fiber_table(grid, bandlimit) is None:
             grid = grid.with_psi_table(bandlimit)
         return grid
     return inference_grid_cache.get((kind, bandlimit, *key), build)

@@ -20,20 +20,11 @@ the same layer functions the equivariance tests check.
   (``_channel_gemm``).
 - The nonlinearity samples the group signal on a HEALPix-Hopf SO(3)
   grid (dot products with the grid's harmonic vectors), applies ReLU,
-  and projects back to band-limited blocks by ridge least squares:
-  out = relu(x A^T) A H, with H the ridge inverse of the Gram matrix
-  A^T A of the sampling A.  It runs in fiber coefficients
-  (``FiberRelu``): the sampling is A = sum_j trig_j^T (x) U_j over the
-  trig rows j, so A^T A = sum_{j, j'} T[j, j'] U_j^T U_j' with T =
-  trig trig^T, built in closed form (``FiberTable.gram``).  T, and so
-  A^T A and H, are block-diagonal in the |n| column classes of
-  ``estimation.FiberTable``, so per class one table U_k maps rows to
-  fiber cos/sin coefficients and one table G_k = U_k H_k maps
-  rectified coefficients back, with a small trig product between them.
-  Any other grid raises ``IllConditionedError``, and so does a model
-  whose grid cannot certify at its band limit, when it is built
-  (``nonlin_operator``): level 0 certifies L <= 2, level 1 L <= 5, and
-  levels 2 and 3 L <= 8.
+  and projects back to band-limited blocks by ridge least squares,
+  through the grid's Hopf fibers (``fibers.FiberRelu``).  Any other grid
+  raises ``IllConditionedError``, and so does a model whose grid cannot
+  certify at its band limit, when it is built (``nonlin_operator``):
+  level 0 certifies L <= 2, level 1 L <= 5, and levels 2 and 3 L <= 8.
 
 The toy network chains: lift/analysis of each input channel to harmonic
 coefficients (one linear operator per input kind), channel mixer, sphere
@@ -51,10 +42,11 @@ import numpy as np
 
 from . import mapper as mapper_mod
 from ._cache import LRUCache
-from .estimation import LossConfig, fiber_table, loss_and_grad
+from .estimation import LossConfig, loss_and_grad
+from .fibers import FiberRelu, _relu_operator
 from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
-from .harmonics import (GRAM_MAX_CONDITION, IllConditionedError, PointSet,
-                        SphericalSignal, analysis_matrix, gram_ridge_inverse)
+from .harmonics import (IllConditionedError, PointSet, SphericalSignal,
+                        analysis_matrix)
 # unused here; perfbench's tracer tests call it through this module
 from .harmonics import ridge_solver  # noqa: F401
 from .mapper import FeatureMap, MapperConfig
@@ -237,185 +229,13 @@ def so3_conv(x: np.ndarray, f: LocalSO3Filter) -> np.ndarray:
     return out
 
 
-nonlin_operator_cache = LRUCache(8)
 # one entry per level so3_healpix builds without allow_large
 nonlin_grid_cache = LRUCache(LARGE_GRID_LEVEL)
-# Byte budget of the widest per-row temporary the grid ReLU and its
-# backward hold at once, the J N fiber coefficients of a row (at least
-# one row).  ``harness.evaluate`` runs the ReLU on a whole split at once.
-_RELU_CHUNK_BYTES = 8 << 20
-# Byte budget of the samples one trig product writes: the rectify and
-# the transposed trig product then read them from cache.
-_TRIG_CHUNK_BYTES = 256 << 10
-# Largest off-class entry of a grid's T = trig trig^T, relative to its
-# largest entry, for which the ReLU runs class by class.
-_CLASS_TOL = 1e-12
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows of a ReLU pass chunk: ``_RELU_CHUNK_BYTES`` of its widest
-    per-row temporary, ``width`` doubles a row (at least one row)."""
-    return max(1, _RELU_CHUNK_BYTES // (8 * width))
-
-
-def _row_chunks(count: int, width: int):
-    step = _chunk_rows(width)
-    return (slice(i, i + step) for i in range(0, count, step))
-
-
-def _raise_mmap_threshold() -> None:
-    """Allocate and free one untouched block larger than any per-call
-    temporary the chunk budgets allow.
-
-    glibc maps a request at or above M_MMAP_THRESHOLD (128 KiB at start)
-    afresh, and freeing an mmapped chunk raises M_MMAP_THRESHOLD to that
-    chunk's size, up to 32 MiB, and M_TRIM_THRESHOLD to twice that size.
-    After this free the ReLU's (J, rows, N) coefficient buffers and
-    ``decode_poses``' score chunks (~4 MB each at L = 6) come from the
-    heap.  Without it they can be mapped and page-faulted afresh on every
-    call: ~2,000 minor faults a ``train_image`` step.  Other allocators
-    ignore the block.  Its size is in bytes: as many float64 entries
-    would pass the 32 MiB cap and change nothing.
-    """
-    # a MiB above the budget covers malloc's chunk header and page rounding
-    np.empty(_RELU_CHUNK_BYTES + (1 << 20), dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class FiberRelu:
-    """Grid ReLU of a HEALPix-Hopf grid run in fiber coefficients.
-
-    With the columns in |n|-class order (``FiberTable``), class k's rows
-    x_k give each fiber's cos and sin coefficients as x_k U_k^T, and the
-    (J, F) trig table turns the J coefficients of a fiber into its F
-    samples.  The ridge inverse H of the Gram matrix A^T A is
-    block-diagonal in the classes, so the re-analysis adjoint(y) @ H is,
-    per class, y_k U_k H_k = y_k G_k.  The forward is one pass:
-
-        coefficients x_k U_k^T -> trig product -> mask, ReLU ->
-        transposed trig product -> y_k G_k
-
-    and the backward is the same pass with G_k^T in, the mask multiply,
-    and U_k out.  No (M, M) product, partner gather or whole (rows, Q)
-    float sample array is made.
-    """
-
-    order: np.ndarray          # (M,) column at each class position
-    order_inverse: np.ndarray  # (M,) class position of each column
-    trig: np.ndarray           # (J, F) trig basis at the fiber angles
-    spans: tuple               # per class, (first trig row, class positions)
-    u: tuple                   # per class, U_k (h, N, M_k) of FiberTable.class_blocks
-    g: tuple                   # per class, G_k = U_k H_k (h, N, M_k)
-
-    @property
-    def size(self) -> int:
-        return self.u[0].shape[1] * self.trig.shape[1]
-
-    def forward(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mask = np.empty((len(rows), self.size), dtype=bool)
-        return self._pass(rows, mask, self.u, self.g, True), mask
-
-    def backward(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return self._pass(rows, mask, self.g, self.u, False)
-
-    def _pass(self, rows, mask, first, last, forward: bool) -> np.ndarray:
-        """The rows gathered into class order once, run in row chunks
-        (``_row_chunks`` of their J N fiber coefficients), the result
-        written back over them and un-gathered once."""
-        x = rows[:, self.order]
-        (j_count, nfiber), nbase = self.trig.shape, self.u[0].shape[1]
-        step = max(1, _TRIG_CHUNK_BYTES // (8 * nfiber))
-        buf = np.empty((j_count, min(len(x), _chunk_rows(j_count * nbase)), nbase))
-        for r in _row_chunks(len(x), j_count * nbase):
-            xr = x[r]
-            c = buf[:, :len(xr)]
-            for (j, cols), f in zip(self.spans, first):
-                for t, ft in enumerate(f):
-                    np.matmul(xr[:, cols], ft.T, out=c[j + t])
-            flat = c.reshape(j_count, -1)           # (J, fibers of the chunk)
-            m = mask[r].reshape(-1, nfiber)         # (fibers of the chunk, F)
-            for i in range(0, flat.shape[1], step):
-                s = flat[:, i:i + step].T @ self.trig
-                if forward:
-                    np.greater(s, 0, out=m[i:i + step])
-                    np.maximum(s, 0, out=s)
-                else:
-                    s *= m[i:i + step]
-                np.matmul(self.trig, s.T, out=flat[:, i:i + step])
-            for (j, cols), f in zip(self.spans, last):
-                np.matmul(c[j], f[0], out=xr[:, cols])
-                for t in range(1, len(f)):
-                    xr[:, cols] += c[j + t] @ f[t]
-        return x[:, self.order_inverse]
-
-
-def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu:
-    """The grid ReLU's operator at a band limit.
-
-    The Gram matrix A^T A comes in closed form from the grid's fiber
-    table (``FiberTable.gram``).  Raises IllConditionedError for a grid
-    without a fiber table (not HEALPix-Hopf, or rotations moved off
-    their fibers), or unless T = trig trig^T is block-diagonal in the
-    |n| classes (to ``_CLASS_TOL``), so that A^T A is too, and the
-    eigenvalues of its class blocks certify kappa(A), as in
-    ``ridge_solver``'s Gram route; then each class block gives its
-    H_k = V_k diag(1/(w_k + ridge)) V_k^T, so that P = H A^T.  Keyed on
-    the grid's rotation content, so a new grid never receives the
-    operator of a freed one that happened to share its address.
-    """
-    def build() -> FiberRelu:
-        table = fiber_table(grid, bandlimit)
-        if table is None:
-            raise IllConditionedError(f"the {grid.kind} grid of {grid.size} "
-                                      "rotations has no Hopf fiber structure")
-        m = table.base_psi.shape[1]
-        where = f"the {grid.size}-rotation grid at M = {m}"
-        blocks = table.class_blocks()
-        t, grams = table.gram(blocks)
-        classes = (np.arange(len(t)) + 1) // 2  # trig rows 2k - 1, 2k are class k's
-        off = np.where(classes[:, None] != classes, t, 0.0)
-        if not np.max(np.abs(off)) <= _CLASS_TOL * np.max(np.abs(t)):
-            raise IllConditionedError(f"the Gram matrix of {where} couples "
-                                      "its |n| classes")
-        h = gram_ridge_inverse(grams)
-        if h is None:
-            raise IllConditionedError(
-                f"the Gram matrix of {where} does not certify kappa <= "
-                f"{GRAM_MAX_CONDITION:g}"
-                + (" (fewer samples than coefficients)" if grid.size < m else ""))
-        _raise_mmap_threshold()
-        return FiberRelu(table.order, table.order_inverse, table.trig,
-                         tuple((j, cols) for j, cols, _ in blocks),
-                         tuple(u for _, _, u in blocks),
-                         tuple(u @ hk for (_, _, u), hk in zip(blocks, h)))
-    return nonlin_operator_cache.get((grid.content_digest, bandlimit), build)
-
-
-def _grid_relu(x: np.ndarray, op: FiberRelu) -> tuple[np.ndarray, np.ndarray]:
-    """Sample, rectify, re-analyse (see ``_relu_operator``); returns
-    (out, mask).
-
-    The leading dimensions of x (..., C, M) fold into rows, which run in
-    ``_row_chunks``, each as 2-D GEMMs: a stacked (B, C, M) product
-    would run as B GEMMs of C rows.  out has x's shape; mask is
-    (..., C, Q).
-    """
-    out, mask = op.forward(x.reshape(-1, x.shape[-1]))
-    return out.reshape(x.shape), mask.reshape(x.shape[:-1] + (op.size,))
-
-
-def _grid_relu_backward(d_out: np.ndarray, mask: np.ndarray,
-                        op: FiberRelu) -> np.ndarray:
-    """d(x) of _grid_relu given d(out), on the same flat row chunks:
-    transposed re-analysis, the mask applied in place, transposed
-    sampling."""
-    rows = d_out.reshape(-1, d_out.shape[-1])
-    return op.backward(rows, mask.reshape(len(rows), -1)).reshape(d_out.shape)
 
 
 def so3_nonlinearity(x: np.ndarray, grid: SO3Grid) -> np.ndarray:
     """Grid ReLU of group signals (..., C, M), band limit read from M."""
-    return _grid_relu(x, _relu_operator(grid, bandlimit_of(x.shape[-1])))[0]
+    return _relu_operator(grid, bandlimit_of(x.shape[-1])).forward(x)[0]
 
 
 def default_nonlin_grid(level: int = 2) -> SO3Grid:
@@ -583,7 +403,7 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     lifted = (values.reshape(b * c_in, -1) @ op.T).reshape(b, c_in, -1)
     coeffs = _channel_gemm(lifted[..., None], model.mixer[:, None, :, None])[..., 0]
     relu = nonlin_operator(model.nonlin_level, L)
-    hidden, mask = _grid_relu(s2_conv(coeffs, model.s2), relu)
+    hidden, mask = relu.forward(s2_conv(coeffs, model.s2))
     state = TrunkState(lifted=lifted, coeffs=coeffs, relu_mask=mask,
                        hidden_flat=hidden, relu=relu)
     return hidden, state
@@ -602,7 +422,7 @@ def backward_trunk(model: ToyModel, state: TrunkState,
     forward does.
     """
     L = model.bandlimit
-    d_flat_pre = _grid_relu_backward(d_hidden, state.relu_mask, state.relu)
+    d_flat_pre = state.relu.backward(d_hidden, state.relu_mask)
     d_spectra = []
     d_coeffs = np.empty_like(state.coeffs)
     for l, d_pre in enumerate(_blocks(d_flat_pre, L)):

@@ -1,6 +1,7 @@
 """Corrupt-input handling of the binary container reader."""
 
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -189,6 +190,69 @@ def test_load_dataset_missing_header_key(tmp_path, trained):
     _drop_field(path, "template_bandlimit", from_arrays=False)
     with pytest.raises(IncompatibleFileError, match="template_bandlimit"):
         load_dataset(str(path))
+
+
+# A well-formed container holding a spherical dataset with one field
+# tampered: the reader must reject it, not ``train`` or ``evaluate`` later.
+
+def _drop_point_set(meta, arrays):
+    del arrays["grid_theta"], arrays["grid_phi"]
+
+
+TAMPERED_DATASETS = {
+    "unknown_input_kind": _set("input_kind", "video"),
+    "image_kind_on_sphere_inputs": _set("input_kind", "image"),
+    "string_template_bandlimit": _set("template_bandlimit", "4"),
+    "template_bandlimit_differs": _set("template_bandlimit", 3),
+    "train_idx_past_end": _edit_array("train_idx", lambda a: a + 100),
+    "negative_test_idx": _edit_array("test_idx", lambda a: a - 100),
+    "float_train_idx": _edit_array("train_idx", lambda a: a.astype(float)),
+    "gt_not_3x3": _edit_array("gt", lambda a: a[:, :2]),
+    "inputs_fewer_than_gt": _edit_array("inputs", lambda a: a[:2]),
+    "inputs_nan": _edit_array("inputs", lambda a: np.where(a > 0, np.nan, a)),
+    "no_point_set": _drop_point_set,
+    "point_set_short": _edit_array("grid_phi", lambda a: a[:-1]),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED_DATASETS)
+def test_load_dataset_tampered_field(tmp_path, trained, case):
+    from so3harmonics.harness import load_dataset, save_dataset
+    path = tmp_path / "d.bin"
+    save_dataset(str(path), trained[1])
+    kind, meta, arrays = read_blob(str(path))
+    TAMPERED_DATASETS[case](meta, arrays)
+    write_blob(str(path), kind, meta, arrays)
+    with pytest.raises(IncompatibleFileError) as err:
+        load_dataset(str(path))
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["spherical", "image"])
+def test_load_dataset_reads_files_of_layout_1(kind):
+    # files save_dataset wrote at layout version 1 for
+    # RunConfig(bandlimit=2, dataset_kind=kind, template_bandlimit=2,
+    #           n_train_views=4, n_test_views=1, signal_grid_level=1,
+    #           image_size=8)
+    from so3harmonics import harness
+    path = os.path.join(os.path.dirname(__file__), "data", f"dataset_v1_{kind}.bin")
+    ds = harness.load_dataset(path)
+    _, meta, arrays = read_blob(path)
+    assert ds.kind == kind and ds.meta == meta
+    for name in ("inputs", "gt", "train_idx", "test_idx"):
+        assert np.array_equal(getattr(ds, name), arrays[name]), name
+    assert np.array_equal(ds.template.data, arrays["template"])
+    if kind == "spherical":
+        assert np.array_equal(ds.grid.theta, arrays["grid_theta"])
+        assert np.array_equal(ds.grid.phi, arrays["grid_phi"])
+    else:
+        assert ds.grid is None
+    cfg = harness.RunConfig(bandlimit=2, dataset_kind=kind, template_bandlimit=2,
+                            n_train_views=4, n_test_views=1,
+                            signal_grid_level=1, image_size=8)
+    fresh = harness.gen_dataset(cfg)
+    assert np.allclose(ds.inputs, fresh.inputs, rtol=0, atol=1e-12)
+    assert np.array_equal(ds.gt, fresh.gt)
 
 
 def test_load_grid_missing_header_key(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from so3harmonics import estimation, grids, harmonics, harness
+from so3harmonics import fibers, grids, harmonics, harness
 from so3harmonics._cache import LRUCache, digest
 from so3harmonics.mapper import MapperConfig
 from so3harmonics.specconv import forward_trunk, init_toy_model
@@ -45,11 +45,11 @@ def test_nbytes_counts_lists_tuples_and_fields():
 def test_relu_operator_bytes_are_its_arrays(monkeypatch):
     # the level-2, L = 6 training ReLU: its per-class tables are counted
     from so3harmonics import specconv
-    monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
-    op = specconv._relu_operator(specconv.default_nonlin_grid(2), 6)
+    monkeypatch.setattr(fibers, "nonlin_operator_cache", LRUCache(8))
+    op = fibers._relu_operator(specconv.default_nonlin_grid(2), 6)
     arrays = [op.order, op.order_inverse, op.trig, *op.u, *op.g]
-    assert specconv.nonlin_operator_cache.nbytes == sum(a.nbytes for a in arrays)
-    assert specconv.nonlin_operator_cache.nbytes < 8e6
+    assert fibers.nonlin_operator_cache.nbytes == sum(a.nbytes for a in arrays)
+    assert fibers.nonlin_operator_cache.nbytes == 2_654_768
 
 
 def test_digest_covers_dtype_and_shape():
@@ -122,7 +122,7 @@ def test_only_non_healpix_inference_grids_hold_a_dense_table():
     # a HEALPix-Hopf grid decodes through its cached fiber table
     healpix = harness.inference_grid(2, 4)
     assert healpix.psi_table is None
-    assert estimation.fiber_table(healpix, 4) is not None
+    assert fibers.fiber_table(healpix, 4) is not None
     random = harness.inference_grid(2, 4, kind="random", count=50)
     assert random.psi_table.shape == (50, 165)
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from so3harmonics import estimation, grids, rotations, wigner
+from so3harmonics import estimation, fibers, grids, rotations, wigner
 from so3harmonics._cache import LRUCache
 from so3harmonics.estimation import (LossConfig, PoseDistribution, argmax_pose,
                                      decode_poses, distribution_ce_loss,
@@ -243,7 +243,7 @@ class TestFactoredScoring:
         rng = np.random.default_rng(level * 10 + bandlimit)
         preds = rng.normal(size=(3, wigner.m_total(bandlimit)))
         weights = rng.normal(size=(3, grid.size))
-        assert estimation.fiber_table(grid, bandlimit) is not None
+        assert fibers.fiber_table(grid, bandlimit) is not None
         scores = estimation._scores(preds, grid)
         expect = preds @ table.T
         assert np.max(np.abs(scores - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -253,7 +253,7 @@ class TestFactoredScoring:
 
     def test_level3_table_is_the_fiber_zero_rotations(self):
         grid = grids.so3_healpix(3)
-        table = estimation.fiber_table(grid, 6)
+        table = fibers.fiber_table(grid, 6)
         assert table.base_psi.shape == (768, 455)
         assert table.trig.shape == (13, 48)
         # columns in |n| class order: a permutation of the harmonic vector
@@ -291,7 +291,7 @@ class TestFactoredScoring:
         fake = grids.SO3Grid(kind="healpix_hopf",
                              rotations=sample_uniform_matrices(32, count),
                              nominal_resolution_deg=30.0, level=1)
-        assert estimation.fiber_table(fake, 4) is None
+        assert fibers.fiber_table(fake, 4) is None
         preds = np.random.default_rng(32).normal(size=(3, wigner.m_total(4)))
         with pytest.raises(ValueError, match="table"):
             decode_poses(preds, fake)
@@ -308,8 +308,8 @@ class TestFactoredScoring:
         mats[300] = mats[300] @ rot_y(1e-6)
         moved = grids.SO3Grid(kind="healpix_hopf", rotations=mats,
                               nominal_resolution_deg=30.0, level=1)
-        assert estimation.fiber_table(grid, 4) is not None
-        assert estimation.fiber_table(moved, 4) is None
+        assert fibers.fiber_table(grid, 4) is not None
+        assert fibers.fiber_table(moved, 4) is None
 
 
 class TestDecodePoses:
@@ -344,7 +344,7 @@ class TestDecodePoses:
     def test_thousand_level3_queries_in_bounded_memory(self, monkeypatch):
         # criterion 05's queries in one call: the (1000, 36864) score
         # array alone would be 295 MB
-        monkeypatch.setattr(estimation, "fiber_table_cache", LRUCache(6))
+        monkeypatch.setattr(fibers, "fiber_table_cache", LRUCache(6))
         queries = sample_uniform_matrices(5, 1000)
         psis = wigner.rotations_to_psi(queries, 6)
         grid = grids.so3_healpix(3)

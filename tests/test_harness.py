@@ -1,5 +1,6 @@
 """Dataset generation, training loop, evaluation, checkpoints, and CLI."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from so3harmonics import estimation, grids, harmonics, harness, wigner
+from so3harmonics import cli, estimation, grids, harmonics, harness, wigner
+from so3harmonics.binio import read_blob, write_blob
 from so3harmonics.harness import (DivergenceError, RunConfig, evaluate,
                                   gen_dataset, load_checkpoint, load_dataset,
                                   params_to_matrices, save_checkpoint,
@@ -449,13 +451,19 @@ class TestCli:
         # the level-0 ReLU grid (72 rotations) cannot certify at L = 4
         bad_cfg = tmp_path / "bad.json"
         bad_cfg.write_text(json.dumps({"bandlimit": 4, "nonlin_level": 0}))
+        # a dataset whose indices run past its samples
+        bad_ds = str(tmp_path / "bad_ds.bin")
+        kind, meta, arrays = read_blob(ds_path)
+        write_blob(bad_ds, kind, meta, {**arrays, "train_idx": arrays["train_idx"] + 100})
         evaluate = ["eval", "--dataset", ds_path, "--checkpoint"]
         cases = [([*evaluate, ckpt, "--infer-level", "5"], "--grad-ascent"),
                  ([*evaluate, ds_path], f"{ds_path}: kind 'dataset'"),
                  ([*evaluate, str(tmp_path / "none")], "No such file"),
                  (["train", "--config", str(bad_cfg), "--dataset", ds_path,
                    "--out", str(tmp_path / "bad.ckpt")],
-                  "nonlin_level 1 is the smallest")]
+                  "nonlin_level 1 is the smallest"),
+                 (["train", "--dataset", bad_ds, "--out", str(tmp_path / "b.ckpt")],
+                  f"{bad_ds}: train_idx")]
         # config files RunConfig rejects: a float level, an unknown head,
         # an unknown key and malformed JSON
         for name, text, message in [
@@ -502,6 +510,39 @@ class TestCli:
                         "--print-config", "--bandlimit", "2",
                         "--n-train-views", "3", "--n-test-views", "1")
         assert '"bandlimit": 2' in out
+
+    # a value other than the default for every config flag
+    FLAG_VALUES = {"--bandlimit": 3, "--dataset-kind": "image",
+                   "--n-train-views": 3, "--n-test-views": 1, "--epochs": 7,
+                   "--learning-rate": 0.5, "--batch-size": 5,
+                   "--loss-kind": "huber", "--head": "euler",
+                   "--infer-level": 2, "--input-noise": 0.25,
+                   "--grad-ascent-steps": 4, "--data-seed": 11,
+                   "--init-seed": 12, "--train-seed": 13}
+
+    def test_every_config_flag_reaches_its_field(self, tmp_path):
+        parser = argparse.ArgumentParser()
+        cli._add_config_flags(parser)
+        dests = {a.option_strings[0]: a.dest for a in parser._actions
+                 if a.dest not in ("help", "config", "print_config")}
+        assert set(dests) == set(self.FLAG_VALUES)
+        argv = [str(v) for item in self.FLAG_VALUES.items() for v in item]
+        out = self._run("gen-dataset", "--out", str(tmp_path / "x.bin"),
+                        "--print-config", *argv)
+        printed = json.loads(out[:out.index("\nwrote ")])
+        expect = RunConfig(**{dests[flag]: value
+                              for flag, value in self.FLAG_VALUES.items()})
+        assert printed == json.loads(expect.to_json())
+
+    def test_only_config_fields_enter_a_config(self):
+        # the eval-, grids- and convert-only arguments, and a name that
+        # is a RunConfig method rather than a field
+        args = argparse.Namespace(
+            command="eval", checkpoint="m.ckpt", dataset="d.bin",
+            grad_ascent=True, csv="e.csv", json_out="r.json", kind="random",
+            level=3, count=5, allow_large=True, out="g.bin", to="quaternion",
+            hash="x", config=None, print_config=False, bandlimit=None)
+        assert cli._load_config(args) == RunConfig()
 
     def test_check_command(self):
         out = self._run("check")

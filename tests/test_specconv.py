@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 
 from gradcheck import kink_safe_gradcheck
-from so3harmonics import grids, specconv, wigner
+from so3harmonics import fibers, grids, specconv, wigner
 from so3harmonics._cache import LRUCache
-from so3harmonics.estimation import LossConfig, fiber_table
+from so3harmonics.estimation import LossConfig
+from so3harmonics.fibers import FiberRelu, _relu_operator, fiber_table
 from so3harmonics.harmonics import (IllConditionedError, SphericalCoeffs,
                                     ridge_solver, synthesize)
 from so3harmonics.mapper import FeatureMap, MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
 from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
-                                   FiberRelu, _blocks, _grid_relu,
-                                   _grid_relu_backward, _relu_operator, backward,
-                                   default_nonlin_grid, forward, forward_trunk,
+                                   _blocks, backward, default_nonlin_grid,
+                                   forward, forward_trunk,
                                    init_toy_model, local_tap_rotations,
                                    s2_conv, so3_conv, so3_nonlinearity)
 
@@ -97,7 +97,7 @@ def einsum_backward_head_wigner(model, state, d_psi):
 
 def einsum_backward_trunk(model, state, d_hidden):
     L = model.bandlimit
-    d_flat_pre = _grid_relu_backward(d_hidden, state.relu_mask, state.relu)
+    d_flat_pre = state.relu.backward(d_hidden, state.relu_mask)
     d_spectra = []
     d_coeffs = np.zeros_like(state.coeffs)
     for l, d_pre in enumerate(_blocks(d_flat_pre, L)):
@@ -215,10 +215,10 @@ class TestNonlinearity:
                                  base.nominal_resolution_deg, level=1)
             ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, 2)
             op = _relu_operator(grid, 2)
-            out, mask = _grid_relu(x, op)
+            out, mask = op.forward(x)
             assert np.array_equal(mask, ref_mask), i
             assert_rows_close(out, ref_out)
-            assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
+            assert_rows_close(op.backward(d_out, mask), ref_back)
             del grid, op
 
     def test_approximate_equivariance(self):
@@ -264,8 +264,8 @@ class TestBatchedLayers:
         x = rng.normal(size=(25, 8, wigner.m_total(6)))
         d_out = rng.normal(size=x.shape)
         ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, 6)
-        out, mask = _grid_relu(x, op)
-        back = _grid_relu_backward(d_out, mask, op)
+        out, mask = op.forward(x)
+        back = op.backward(d_out, mask)
         assert mask.shape == ref_mask.shape
         assert np.array_equal(mask, ref_mask)
         assert_rows_close(out, ref_out)
@@ -349,25 +349,25 @@ class TestFiberRelu:
         def no_inverse(gram):
             raise AssertionError("Gram matrix inverted")
 
-        monkeypatch.setattr(specconv, "gram_ridge_inverse", no_inverse)
+        monkeypatch.setattr(fibers, "gram_ridge_inverse", no_inverse)
         with pytest.raises(IllConditionedError, match="couples its"):
             _relu_operator(grids.so3_healpix(0), 4)
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     @pytest.mark.parametrize("bandlimit", range(1, 7))
     def test_closed_form_gram_matches_dense_table(self, level, bandlimit):
-        # the class blocks of FiberTable.gram against A^T A of the dense
-        # psi table, columns in class order; where the grid certifies,
-        # T and A^T A vanish off the class blocks
+        # the closed-form class blocks of the ReLU build against A^T A of
+        # the dense psi table, columns in class order; where the grid
+        # certifies, T and A^T A vanish off the class blocks
         grid = grids.so3_healpix(level)
         table = fiber_table(grid, bandlimit)
         a = wigner.rotations_to_psi(grid.rotations, bandlimit)[:, table.order]
         dense = a.T @ a
-        blocks = table.class_blocks()
-        t, grams = table.gram(blocks)
+        t = table.trig @ table.trig.T
+        grams = fibers._class_grams(t, table, fibers._class_tables(table))
         scale = np.max(np.abs(dense))
         off = dense.copy()
-        for (_, cols, _), gram in zip(blocks, grams):
+        for (_, _, cols), gram in zip(fibers._classes(table.bounds), grams):
             assert np.max(np.abs(gram - dense[cols, cols])) <= 1e-13 * scale
             off[cols, cols] = 0.0
         if bandlimit <= self.CERTIFIED_UP_TO[level]:
@@ -391,16 +391,16 @@ class TestFiberRelu:
         rng = np.random.default_rng(26)
         x = rng.normal(size=(7, wigner.m_total(4)))
         d_out = rng.normal(size=x.shape)
-        ref_out, ref_mask = _grid_relu(x, op)
-        ref_back = _grid_relu_backward(d_out, ref_mask, op)
+        ref_out, ref_mask = op.forward(x)
+        ref_back = op.backward(d_out, ref_mask)
         for rows_per_chunk in (1, 3):
             coefficients = len(op.trig) * op.u[0].shape[1]  # J N per row
-            monkeypatch.setattr(specconv, "_RELU_CHUNK_BYTES",
+            monkeypatch.setattr(fibers, "_RELU_CHUNK_BYTES",
                                 rows_per_chunk * 8 * coefficients)
-            out, mask = _grid_relu(x, op)
+            out, mask = op.forward(x)
             assert np.array_equal(mask, ref_mask)
             assert_rows_close(out, ref_out)
-            assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
+            assert_rows_close(op.backward(d_out, mask), ref_back)
 
     def test_memory_stays_within_the_row_chunks(self):
         # a whole split of 100 views at C_h = 8 runs through the ReLU at
@@ -411,12 +411,12 @@ class TestFiberRelu:
         d_out = rng.normal(size=x.shape)
         tracemalloc.start()
         try:
-            out, mask = _grid_relu(x, op)
-            _grid_relu_backward(d_out, mask, op)
+            out, mask = op.forward(x)
+            op.backward(d_out, mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * specconv._RELU_CHUNK_BYTES
+        assert peak < 3 * fibers._RELU_CHUNK_BYTES
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     @pytest.mark.parametrize("bandlimit", [1, 2, 4, 6])
@@ -434,10 +434,10 @@ class TestFiberRelu:
         ref_out, ref_mask, ref_back = dense_relu(x, d_out, grid, bandlimit)
         op = _relu_operator(grid, bandlimit)
         assert isinstance(op, FiberRelu)
-        out, mask = _grid_relu(x, op)
+        out, mask = op.forward(x)
         assert np.array_equal(mask, ref_mask)
         assert_rows_close(out, ref_out)
-        assert_rows_close(_grid_relu_backward(d_out, mask, op), ref_back)
+        assert_rows_close(op.backward(d_out, mask), ref_back)
 
     @pytest.mark.parametrize("kind", ["random", "moved"])
     def test_random_and_moved_grids_are_rejected(self, kind):
@@ -458,7 +458,7 @@ class TestFiberRelu:
         def no_table(*args, **kwargs):
             raise AssertionError("dense psi table built")
 
-        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+        monkeypatch.setattr(fibers, "nonlin_operator_cache", LRUCache(8))
         monkeypatch.setattr(grids.SO3Grid, "with_psi_table", no_table)
         model6 = init_toy_model(2, 6, in_channels=2)
         sphere = grids.healpix_s2(2)
@@ -469,7 +469,7 @@ class TestFiberRelu:
         assert grid.psi_table is None
         op = _relu_operator(grid, 6)
         assert state.relu is op and isinstance(op, FiberRelu)
-        assert specconv.nonlin_operator_cache.nbytes < 8e6  # dense A and P: 33.6 MB
+        assert fibers.nonlin_operator_cache.nbytes < 8e6  # dense A and P: 33.6 MB
 
     # the largest band limit at which each nonlin level's grid certifies
     # (Q = 72, 576, 4,608, 36,864), over L = 0..8
@@ -478,7 +478,7 @@ class TestFiberRelu:
     @pytest.mark.parametrize("bandlimit", range(9))
     def test_model_construction_rejects_uncertifiable_grids(self, monkeypatch,
                                                             bandlimit):
-        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+        monkeypatch.setattr(fibers, "nonlin_operator_cache", LRUCache(8))
         smallest = min(level for level, top in self.CERTIFIED_UP_TO.items()
                        if bandlimit <= top)
         for level, top in self.CERTIFIED_UP_TO.items():
@@ -527,7 +527,7 @@ print(per_step, faults() - start)
                     reason="the mmap threshold rule is glibc's")
 def test_hot_path_takes_no_page_faults():
     # a fresh process: earlier tests leave this one's malloc thresholds
-    # raised.  Without specconv._raise_mmap_threshold the ReLU's
+    # raised.  Without fibers._raise_mmap_threshold the ReLU's
     # coefficient buffer and the decode's score chunks are mapped afresh
     # on every call: 300-500 faults a step and 4,000-5,600 a decode.
     src = os.path.dirname(os.path.dirname(specconv.__file__))
