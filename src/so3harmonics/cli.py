@@ -23,8 +23,8 @@ import sys
 from . import __version__, binio, estimation, grids, harmonics, harness, rotations
 
 
-class ConfigError(Exception):
-    """A --config file or config flag that RunConfig rejects."""
+class InputError(Exception):
+    """A --config file, config flag or stdin line that a command rejects."""
 
 
 def _load_config(args) -> harness.RunConfig:
@@ -37,14 +37,14 @@ def _load_config(args) -> harness.RunConfig:
             cfg = harness.RunConfig()
     # an unknown key raises TypeError; JSONDecodeError is a ValueError
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     fields = {f.name for f in dataclasses.fields(harness.RunConfig)}
     flags = {name: val for name, val in vars(args).items()
              if name in fields and val is not None}
     try:
         cfg = dataclasses.replace(cfg, **flags)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise InputError(str(exc)) from None
     if getattr(args, "print_config", False):
         print(cfg.to_json())
     return cfg
@@ -86,7 +86,8 @@ def cmd_train(args) -> int:
     ds = harness.load_dataset(args.dataset)
     model, log = harness.train(cfg, ds)
     harness.save_checkpoint(args.out, model, cfg)
-    print(f"trained {cfg.epochs} epochs; final loss {log[-1]['loss']:.6g}")
+    final = f"; final loss {log[-1]['loss']:.6g}" if log else ""
+    print(f"trained {cfg.epochs} epochs{final}")
     print(f"wrote {args.out}")
     return 0
 
@@ -109,9 +110,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grids(args) -> int:
-    g = grids.so3_grid(args.kind, args.level, args.count, args.data_seed or 0,
+    g = grids.so3_grid(args.kind, args.level, args.count, args.data_seed,
                        args.allow_large)
-    if args.bandlimit:
+    if args.bandlimit is not None:
         g = g.with_psi_table(args.bandlimit)
     grids.save_grid(args.out, g)
     print(f"wrote {args.out}: {g.size} rotations, "
@@ -120,9 +121,14 @@ def cmd_grids(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    text = sys.stdin.read()
-    for line in filter(None, (t.strip() for t in text.splitlines())):
-        r = rotations.rotation_from_json(line)
+    for number, line in enumerate(sys.stdin.read().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            r = rotations.rotation_from_json(line)
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise InputError(f"stdin line {number}: {what}") from None
         print(rotations.rotation_to_json(rotations.convert(r, args.to)))
     return 0
 
@@ -187,7 +193,7 @@ def main(argv=None) -> int:
     p.add_argument("--bandlimit", type=int,
                    help="also precompute harmonic vectors")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--data-seed", dest="data_seed", type=int)
+    p.add_argument("--data-seed", dest="data_seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grids)
 
@@ -209,7 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (binio.IncompatibleFileError, ConfigError, grids.ResourceLimitError,
+    except (binio.IncompatibleFileError, InputError, grids.ResourceLimitError,
             harmonics.IllConditionedError, harness.DivergenceError,
             OSError) as exc:  # a bad file, path or setting, as argparse does
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ HEAD_DIMS = {"euler": 3, "quaternion": 4, "axis_angle": 4, "rotmat": 9}
 
 # The value types RunConfig accepts for its integer fields, by annotation
 # (a string, under ``from __future__ import annotations``): 2.0 or True
-# is not a level, a band limit or a count.
+# is not a level, a band limit or a count, and neither is -1.
 _INT_FIELD_TYPES = {"int": (int,), "int | None": (int, type(None))}
 
 
@@ -101,8 +101,11 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(value) not in _INT_FIELD_TYPES.get(f.type, (type(value),)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in _INT_FIELD_TYPES and (
+                    type(value) not in _INT_FIELD_TYPES[f.type]
+                    or value is not None and value < 0):
+                raise ValueError(f"{f.name} must be an integer >= 0, "
+                                 f"got {value!r}")
         if self.head not in ("wigner",) + tuple(HEAD_DIMS):
             raise ValueError(f"unknown head kind {self.head!r}")
         if self.dataset_kind not in ("spherical", "image"):

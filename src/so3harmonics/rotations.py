@@ -332,6 +332,8 @@ def rotation_to_json(r) -> str:
 
 def rotation_from_json(text: str):
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "euler_zyz":
         return EulerZYZ(obj["alpha"], obj["beta"], obj["gamma"])

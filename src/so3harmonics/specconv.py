@@ -26,11 +26,12 @@ the same layer functions the equivariance tests check.
   certify at its band limit, when it is built (``nonlin_operator``):
   level 0 certifies L <= 2, level 1 L <= 5, and levels 2 and 3 L <= 8.
 
-The toy network chains: lift/analysis of each input channel to harmonic
-coefficients (one linear operator per input kind), channel mixer, sphere
-convolution, grid ReLU, group convolution, and flattens the single output
-channel into a harmonic vector.  Gradients are reverse-mode, propagated
-by hand through the (almost entirely linear) stages.
+The toy network chains: lift of each input channel to harmonic
+coefficients (ridge analysis of a sphere signal, fixed adjoint
+projection of an image), channel mixer, sphere convolution, grid ReLU,
+group convolution, and flattens the single output channel into a
+harmonic vector.  Gradients are reverse-mode, propagated by hand
+through the (almost entirely linear) stages.
 """
 
 from __future__ import annotations
@@ -40,16 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mapper as mapper_mod
 from ._cache import LRUCache
 from .estimation import LossConfig, loss_and_grad
 from .fibers import FiberRelu, _relu_operator
 from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
 from .harmonics import (IllConditionedError, PointSet, SphericalSignal,
-                        analysis_matrix)
+                        analysis_matrix, design_matrix)
 # unused here; perfbench's tracer tests call it through this module
 from .harmonics import ridge_solver  # noqa: F401
-from .mapper import FeatureMap, MapperConfig
+from .mapper import FeatureMap, MapperConfig, lift
 from .rotations import axis_angles_to_matrices
 from .wigner import (HarmonicVector, bandlimit_of, block_offsets, m_total,
                      rotations_to_psi)
@@ -341,26 +341,13 @@ class TrunkState:
     relu: FiberRelu                 # the grid ReLU's operator
 
 
-# Train-mode image draws tried per call.  At the CLI defaults 7 in 44,000
-# dropout draws keep points whose design exceeds MAX_CONDITION.
-IMAGE_DRAWS = 8
-
-
 def _image_operator(cfg: MapperConfig, shape: tuple[int, int], mode: str,
                     seed: int, bandlimit: int) -> np.ndarray:
-    """Analysis on the points ``mapper.lift`` keeps, times their weights.
-
-    Draw 0 uses ``seed``; draw d >= 1 uses a seed hashed from (seed, d).
-    """
-    for draw in range(IMAGE_DRAWS):
-        draw_seed = seed if draw == 0 else int(
-            np.random.SeedSequence((seed, draw)).generate_state(1)[0])
-        points, weights = mapper_mod.lift(cfg, *shape, mode, draw_seed)
-        try:
-            return analysis_matrix(points, bandlimit) @ weights
-        except IllConditionedError:
-            if mode != "train" or draw == IMAGE_DRAWS - 1:
-                raise
+    """Adjoint projection of the points ``mapper.lift`` keeps, times their
+    weights: each of the n kept points carries 2 pi / n, its share of the
+    hemisphere's area, as its quadrature weight."""
+    points, weights = lift(cfg, *shape, mode, seed)
+    return (2.0 * np.pi / points.size) * design_matrix(points, bandlimit).T @ weights
 
 
 def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
@@ -373,12 +360,11 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     Each kind lifts every input channel to coefficients with one linear
     ``op``.  'spherical': values (B, C_in, p) or (C_in, p) on ``grid``;
     ``op`` is the ridge analysis there.  'image': values (B, C_in, H, W)
-    or (C_in, H, W); ``op`` is the analysis on the points ``mapper.lift``
-    keeps through ``cfg`` in ``mode`` 'train' (seeded point dropout) or
-    'eval', times its weights.  A train-mode draw whose kept points give
-    an ill-conditioned analysis is replaced by the next draw of a fixed
-    sequence seeded from ``seed`` (at most ``IMAGE_DRAWS`` draws); a draw
-    that passes is used as it is.  The mixer then acts on coefficients.
+    or (C_in, H, W); ``op`` is the area-weighted adjoint projection of
+    the points ``mapper.lift`` keeps through ``cfg`` in ``mode`` 'train'
+    (seeded point dropout) or 'eval', times its weights; it solves no
+    system, so every draw is used as drawn.  The mixer then acts on
+    coefficients.
     """
     L = model.bandlimit
     if np.iscomplexobj(values):

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from gradcheck import kink_safe_gradcheck
-from so3harmonics import fibers, grids, specconv, wigner
+from so3harmonics import fibers, grids, mapper, specconv, wigner
 from so3harmonics._cache import LRUCache
 from so3harmonics.estimation import LossConfig
 from so3harmonics.fibers import FiberRelu, _relu_operator, fiber_table
 from so3harmonics.harmonics import (IllConditionedError, SphericalCoeffs,
-                                    ridge_solver, synthesize)
+                                    design_matrix, ridge_solver, synthesize)
+from so3harmonics.harness import RunConfig
 from so3harmonics.mapper import FeatureMap, MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
@@ -586,20 +587,36 @@ class TestForward:
         assert len(psi_eval.data) == wigner.m_total(L)
         assert not np.array_equal(psi_eval.data, psi_train.data)
 
-    def test_ill_conditioned_dropout_draw_is_redrawn(self, monkeypatch):
+    def test_ill_conditioned_dropout_draw_is_used_as_drawn(self):
         # the kept points of this train-mode draw (step 229 of seed 37's
-        # image benchmark run) give a design with condition > 1e8
+        # image benchmark run) give a design with condition > 1e8, which
+        # no ridge analysis inverts; the adjoint lift uses them as drawn
         model6 = init_toy_model(0, 6, in_channels=3)
         cfg = MapperConfig(grids.healpix_s2(2, "hemisphere"), 0.5)
         values = np.random.default_rng(25).normal(size=(2, 3, 32, 32))
         seed = 37 * 100003 + 229
-        hidden, _ = forward_trunk(model6, "image", values, cfg=cfg,
-                                  mode="train", seed=seed)
-        assert np.all(np.isfinite(hidden))
-        monkeypatch.setattr(specconv, "IMAGE_DRAWS", 1)
+        points, weights = mapper.lift(cfg, 32, 32, "train", seed)
+        design = design_matrix(points, 6)
         with pytest.raises(IllConditionedError):
-            forward_trunk(model6, "image", values, cfg=cfg, mode="train",
-                          seed=seed)
+            ridge_solver(design)
+        adjoint = 2.0 * np.pi / points.size * design.T @ weights
+        hidden, state = forward_trunk(model6, "image", values, cfg=cfg,
+                                      mode="train", seed=seed)
+        assert np.allclose(state.lifted, values.reshape(2, 3, -1) @ adjoint.T,
+                           rtol=1e-12, atol=1e-15)
+        assert np.all(np.isfinite(hidden))
+
+    def test_image_operator_norm_at_most_one(self):
+        # at the CLI defaults, in eval mode and over 200 dropout draws
+        cfg = RunConfig(dataset_kind="image")
+        mcfg = MapperConfig(grids.healpix_s2(cfg.mapper_level, "hemisphere"),
+                            cfg.dropout_fraction, cfg.edge_decay,
+                            cfg.sample_count)
+        shape = (cfg.image_size, cfg.image_size)
+        draws = [("eval", 0)] + [("train", seed) for seed in range(200)]
+        norms = [np.linalg.norm(specconv._image_operator(
+            mcfg, shape, mode, seed, cfg.bandlimit), 2) for mode, seed in draws]
+        assert max(norms) <= 1.0
 
     @pytest.mark.parametrize("kind", ["spherical", "image"])
     def test_one_sample_equals_batch_row(self, model, kind):
