@@ -110,6 +110,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grids(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise InputError(f"--count must be >= 1, got {args.count}")
     g = grids.so3_grid(args.kind, args.level, args.count, args.data_seed,
                        args.allow_large)
     if args.bandlimit is not None:

@@ -50,8 +50,14 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.softmax_temperature <= 0:
-            raise ValueError("softmax temperature must be positive")
+        # comparisons written so that NaN fails
+        for name in ("huber_delta", "softmax_temperature"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0 <= self.ce_lambda < np.inf:
+            raise ValueError(f"ce_lambda must be finite and >= 0, "
+                             f"got {self.ce_lambda!r}")
         w = (default_level_weights(self.bandlimit)
              if self.level_weights is None
              else np.asarray(self.level_weights, dtype=float))
@@ -80,18 +86,9 @@ class PoseDistribution:
         object.__setattr__(self, "probs", probs)
 
 
-def _flat(v) -> np.ndarray:
-    return v.data if isinstance(v, wigner.HarmonicVector) else np.asarray(v, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Losses (value + gradient with respect to the prediction)
 # ---------------------------------------------------------------------------
-
-def mse_loss(pred, gt, cfg: LossConfig) -> float:
-    """Weighted squared error over all vector entries."""
-    return loss_and_grad(pred, gt, replace(cfg, kind="mse"))[0]
-
 
 def _regression_loss_and_grad(pred: np.ndarray, gt: np.ndarray,
                               cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -125,13 +122,6 @@ def _regression_loss_and_grad(pred: np.ndarray, gt: np.ndarray,
     raise ValueError(f"not a regression loss: {cfg.kind!r}")
 
 
-def distribution_ce_loss(pred, gt_rotation, grid: SO3Grid,
-                         cfg: LossConfig) -> float:
-    """Cross-entropy of the grid softmax against the nearest-bin label."""
-    return loss_and_grad(pred, None, replace(cfg, kind="distribution_ce"),
-                         gt_rotation, grid)[0]
-
-
 def _ce_loss_and_grad(pred: np.ndarray, gt_rotation, grid: SO3Grid | None,
                       cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-row cross-entropies (B,) against the nearest-bin labels of
@@ -162,11 +152,11 @@ def loss_and_grad(pred, gt, cfg: LossConfig, gt_rotation=None,
     divided by B.  The cross-entropy kinds need ``grid`` with its psi
     table and the ground-truth rotation(s) ``gt_rotation``.
     """
-    pred = _flat(pred)
+    pred = np.asarray(pred, dtype=float)
     rows = np.atleast_2d(pred)
     if cfg.kind != "distribution_ce" and gt is None:
         raise ValueError(f"{cfg.kind} loss needs the ground-truth vector")
-    gt_rows = None if gt is None else np.atleast_2d(_flat(gt))
+    gt_rows = None if gt is None else np.atleast_2d(np.asarray(gt, dtype=float))
     if cfg.kind == "distribution_ce":
         values, grads = _ce_loss_and_grad(rows, gt_rotation, grid, cfg)
     elif cfg.kind == "mse_plus_ce":
@@ -215,7 +205,7 @@ def infer_distribution(pred, grid: SO3Grid,
     """Softmax over grid similarities of one vector (M,) or a batch (B, M)."""
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    flat = _flat(pred)
+    flat = np.asarray(pred, dtype=float)
     probs = _scores(np.atleast_2d(flat), grid)
     probs /= temperature
     probs -= probs.max(axis=-1, keepdims=True)
@@ -270,7 +260,7 @@ def decode_poses(pred, grid: SO3Grid, temperature: float = 1.0) -> PoseReadout:
     """
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    rows = np.atleast_2d(_flat(pred))
+    rows = np.atleast_2d(np.asarray(pred, dtype=float))
     step = max(1, fibers._CHUNK_BYTES // (8 * grid.size))
     idx, top1, entropy, margin = map(np.concatenate, zip(*(
         _decode_chunk(rows[i:i + step], grid, temperature)
@@ -293,25 +283,27 @@ def _tangent_weights(rows: np.ndarray) -> np.ndarray:
 
 
 def gradient_ascent_pose(pred, start, steps: int = 20,
-                         lr: float = 1e-3) -> RotationMatrix | np.ndarray:
+                         lr: float = 1e-3) -> np.ndarray:
     """Refine poses by gradient ascent of <psi(R), pred> on SO(3).
 
-    (M,) with a RotationMatrix start gives a RotationMatrix; (B, M) with
-    (B, 3, 3) starts gives (B, 3, 3).  Steps R <- R exp(eta [g]x) use the
-    exact derivatives g_k along the generators K_k (arXiv 1812.01537).
-    Per row, eta starts at ``lr``, grows 1.5x on improvement, else halves;
+    Takes predictions (B, M) and starts (B, 3, 3), and returns the
+    refined (B, 3, 3).  Steps R <- R exp(eta [g]x) use the exact
+    derivatives g_k along the generators K_k (arXiv 1812.01537).  Per
+    row, eta starts at ``lr``, grows 1.5x on improvement, else halves;
     a row stops after ``steps`` moves or 8 failures in a row.  Only
     improvements are accepted, so no row scores below its start.
     """
-    flat = _flat(pred)
-    rows = np.atleast_2d(flat)
+    rows = np.asarray(pred, dtype=float)
+    r = np.array(start, dtype=float)
+    if rows.ndim != 2 or r.shape != (len(rows), 3, 3):
+        raise ValueError("need predictions (B, M) and starts (B, 3, 3), "
+                         f"got {rows.shape} and {r.shape}")
     bandlimit, q = wigner.bandlimit_of(rows.shape[-1]), _tangent_weights(rows)
 
     def score_and_grad(r, sel):
         psi = wigner.rotations_to_psi(r, bandlimit)
         return np.sum(psi * rows[sel], axis=1), (q[sel] @ psi[:, :, None])[:, :, 0]
 
-    r = np.array(getattr(start, "m", start), dtype=float).reshape(-1, 3, 3)
     score, grad = score_and_grad(r, slice(None))
     eta = np.full(len(rows), float(lr))
     moves, fails = np.zeros((2, len(rows)), dtype=int)
@@ -329,7 +321,7 @@ def gradient_ascent_pose(pred, start, steps: int = 20,
         moves[acc] += 1
         fails[live] = np.where(up, 0, fails[live] + 1)
         live = live[(moves[live] < steps) & (fails[live] < 8)]
-    return RotationMatrix(r[0]) if flat.ndim == 1 else r
+    return r
 
 
 # ---------------------------------------------------------------------------

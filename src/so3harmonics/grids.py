@@ -180,7 +180,7 @@ def so3_grid(kind: str, level: int, count: int | None = None, seed: int = 0,
     ``level``) sizes a random or super-Fibonacci grid."""
     if kind == "healpix_hopf":
         return so3_healpix(level, allow_large)
-    n = count or so3_healpix_count(level)
+    n = count if count is not None else so3_healpix_count(level)
     if kind == "random":
         return so3_random(seed, n)
     if kind == "super_fibonacci":

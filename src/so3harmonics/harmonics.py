@@ -139,22 +139,6 @@ class SphericalSignal:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise basis functions
-# ---------------------------------------------------------------------------
-
-def sph_harm_real(l: int, m: int, theta, phi) -> float | np.ndarray:
-    """Real orthonormal Y_l^m on broadcast (theta, phi): cosine for m > 0,
-    sine for m < 0; column l^2 + l + m of the design matrix."""
-    if abs(m) > l:
-        raise ValueError(f"need |m| <= l, got l={l}, m={m}")
-    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                 np.asarray(phi, dtype=float))
-    grid = PointSet(th.ravel(), ph.ravel())
-    vals = _build_design(grid, l)[:, l * l + l + m].reshape(th.shape)
-    return vals[()] if th.ndim == 0 else vals
-
-
-# ---------------------------------------------------------------------------
 # Design matrices / analysis / synthesis
 # ---------------------------------------------------------------------------
 

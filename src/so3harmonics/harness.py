@@ -112,7 +112,7 @@ class RunConfig:
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        self.loss_config()  # rejects an unknown loss kind or temperature <= 0
+        self.loss_config()  # rejects an unknown loss kind or bad loss setting
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.bandlimit, self.loss_kind,
@@ -484,7 +484,7 @@ def inference_grid(level: int, bandlimit: int, kind: str = "healpix_hopf",
             "below and refine the argmax by gradient ascent instead "
             "(eval --grad-ascent, RunConfig.grad_ascent_steps), which is "
             "more precise and much cheaper")
-    n = count or grids.so3_healpix_count(level)
+    n = count if count is not None else grids.so3_healpix_count(level)
     # only the parameters the grid kind uses enter the key
     key = {"healpix_hopf": (level,), "random": (n, seed)}.get(kind, (n,))
     def build() -> SO3Grid:

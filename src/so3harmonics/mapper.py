@@ -17,26 +17,7 @@ from math import ceil
 import numpy as np
 
 from .grids import S2Grid
-from .harmonics import PointSet, SphericalSignal
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    """Channel-first planar features over the square [-1, 1]^2."""
-
-    values: np.ndarray  # (C, H, W)
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.ndim != 3:
-            raise ValueError(f"expected (C, H, W) values, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature map values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
+from .harmonics import PointSet
 
 
 @dataclass(frozen=True)
@@ -109,7 +90,7 @@ def lift(cfg: MapperConfig, height: int, width: int, mode: str = "eval",
     times its edge weight.
 
     Eval mode keeps all vertices; train mode keeps the seeded subset of
-    ``sample_mask``.  Vertices cannot project outside the image: the
+    ``sample_mask``.  Vertices cannot land outside the image: the
     hemisphere is contained in the unit disk.
     """
     if mode not in ("train", "eval"):
@@ -122,11 +103,3 @@ def lift(cfg: MapperConfig, height: int, width: int, mode: str = "eval",
     weights = (edge_weights(pts, cfg.edge_decay)[:, None]
                * bilinear_matrix(pts[:, :2], height, width))
     return cfg.grid.take(kept), weights
-
-
-def project(f: FeatureMap, cfg: MapperConfig, rng_seed: int = 0,
-            mode: str = "eval") -> SphericalSignal:
-    """Lift a feature map to a spherical signal on the kept grid vertices."""
-    _, height, width = f.values.shape
-    points, weights = lift(cfg, height, width, mode, rng_seed)
-    return SphericalSignal(points, f.values.reshape(f.channels, -1) @ weights.T)

@@ -31,16 +31,6 @@ def _wrap_pi(angle: float) -> float:
     return float((angle + np.pi) % _TWO_PI - np.pi)
 
 
-def rot_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 @dataclass(frozen=True)
 class EulerZYZ:
     alpha: float
@@ -158,12 +148,6 @@ def matrix_to_axis_angle(r: RotationMatrix) -> AxisAngle:
     """Axis and angle of a matrix; angle 0 returns axis (0, 0, 1)."""
     axes, angles = matrices_to_axis_angles(r.m[None])
     return AxisAngle(axes[0], angles[0])
-
-
-def geodesic_distance(r1: RotationMatrix, r2: RotationMatrix) -> float:
-    """Rotation angle of r1 r2^T in radians: arccos((trace - 1) / 2)."""
-    t = float(np.sum(r1.m * r2.m))
-    return float(np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +288,6 @@ def sample_uniform_matrices(rng_seed: int, n: int) -> np.ndarray:
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     return quats_to_matrices(q)
-
-
-def sample_uniform(rng_seed: int, n: int) -> list[RotationMatrix]:
-    """Haar-uniform rotations, deterministic for a given seed."""
-    return [RotationMatrix(m) for m in sample_uniform_matrices(rng_seed, n)]
 
 
 # ---------------------------------------------------------------------------

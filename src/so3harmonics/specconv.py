@@ -30,7 +30,10 @@ The toy network chains: lift of each input channel to harmonic
 coefficients (ridge analysis of a sphere signal, fixed adjoint
 projection of an image), channel mixer, sphere convolution, grid ReLU,
 group convolution, and flattens the single output channel into a
-harmonic vector.  Gradients are reverse-mode, propagated by hand
+harmonic vector.  The model functions take batches only: a prediction
+is ``forward_trunk`` then ``head_wigner``, and a training step adds
+``estimation.loss_and_grad``, ``backward_head_wigner`` and
+``backward_trunk``.  Gradients are reverse-mode, propagated by hand
 through the (almost entirely linear) stages.
 """
 
@@ -42,17 +45,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._cache import LRUCache
-from .estimation import LossConfig, loss_and_grad
 from .fibers import FiberRelu, _relu_operator
 from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
-from .harmonics import (IllConditionedError, PointSet, SphericalSignal,
-                        analysis_matrix, design_matrix)
+from .harmonics import (IllConditionedError, PointSet, analysis_matrix,
+                        design_matrix)
 # unused here; perfbench's tracer tests call it through this module
 from .harmonics import ridge_solver  # noqa: F401
-from .mapper import FeatureMap, MapperConfig, lift
+from .mapper import MapperConfig, lift
 from .rotations import axis_angles_to_matrices
-from .wigner import (HarmonicVector, bandlimit_of, block_offsets, m_total,
-                     rotations_to_psi)
+from .wigner import block_offsets, m_total, rotations_to_psi
 
 
 @dataclass
@@ -233,11 +234,6 @@ def so3_conv(x: np.ndarray, f: LocalSO3Filter) -> np.ndarray:
 nonlin_grid_cache = LRUCache(LARGE_GRID_LEVEL)
 
 
-def so3_nonlinearity(x: np.ndarray, grid: SO3Grid) -> np.ndarray:
-    """Grid ReLU of group signals (..., C, M), band limit read from M."""
-    return _relu_operator(grid, bandlimit_of(x.shape[-1])).forward(x)[0]
-
-
 def default_nonlin_grid(level: int = 2) -> SO3Grid:
     return nonlin_grid_cache.get(level, lambda: so3_healpix(level))
 
@@ -318,13 +314,6 @@ def init_toy_model(seed: int, bandlimit: int, in_channels: int,
 
 
 @dataclass
-class ParamGrads:
-    mixer: np.ndarray
-    s2_spectra: list[np.ndarray]
-    so3_weights: np.ndarray | None = None
-
-
-@dataclass
 class TrunkState:
     """Intermediates needed to backpropagate through the trunk.
 
@@ -357,14 +346,14 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
                   ) -> tuple[np.ndarray, TrunkState]:
     """Run lift/analysis/mixer/sphere-conv/ReLU; returns hidden (B, C_h, M).
 
-    Each kind lifts every input channel to coefficients with one linear
-    ``op``.  'spherical': values (B, C_in, p) or (C_in, p) on ``grid``;
-    ``op`` is the ridge analysis there.  'image': values (B, C_in, H, W)
-    or (C_in, H, W); ``op`` is the area-weighted adjoint projection of
-    the points ``mapper.lift`` keeps through ``cfg`` in ``mode`` 'train'
-    (seeded point dropout) or 'eval', times its weights; it solves no
-    system, so every draw is used as drawn.  The mixer then acts on
-    coefficients.
+    Takes batches only; a single input is a batch of one.  Each kind
+    lifts every input channel to coefficients with one linear ``op``.
+    'spherical': values (B, C_in, p) on ``grid``; ``op`` is the ridge
+    analysis there.  'image': values (B, C_in, H, W); ``op`` is the
+    area-weighted adjoint projection of the points ``mapper.lift`` keeps
+    through ``cfg`` in ``mode`` 'train' (seeded point dropout) or
+    'eval', times its weights; it solves no system, so every draw is
+    used as drawn.  The mixer then acts on coefficients.
     """
     L = model.bandlimit
     if np.iscomplexobj(values):
@@ -373,14 +362,16 @@ def forward_trunk(model: ToyModel, kind: str, values: np.ndarray,
     if kind == "spherical":
         if grid is None:
             raise ValueError("spherical input needs its point set")
-        if values.ndim == 2:
-            values = values[None]
+        if values.ndim != 3:
+            raise ValueError("spherical values must have shape (B, C_in, p), "
+                             f"got {values.shape}")
         op = analysis_matrix(grid, L)
     elif kind == "image":
         if cfg is None:
             raise ValueError("image input needs a mapper config")
-        if values.ndim == 3:
-            values = values[None]
+        if values.ndim != 4:
+            raise ValueError("image values must have shape (B, C_in, H, W), "
+                             f"got {values.shape}")
         op = _image_operator(cfg, values.shape[-2:], mode, seed, L)
     else:
         raise ValueError(f"unknown input kind: {kind!r}")
@@ -433,45 +424,3 @@ def backward_head_wigner(model: ToyModel, state: TrunkState,
         dxb[...] = _channel_gemm(d_out, h.transpose(0, 2, 1, 3))
         dhb[...] = _channel_gemm_grad(d_out, xb).transpose(0, 2, 1, 3)
     return d_hidden, d_filter @ model.so3.tap_psi.T
-
-
-# ---------------------------------------------------------------------------
-# Single-sample convenience API
-# ---------------------------------------------------------------------------
-
-def _trunk_one(model: ToyModel, f, cfg: MapperConfig | None, mode: str,
-               seed: int) -> tuple[np.ndarray, TrunkState]:
-    """forward_trunk on one feature map or sphere signal."""
-    if isinstance(f, FeatureMap):
-        return forward_trunk(model, "image", f.values, cfg=cfg,
-                             mode=mode, seed=seed)
-    if isinstance(f, SphericalSignal):
-        return forward_trunk(model, "spherical", f.values, grid=f.grid,
-                             mode=mode, seed=seed)
-    raise TypeError(f"unsupported input type: {type(f)}")
-
-
-def forward(model: ToyModel, f, cfg: MapperConfig | None = None,
-            mode: str = "eval", seed: int = 0) -> HarmonicVector:
-    """End-to-end prediction for one input (feature map or sphere signal).
-
-    The output stays in the frequency domain: the final group-signal
-    channel is flattened directly into a harmonic vector.
-    """
-    hidden, _ = _trunk_one(model, f, cfg, mode, seed)
-    psi = head_wigner(model, hidden)[0]
-    return HarmonicVector(model.bandlimit, psi)
-
-
-def backward(model: ToyModel, f, cfg: MapperConfig | None,
-             target: HarmonicVector, loss_cfg=None,
-             mode: str = "eval", seed: int = 0) -> tuple[float, ParamGrads]:
-    """Loss value and parameter gradients for one input/target pair."""
-    if loss_cfg is None:
-        loss_cfg = LossConfig(bandlimit=model.bandlimit)
-    hidden, state = _trunk_one(model, f, cfg, mode, seed)
-    psi = head_wigner(model, hidden)
-    value, d_psi = loss_and_grad(psi[0], target.data, loss_cfg)
-    d_hidden, d_w = backward_head_wigner(model, state, d_psi[None])
-    d_mixer, d_spectra = backward_trunk(model, state, d_hidden)
-    return value, ParamGrads(d_mixer, d_spectra, so3_weights=d_w)

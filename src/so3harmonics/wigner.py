@@ -84,30 +84,6 @@ class WignerBlock:
         object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class HarmonicVector:
-    """Flattened stack of real Wigner blocks for l = 0..L."""
-
-    bandlimit: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if np.iscomplexobj(self.data):
-            raise ValueError("harmonic vectors must be real")
-        data = np.ascontiguousarray(self.data, dtype=float)
-        if data.shape != (m_total(self.bandlimit),):
-            raise ValueError(
-                f"expected {m_total(self.bandlimit)} entries at "
-                f"L={self.bandlimit}, got {data.shape}")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-
-    def block(self, l: int) -> np.ndarray:
-        dim = 2 * l + 1
-        start = block_offsets(self.bandlimit)[l]
-        return self.data[start:start + dim * dim].reshape(dim, dim)
-
-
 # ---------------------------------------------------------------------------
 # Real blocks by recursion over the degree
 # ---------------------------------------------------------------------------
@@ -251,11 +227,6 @@ def wigner_D_real(l: int, r) -> WignerBlock:
     """Orthogonal degree-l block in the real harmonic basis."""
     d = wigner_block_stacks_real(_matrix_of(r)[None], l)[l][0]
     return WignerBlock(l, d)
-
-
-def rotation_to_psi(r, bandlimit: int) -> HarmonicVector:
-    """Harmonic vector of a single rotation (matrix, angles, quaternion...)."""
-    return HarmonicVector(bandlimit, rotations_to_psi(_matrix_of(r), bandlimit))
 
 
 # ---------------------------------------------------------------------------

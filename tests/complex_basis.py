@@ -13,7 +13,7 @@ import numpy as np
 
 from so3harmonics import wigner
 from so3harmonics.harmonics import PointSet, design_matrix
-from so3harmonics.rotations import rot_y
+from so3harmonics.rotations import zyz_to_matrices
 
 
 @lru_cache(maxsize=32)
@@ -43,7 +43,8 @@ def complex_block(l: int, d_real: np.ndarray) -> np.ndarray:
 def small_d_matrix(l: int, beta: float) -> np.ndarray:
     """Small-d matrix d^l(beta) indexed [m+l, n+l]; the complex block of
     Ry(beta) is its transpose."""
-    d = complex_block(l, wigner.wigner_D_real(l, rot_y(beta)).entries)
+    ry = zyz_to_matrices(0.0, beta, 0.0)
+    d = complex_block(l, wigner.wigner_D_real(l, ry).entries)
     return np.ascontiguousarray(d.real.T)
 
 

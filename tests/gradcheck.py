@@ -1,6 +1,11 @@
-"""Central-difference gradient checks that step around ReLU kinks."""
+"""Central-difference gradient checks that step around ReLU kinks, and the
+batched training chain they check."""
 
 import numpy as np
+
+from so3harmonics.estimation import loss_and_grad
+from so3harmonics.specconv import (backward_head_wigner, backward_trunk,
+                                   forward_trunk, head_wigner)
 
 
 def kink_safe_gradcheck(loss_and_mask, checks, rng, count, h=1e-5):
@@ -38,3 +43,19 @@ def kink_safe_gradcheck(loss_and_mask, checks, rng, count, h=1e-5):
             return worst, skipped
     raise AssertionError(f"only {checked} of {count} coordinates clear "
                          f"ReLU kinks in {2 * count} draws")
+
+
+def batch_loss_and_grads(model, kind, values, gt_psi, loss_cfg, **trunk_kw):
+    """One training step's chain on a batch, as ``harness.train`` runs it:
+    ``forward_trunk``, ``head_wigner``, ``loss_and_grad``,
+    ``backward_head_wigner``, ``backward_trunk``.
+
+    Returns (loss, {"mixer", "s2_spectra", "so3_weights"} gradients, the
+    trunk's ReLU mask).
+    """
+    hidden, state = forward_trunk(model, kind, values, **trunk_kw)
+    value, d_psi = loss_and_grad(head_wigner(model, hidden), gt_psi, loss_cfg)
+    d_hidden, d_weights = backward_head_wigner(model, state, d_psi)
+    d_mixer, d_spectra = backward_trunk(model, state, d_hidden)
+    grads = {"mixer": d_mixer, "s2_spectra": d_spectra, "so3_weights": d_weights}
+    return value, grads, state.relu_mask

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from complex_basis import small_d_matrix
-from gradcheck import kink_safe_gradcheck
+from gradcheck import batch_loss_and_grads, kink_safe_gradcheck
 from so3harmonics import estimation, grids, harness, rotations, wigner
 from so3harmonics.harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
                                     analyze, synthesize)
@@ -79,7 +79,8 @@ def test_criterion_02_shift_theorem():
 
 
 def test_criterion_03_layer_equivariance():
-    from so3harmonics.specconv import _blocks, init_toy_model, s2_conv, so3_conv
+    from so3harmonics.specconv import (_blocks, forward_trunk, head_wigner,
+                                       init_toy_model, s2_conv, so3_conv)
     L = 4
     model = init_toy_model(3, L, in_channels=3, mid_channels=4,
                            hidden_channels=6, tap_count=16)
@@ -108,19 +109,24 @@ def test_criterion_03_layer_equivariance():
             worst_lin = max(worst_lin, float(err))
 
     # end-to-end approximate equivariance under in-plane spins
-    from so3harmonics.specconv import forward
     grid = grids.healpix_s2(2)
     base = SphericalCoeffs(L, rng.normal(size=(3, 25)))
+
+    def predict(coeffs):
+        values = synthesize(coeffs, grid).values[None]
+        return head_wigner(model, forward_trunk(model, "spherical", values,
+                                                grid=grid)[0])[0]
+
     worst_e2e = 0.0
     for angle in (0.5, 1.7, 3.0):
-        rz = rotations.rot_z(angle)
-        psi0 = forward(model, synthesize(base, grid))
-        psi1 = forward(model, synthesize(wigner.rotate_coeffs(base, rz), grid))
+        rz = rotations.zyz_to_matrices(angle, 0.0, 0.0)
+        psi0 = predict(base)
+        psi1 = predict(wigner.rotate_coeffs(base, rz))
         e = matrix_to_euler(RotationMatrix(rz))
         rot = np.concatenate(
-            [(wigner.wigner_D_real(l, e).entries @ psi0.block(l)).ravel()
-             for l in range(L + 1)])
-        rel = np.linalg.norm(psi1.data - rot) / np.linalg.norm(rot)
+            [(wigner.wigner_D_real(l, e).entries @ block).ravel()
+             for l, block in enumerate(_blocks(psi0, L))])
+        rel = np.linalg.norm(psi1 - rot) / np.linalg.norm(rot)
         worst_e2e = max(worst_e2e, float(rel))
     record(3, worst_lin < 1e-9 and worst_e2e < 0.05,
            f"layer identities {worst_lin:.2e} (<1e-9), end-to-end in-plane "
@@ -164,25 +170,28 @@ def test_criterion_05_inference_precision():
 
 def test_criterion_06_gradient_fidelity():
     from so3harmonics.estimation import LossConfig
-    from so3harmonics.specconv import backward, forward_trunk, init_toy_model
+    from so3harmonics.specconv import init_toy_model
     L = 4
     model = init_toy_model(6, L, in_channels=3, mid_channels=4,
                            hidden_channels=6, tap_count=16)
     grid = grids.healpix_s2(2)
     rng = np.random.default_rng(6)
-    sig = synthesize(SphericalCoeffs(L, rng.normal(size=(3, 25))), grid)
-    gt = wigner.rotation_to_psi(RotationMatrix(sample_uniform_matrices(6, 1)[0]), L)
+    # a batch of one
+    values = synthesize(SphericalCoeffs(L, rng.normal(size=(3, 25))),
+                        grid).values[None]
+    gt = wigner.rotations_to_psi(sample_uniform_matrices(6, 1), L)
     cfg = LossConfig(L)
-    _, grads = backward(model, sig, None, gt, cfg)
-    checks = [(model.mixer, grads.mixer),
-              (model.s2.spectra[3], grads.s2_spectra[3]),
-              (model.so3.weights, grads.so3_weights)]
 
     def loss_and_mask():
-        value, _ = backward(model, sig, None, gt, cfg)
-        _, state = forward_trunk(model, "spherical", sig.values, grid=grid)
-        return value, state.relu_mask
+        value, _, mask = batch_loss_and_grads(model, "spherical", values, gt,
+                                              cfg, grid=grid)
+        return value, mask
 
+    _, grads, _ = batch_loss_and_grads(model, "spherical", values, gt, cfg,
+                                       grid=grid)
+    checks = [(model.mixer, grads["mixer"]),
+              (model.s2.spectra[3], grads["s2_spectra"][3]),
+              (model.so3.weights, grads["so3_weights"])]
     worst, skipped = kink_safe_gradcheck(loss_and_mask, checks, rng, 50)
     record(6, worst < 1e-4,
            f"analytic vs central differences over 50 coords: max rel err "
@@ -286,9 +295,8 @@ def test_criterion_09_rotation_round_trips():
 
 
 def test_criterion_10_m_dimension():
-    psi = wigner.rotation_to_psi(
-        RotationMatrix(sample_uniform_matrices(10, 1)[0]), 6)
-    norm2 = float(psi.data @ psi.data)
-    record(10, len(psi.data) == 455 and abs(norm2 - 49.0) <= 1e-9,
-           f"L=6 vector has {len(psi.data)} entries (=455), |psi|^2 = "
+    psi = wigner.rotations_to_psi(sample_uniform_matrices(10, 1), 6)[0]
+    norm2 = float(psi @ psi)
+    record(10, len(psi) == 455 and abs(norm2 - 49.0) <= 1e-9,
+           f"L=6 vector has {len(psi)} entries (=455), |psi|^2 = "
            f"{norm2:.12f} (49 +/- 1e-9)")

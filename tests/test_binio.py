@@ -126,6 +126,8 @@ def _quarter_turns(taps):
 
 TAMPERED_CHECKPOINTS = {
     "unknown_config_key": _edit_config(lambda c: {**c, "bogus": 1}),
+    "nan_softmax_temperature": _edit_config(
+        lambda c: {**c, "softmax_temperature": float("nan")}),
     "config_not_a_mapping": _edit_config(lambda c: [c]),
     "string_bandlimit": _set("bandlimit", "2", config_too=True),
     "string_nonlin_level": _set("nonlin_level", "2", config_too=True),

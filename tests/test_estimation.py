@@ -8,13 +8,12 @@ import pytest
 from so3harmonics import estimation, fibers, grids, rotations, wigner
 from so3harmonics._cache import LRUCache
 from so3harmonics.estimation import (LossConfig, PoseDistribution, argmax_pose,
-                                     decode_poses, distribution_ce_loss,
-                                     error_angles_deg, gradient_ascent_pose,
-                                     infer_distribution, loss_and_grad, metrics,
-                                     mse_loss, write_error_csv,
+                                     decode_poses, error_angles_deg,
+                                     gradient_ascent_pose, infer_distribution,
+                                     loss_and_grad, metrics, write_error_csv,
                                      write_metrics_json)
-from so3harmonics.rotations import (RotationMatrix, rot_y, rot_z,
-                                    sample_uniform_matrices)
+from so3harmonics.rotations import (RotationMatrix, sample_uniform_matrices,
+                                    zyz_to_matrices)
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +23,12 @@ def small_grid():
 
 class TestMseLoss:
     def test_zero_at_match(self):
-        psi = wigner.rotation_to_psi(RotationMatrix.identity(), 4)
-        assert mse_loss(psi, psi, LossConfig(4)) == 0.0
+        psi = wigner.rotations_to_psi(np.eye(3), 4)
+        assert loss_and_grad(psi, psi, LossConfig(4))[0] == 0.0
 
     def test_single_entry_arithmetic(self):
         cfg = LossConfig(0, level_weights=np.array([1.0]))
-        assert mse_loss(np.array([2.0]), np.array([1.0]), cfg) == 1.0
+        assert loss_and_grad(np.array([2.0]), np.array([1.0]), cfg)[0] == 1.0
 
     def test_default_weights_equalize_levels(self):
         cfg = LossConfig(6)
@@ -41,20 +40,20 @@ class TestMseLoss:
         cfg = LossConfig(4)
         mats = sample_uniform_matrices(0, 3)
         r1, r2, r = mats[0], mats[1], mats[2]
-        base = mse_loss(wigner.rotations_to_psi(r1, 4),
-                        wigner.rotations_to_psi(r2, 4), cfg)
-        moved = mse_loss(wigner.rotations_to_psi(r @ r1, 4),
-                         wigner.rotations_to_psi(r @ r2, 4), cfg)
+        base, _ = loss_and_grad(wigner.rotations_to_psi(r1, 4),
+                                wigner.rotations_to_psi(r2, 4), cfg)
+        moved, _ = loss_and_grad(wigner.rotations_to_psi(r @ r1, 4),
+                                 wigner.rotations_to_psi(r @ r2, 4), cfg)
         assert moved == pytest.approx(base, abs=1e-9)
 
     def test_bi_invariance_right_too(self):
         cfg = LossConfig(4)
         mats = sample_uniform_matrices(1, 3)
         r1, r2, r = mats
-        base = mse_loss(wigner.rotations_to_psi(r1, 4),
-                        wigner.rotations_to_psi(r2, 4), cfg)
-        moved = mse_loss(wigner.rotations_to_psi(r1 @ r, 4),
-                         wigner.rotations_to_psi(r2 @ r, 4), cfg)
+        base, _ = loss_and_grad(wigner.rotations_to_psi(r1, 4),
+                                wigner.rotations_to_psi(r2, 4), cfg)
+        moved, _ = loss_and_grad(wigner.rotations_to_psi(r1 @ r, 4),
+                                 wigner.rotations_to_psi(r2 @ r, 4), cfg)
         assert moved == pytest.approx(base, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["mse", "l1", "huber", "cosine"])
@@ -77,15 +76,17 @@ class TestDistributionCE:
         q = 37
         pred = small_grid.psi_table[q]
         cfg = LossConfig(4, kind="distribution_ce", softmax_temperature=1e-3)
-        loss = distribution_ce_loss(pred, small_grid.rotations[q],
-                                    small_grid, cfg)
+        loss, _ = loss_and_grad(pred, None, cfg,
+                                gt_rotation=small_grid.rotations[q],
+                                grid=small_grid)
         assert loss < 1e-9
 
     def test_uniform_logits_log_q(self, small_grid):
         pred = np.zeros(wigner.m_total(4))
         cfg = LossConfig(4, kind="distribution_ce")
-        loss = distribution_ce_loss(pred, small_grid.rotations[0],
-                                    small_grid, cfg)
+        loss, _ = loss_and_grad(pred, None, cfg,
+                                gt_rotation=small_grid.rotations[0],
+                                grid=small_grid)
         assert loss == pytest.approx(np.log(small_grid.size), abs=1e-9)
 
     def test_joint_loss_is_sum_of_parts(self, small_grid):
@@ -305,7 +306,7 @@ class TestFactoredScoring:
     def test_one_moved_rotation_disables_the_fiber_path(self):
         grid = grids.so3_healpix(1)
         mats = grid.rotations.copy()
-        mats[300] = mats[300] @ rot_y(1e-6)
+        mats[300] = mats[300] @ zyz_to_matrices(0.0, 1e-6, 0.0)
         moved = grids.SO3Grid(kind="healpix_hopf", rotations=mats,
                               nominal_resolution_deg=30.0, level=1)
         assert fibers.fiber_table(grid, 4) is not None
@@ -361,32 +362,39 @@ class TestDecodePoses:
 
 class TestGradientAscent:
     def test_zero_steps_returns_start(self):
-        psi = wigner.rotation_to_psi(RotationMatrix.identity(), 4)
-        start = RotationMatrix(rot_z(0.3))
+        psi = wigner.rotations_to_psi(np.eye(3)[None], 4)
+        start = zyz_to_matrices(0.3, 0.0, 0.0)[None]
         out = gradient_ascent_pose(psi, start, steps=0)
-        assert np.allclose(out.m, start.m)
+        assert np.allclose(out, start)
+
+    def test_single_forms_are_rejected(self):
+        psi = wigner.rotations_to_psi(np.eye(3), 4)
+        with pytest.raises(ValueError, match=r"\(B, M\)"):
+            gradient_ascent_pose(psi, np.eye(3))
+        with pytest.raises(ValueError, match=r"\(B, 3, 3\)"):
+            gradient_ascent_pose(psi[None], np.eye(3))
 
     def test_local_convergence(self):
         rng = np.random.default_rng(9)
         for trial in range(10):
             m = sample_uniform_matrices(trial + 40, 1)[0]
-            psi = wigner.rotations_to_psi(m, 4)
+            psi = wigner.rotations_to_psi(m[None], 4)
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             pert = rotations.axis_angle_to_matrix(
                 rotations.AxisAngle(axis, np.radians(3.0)))
-            start = RotationMatrix(pert.m @ m)
+            start = (pert.m @ m)[None]
             out = gradient_ascent_pose(psi, start, steps=60, lr=1e-3)
-            err = np.degrees(rotations.geodesic_distances(out.m, m))
+            err = np.degrees(rotations.geodesic_distances(out[0], m))
             assert err < 0.1
 
     def test_never_scores_below_start(self):
         rng = np.random.default_rng(10)
         pred = rng.normal(size=wigner.m_total(3))
-        start = RotationMatrix(sample_uniform_matrices(50, 1)[0])
-        out = gradient_ascent_pose(pred, start, steps=5, lr=0.05)
-        s0 = wigner.rotations_to_psi(start.m, 3) @ pred
-        s1 = wigner.rotations_to_psi(out.m, 3) @ pred
+        start = sample_uniform_matrices(50, 1)
+        out = gradient_ascent_pose(pred[None], start, steps=5, lr=0.05)
+        s0 = wigner.rotations_to_psi(start[0], 3) @ pred
+        s1 = wigner.rotations_to_psi(out[0], 3) @ pred
         assert s1 >= s0 - 1e-12
 
     def test_gradient_matches_central_differences(self):
@@ -416,11 +424,11 @@ class TestGradientAscent:
             np.full(6, np.radians(5.0))) @ truth
         batch = gradient_ascent_pose(preds, starts, steps=15, lr=1e-3)
         for pred, start, got in zip(preds, starts, batch):
-            alone = gradient_ascent_pose(pred, RotationMatrix(start),
-                                         steps=15, lr=1e-3)
+            alone = gradient_ascent_pose(pred[None], start[None],
+                                         steps=15, lr=1e-3)[0]
             # |A - B|_F = 2 sqrt(2) sin(angle / 2); arccos of the trace
             # cannot resolve angles below ~1e-8
-            assert np.linalg.norm(alone.m - got) / np.sqrt(2) <= 1e-12
+            assert np.linalg.norm(alone - got) / np.sqrt(2) <= 1e-12
 
 
 class TestMetrics:
@@ -433,7 +441,7 @@ class TestMetrics:
 
     def test_single_pair_at_20_degrees(self):
         pred = [RotationMatrix.identity()]
-        gt = [RotationMatrix(rot_y(np.radians(20.0)))]
+        gt = [RotationMatrix(zyz_to_matrices(0.0, np.radians(20.0), 0.0))]
         out = metrics(pred, gt)
         assert out["median_error_deg"] == pytest.approx(20.0, abs=1e-9)
         assert out["acc_at_15"] == 0.0
@@ -441,7 +449,8 @@ class TestMetrics:
 
     def test_even_count_averages_middles(self):
         gt = [RotationMatrix.identity()] * 4
-        pred = [RotationMatrix(rot_z(np.radians(d))) for d in (2, 4, 8, 16)]
+        pred = [RotationMatrix(zyz_to_matrices(np.radians(d), 0.0, 0.0))
+                for d in (2, 4, 8, 16)]
         out = metrics(pred, gt)
         assert out["median_error_deg"] == pytest.approx(6.0, abs=1e-9)
 

@@ -77,7 +77,7 @@ class TestSO3Healpix:
         nfiber = 6 * 2 ** level
         first = g.rotations[:nfiber]  # fibers of pixel 0
         step = first[0].T @ first[1]
-        expected = rotations.rot_z(2 * np.pi / nfiber)
+        expected = rotations.zyz_to_matrices(2 * np.pi / nfiber, 0.0, 0.0)
         assert np.max(np.abs(step - expected)) < 1e-12
 
     def test_large_level_needs_flag(self):

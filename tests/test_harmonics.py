@@ -11,7 +11,7 @@ from so3harmonics._cache import LRUCache
 from so3harmonics.harmonics import (RIDGE_LAMBDA, IllConditionedError,
                                     PointSet, SphericalCoeffs, SphericalSignal,
                                     analyze, design_matrix, gram_ridge_inverse,
-                                    ridge_solver, sph_harm_real, synthesize)
+                                    ridge_solver, synthesize)
 
 
 def gauss_quadrature_grid(n_theta=24, n_phi=48):
@@ -50,26 +50,27 @@ class TestSphericalHarmonics:
             assert abs(inner - expect) < 1e-6
 
     def test_real_basis_values(self):
-        assert sph_harm_real(0, 0, 0.3, 0.4) == pytest.approx(1 / np.sqrt(4 * np.pi))
-        # real degree-1, order -1 is sqrt(3/4pi) sin(theta) sin(phi)
+        # design-matrix column l^2 + l + m holds the real Y_l^m
         theta, phi = 1.1, 2.0
-        assert sph_harm_real(1, -1, theta, phi) == pytest.approx(
+        row = design_matrix(PointSet(np.array([0.3, theta]),
+                                     np.array([0.4, phi])), 1)
+        assert row[0, 0] == pytest.approx(1 / np.sqrt(4 * np.pi))
+        # real degree-1, order -1 is sqrt(3/4pi) sin(theta) sin(phi)
+        assert row[1, 1] == pytest.approx(
             np.sqrt(3 / (4 * np.pi)) * np.sin(theta) * np.sin(phi))
 
     def test_missing_phi_raises_and_broadcasting_works(self):
         with pytest.raises(TypeError):
             sph_harm_complex(1, 0, 0.3)
-        with pytest.raises(TypeError):
-            sph_harm_real(1, 1, 0.3)
         theta, phi = np.array([0.2, 1.1, 2.5]), np.array([0.4, 3.0, 5.9])
-        for f in (sph_harm_real, sph_harm_complex):
-            assert np.isscalar(f(3, -2, 1.1, 3.0))
-            row = f(3, -2, 1.1, phi)
-            col = f(3, -2, theta, 3.0)
-            assert row.shape == col.shape == (3,)
-            one_by_one = [[f(3, -2, 1.1, p) for p in phi],
-                          [f(3, -2, t, 3.0) for t in theta]]
-            assert np.allclose([row, col], one_by_one, rtol=0, atol=1e-15)
+        f = sph_harm_complex
+        assert np.isscalar(f(3, -2, 1.1, 3.0))
+        row = f(3, -2, 1.1, phi)
+        col = f(3, -2, theta, 3.0)
+        assert row.shape == col.shape == (3,)
+        one_by_one = [[f(3, -2, 1.1, p) for p in phi],
+                      [f(3, -2, t, 3.0) for t in theta]]
+        assert np.allclose([row, col], one_by_one, rtol=0, atol=1e-15)
 
     def test_design_matrix_matches_scipy(self):
         # the real basis is the recombination of the Condon-Shortley complex
@@ -97,11 +98,12 @@ class TestSphericalHarmonics:
 
     def test_real_orthonormality(self):
         theta, phi, w = gauss_quadrature_grid()
+        design = design_matrix(PointSet(theta, phi), 6)
         pairs = [(2, 1), (2, -1), (3, 0), (4, -4), (6, 5)]
         for i, (l1, m1) in enumerate(pairs):
             for l2, m2 in pairs[i:]:
-                a = sph_harm_real(l1, m1, theta, phi)
-                b = sph_harm_real(l2, m2, theta, phi)
+                a = design[:, l1 * l1 + l1 + m1]
+                b = design[:, l2 * l2 + l2 + m2]
                 inner = np.sum(w * a * b)
                 expect = 1.0 if (l1, m1) == (l2, m2) else 0.0
                 assert abs(inner - expect) < 1e-6

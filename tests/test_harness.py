@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ class TestGenDataset:
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         save_dataset(p1, spherical_ds)
         save_dataset(p2, gen_dataset(fast_cfg()))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
         back = load_dataset(p1)
         assert np.array_equal(back.inputs, spherical_ds.inputs)
         assert np.array_equal(back.gt, spherical_ds.gt)
@@ -358,7 +359,7 @@ class TestCheckpointIO:
         oracle, path = str(tmp_path / "oracle.ckpt"), str(tmp_path / "m.ckpt")
         write_blob(oracle, "checkpoint", meta, arrays)
         save_checkpoint(path, model, cfg)
-        assert open(path, "rb").read() == open(oracle, "rb").read()
+        assert Path(path).read_bytes() == Path(oracle).read_bytes()
         back, cfg2 = load_checkpoint(oracle)
         assert cfg2.hash() == cfg.hash()
         head_fields = {"so3_taps": back.so3.taps, "so3_weights": back.so3.weights
@@ -436,9 +437,9 @@ class TestCli:
         out = self._run("eval", "--checkpoint", ckpt, "--dataset", ds_path,
                         "--csv", csv, "--json", report)
         assert "median_error_deg" in out
-        rep = json.loads(open(report).read())
+        rep = json.loads(Path(report).read_text())
         assert "config_hash" in rep and "seeds" in rep
-        lines = open(csv).read().splitlines()
+        lines = Path(csv).read_text().splitlines()
         assert lines[0] == ("index,error_deg,top1_prob,entropy,margin,"
                             "manifold_distance")
         assert len(lines) == 5 and all(len(l.split(",")) == 6 for l in lines)
@@ -446,7 +447,7 @@ class TestCli:
         # refinement run reports both readouts
         self._run("eval", "--checkpoint", ckpt, "--dataset", ds_path,
                   "--grad-ascent", "--json", report)
-        rep = json.loads(open(report).read())
+        rep = json.loads(Path(report).read_text())
         assert rep["grad_ascent"] is True
         assert "argmax_metrics" in rep
 
@@ -472,12 +473,22 @@ class TestCli:
                  (["train", "--dataset", bad_ds, "--out", str(tmp_path / "b.ckpt")],
                   f"{bad_ds}: train_idx")]
         # config files RunConfig rejects: a float level, an unknown head,
-        # an unknown key and malformed JSON
+        # an unknown key, malformed JSON, and loss settings that would
+        # train on negative losses, write NaN into the checkpoint or
+        # reward a wrong pose distribution
         for name, text, message in [
                 ("float", '{"nonlin_level": 2.0}', "nonlin_level must be an integer"),
                 ("head", '{"head": "nope"}', "unknown head kind 'nope'"),
                 ("key", '{"bogus": 1}', "unexpected keyword argument 'bogus'"),
-                ("json", '{"bandlimit": ', "Expecting value")]:
+                ("json", '{"bandlimit": ', "Expecting value"),
+                ("huber", '{"loss_kind": "huber", "huber_delta": -1}',
+                 "huber_delta must be finite and > 0, got -1"),
+                ("nan", '{"softmax_temperature": NaN}',
+                 "softmax_temperature must be finite and > 0, got nan"),
+                ("inf", '{"softmax_temperature": Infinity}',
+                 "softmax_temperature must be finite and > 0, got inf"),
+                ("lambda", '{"loss_kind": "mse_plus_ce", "ce_lambda": -1}',
+                 "ce_lambda must be finite and >= 0, got -1")]:
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             cases.append((["gen-dataset", "--config", str(path), "--out",
@@ -489,6 +500,11 @@ class TestCli:
                   ([*gen, "--n-train-views", "-3"], f"n_train_views {below_0}3"),
                   (["train", "--dataset", ds_path, "--out", str(tmp_path / "b.ckpt"),
                     "--bandlimit", "-1"], f"bandlimit {below_0}1")]
+        # grid counts below 1: 0 must not fall back to the level's count
+        grid_out = ["grids", "--kind", "random", "--level", "1", "--out",
+                    str(tmp_path / "g.bin")]
+        cases += [([*grid_out, "--count", "0"], "--count must be >= 1, got 0"),
+                  ([*grid_out, "--count", "-5"], "--count must be >= 1, got -5")]
         for args, *messages in cases:
             self._fails(args, messages)
         # malformed convert input, on line 2 after a good line 1

@@ -13,8 +13,7 @@ from scipy.linalg import expm
 from so3harmonics import wigner
 from so3harmonics.harmonics import (PointSet, SphericalCoeffs, design_matrix,
                                     synthesize)
-from so3harmonics.rotations import (rot_y, rot_z, sample_uniform_matrices,
-                                    zyz_to_matrices)
+from so3harmonics.rotations import sample_uniform_matrices, zyz_to_matrices
 from so3harmonics.specconv import _blocks, init_toy_model, s2_conv, so3_conv
 
 LMAX = 20
@@ -120,7 +119,8 @@ def test_layer_equivariance_haar_default_bandlimit():
                  pole_offsets.map(lambda e: np.pi - e)), angles, angles)
 def test_design_row_is_wigner_centre_column(theta, phi, psi):
     # Y_l^m(R e_z) = sqrt((2l+1)/4pi) D^l(R)[m, 0] for R = Rz(phi) Ry(theta) Rz(psi)
-    r = rot_z(phi) @ rot_y(theta) @ rot_z(psi)
+    r = (zyz_to_matrices(phi, 0.0, 0.0) @ zyz_to_matrices(0.0, theta, 0.0)
+         @ zyz_to_matrices(psi, 0.0, 0.0))
     row = design_matrix(PointSet([theta], [phi]), LMAX)[0]
     blocks = wigner.wigner_block_stacks_real(r[None], LMAX)
     for l, d in enumerate(blocks):

@@ -10,13 +10,12 @@ from so3harmonics import rotations
 from so3harmonics.rotations import (AxisAngle, EulerZYZ, RotationMatrix,
                                     UnitQuaternion, axis_angle_to_matrix,
                                     axis_angles_to_matrices,
-                                    euler_to_matrix, geodesic_distance,
-                                    geodesic_distances, matrix_to_axis_angle,
-                                    matrices_to_zyz, matrix_to_euler,
-                                    matrix_to_quat, quat_to_matrix, rot_y,
-                                    rot_z, rotation_from_json,
-                                    rotation_to_json, sample_uniform,
-                                    sample_uniform_matrices, zyz_to_matrices)
+                                    euler_to_matrix, geodesic_distances,
+                                    matrix_to_axis_angle, matrices_to_zyz,
+                                    matrix_to_euler, matrix_to_quat,
+                                    quat_to_matrix, rotation_from_json,
+                                    rotation_to_json, sample_uniform_matrices,
+                                    zyz_to_matrices)
 
 
 class TestEulerMatrix:
@@ -70,11 +69,13 @@ class TestMatrixToEuler:
         assert (e.alpha, e.beta, e.gamma) == pytest.approx((0.3, 1.1, -0.7))
 
     def test_gimbal_beta_zero_folds_into_alpha(self):
-        e = matrix_to_euler(RotationMatrix(rot_z(0.5)))
+        e = matrix_to_euler(RotationMatrix(zyz_to_matrices(0.5, 0.0, 0.0)))
         assert (e.alpha, e.beta, e.gamma) == pytest.approx((0.5, 0.0, 0.0))
 
     def test_gimbal_beta_pi(self):
-        m = RotationMatrix(rot_z(0.4) @ rot_y(np.pi) @ rot_z(0.3))
+        m = RotationMatrix(zyz_to_matrices(0.4, 0.0, 0.0)
+                           @ zyz_to_matrices(0.0, np.pi, 0.0)
+                           @ zyz_to_matrices(0.3, 0.0, 0.0))
         e = matrix_to_euler(m)
         assert e.gamma == 0.0
         assert e.beta == pytest.approx(np.pi)
@@ -106,8 +107,8 @@ class TestQuaternionAndAxisAngle:
 
     def test_z_quarter_turn(self):
         aa = AxisAngle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-        assert np.allclose(axis_angle_to_matrix(aa).m, rot_z(np.pi / 2),
-                           atol=1e-15)
+        assert np.allclose(axis_angle_to_matrix(aa).m,
+                           zyz_to_matrices(np.pi / 2, 0.0, 0.0), atol=1e-15)
 
     def test_quat_round_trip_up_to_sign(self):
         rng = np.random.default_rng(3)
@@ -167,25 +168,24 @@ class TestQuaternionAndAxisAngle:
 
 class TestGeodesicDistance:
     def test_self_distance_zero(self):
-        r = RotationMatrix(sample_uniform_matrices(0, 1)[0])
-        assert geodesic_distance(r, r) == 0.0
+        r = sample_uniform_matrices(0, 1)
+        assert geodesic_distances(r, r)[0] == 0.0
 
     def test_half_turn(self):
-        assert geodesic_distance(RotationMatrix.identity(),
-                                 RotationMatrix(rot_z(np.pi))) == pytest.approx(np.pi)
+        d = geodesic_distances(np.eye(3), zyz_to_matrices(np.pi, 0.0, 0.0))
+        assert d == pytest.approx(np.pi)
 
     def test_single_axis_angle(self):
-        assert geodesic_distance(RotationMatrix.identity(),
-                                 RotationMatrix(rot_y(0.2))) == pytest.approx(0.2)
+        d = geodesic_distances(np.eye(3), zyz_to_matrices(0.0, 0.2, 0.0))
+        assert d == pytest.approx(0.2)
 
     def test_symmetry_and_triangle_inequality(self):
-        mats = sample_uniform_matrices(5, 150)
-        for i in range(0, 148, 3):
-            a, b, c = (RotationMatrix(mats[i + k]) for k in range(3))
-            dab = geodesic_distance(a, b)
-            assert dab == pytest.approx(geodesic_distance(b, a), abs=1e-12)
-            assert dab <= (geodesic_distance(a, c)
-                           + geodesic_distance(c, b) + 1e-9)
+        mats = sample_uniform_matrices(5, 150).reshape(50, 3, 3, 3)
+        a, b, c = mats[:, 0], mats[:, 1], mats[:, 2]
+        dab = geodesic_distances(a, b)
+        assert np.all(np.abs(dab - geodesic_distances(b, a)) <= 1e-12)
+        assert np.all(dab <= geodesic_distances(a, c)
+                      + geodesic_distances(c, b) + 1e-9)
 
     def test_left_invariance(self):
         mats = sample_uniform_matrices(6, 90).reshape(30, 3, 3, 3)
@@ -197,8 +197,8 @@ class TestGeodesicDistance:
 
 class TestSampleUniform:
     def test_returns_valid_rotation(self):
-        (r,) = sample_uniform(0, 1)
-        assert isinstance(r, RotationMatrix)
+        (m,) = sample_uniform_matrices(0, 1)
+        RotationMatrix(m)  # raises unless orthogonal with determinant +1
 
     def test_trace_expectation_near_zero(self):
         # Haar expectation of the trace is 0
@@ -228,7 +228,7 @@ class TestJsonSerialization:
             EulerZYZ(0.1, 0.2, 0.3),
             UnitQuaternion(1, 0, 0, 0),
             AxisAngle(np.array([0.0, 1.0, 0.0]), 0.5),
-            RotationMatrix(rot_z(0.7)),
+            RotationMatrix(zyz_to_matrices(0.7, 0.0, 0.0)),
         ]
         for v in values:
             text = rotation_to_json(v)

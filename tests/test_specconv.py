@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradcheck import kink_safe_gradcheck
+from gradcheck import batch_loss_and_grads, kink_safe_gradcheck
 from so3harmonics import fibers, grids, mapper, specconv, wigner
 from so3harmonics._cache import LRUCache
 from so3harmonics.estimation import LossConfig
@@ -17,14 +17,13 @@ from so3harmonics.fibers import FiberRelu, _relu_operator, fiber_table
 from so3harmonics.harmonics import (IllConditionedError, SphericalCoeffs,
                                     design_matrix, ridge_solver, synthesize)
 from so3harmonics.harness import RunConfig
-from so3harmonics.mapper import FeatureMap, MapperConfig
+from so3harmonics.mapper import MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
 from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
-                                   _blocks, backward, default_nonlin_grid,
-                                   forward, forward_trunk,
-                                   init_toy_model, local_tap_rotations,
-                                   s2_conv, so3_conv, so3_nonlinearity)
+                                   _blocks, default_nonlin_grid, forward_trunk,
+                                   head_wigner, init_toy_model,
+                                   local_tap_rotations, s2_conv, so3_conv)
 
 L = 4
 
@@ -46,6 +45,11 @@ def left_translate(x: np.ndarray, m: np.ndarray) -> np.ndarray:
         ob[...] = np.einsum("mn,...nk->...mk",
                             wigner.wigner_D_real(l, e).entries, xb)
     return out
+
+
+def predict(model, kind, values, **trunk_kw):
+    """(B, M) predictions of a batch: ``forward_trunk``, ``head_wigner``."""
+    return head_wigner(model, forward_trunk(model, kind, values, **trunk_kw)[0])
 
 
 def dense_relu(x, d_out, grid, bandlimit):
@@ -194,13 +198,13 @@ class TestNonlinearity:
         # analysis at L is exact for the square
         coeffs = squared @ ridge_solver(
             wigner.rotations_to_psi(grid.rotations, L)).T
-        out = so3_nonlinearity(coeffs, grid)
+        out, _ = _relu_operator(grid, L).forward(coeffs)
         rel = np.max(np.abs(out - coeffs)) / np.max(np.abs(coeffs))
         assert rel < 1e-6
 
     def test_zero_input(self):
         x = np.zeros((1, wigner.m_total(L)))
-        out = so3_nonlinearity(x, default_nonlin_grid(2))
+        out, _ = _relu_operator(default_nonlin_grid(2), L).forward(x)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_freed_grids_never_share_operators(self):
@@ -224,11 +228,11 @@ class TestNonlinearity:
 
     def test_approximate_equivariance(self):
         rng = np.random.default_rng(5)
-        grid = default_nonlin_grid(2)
+        relu = _relu_operator(default_nonlin_grid(2), L)
         x = rng.normal(size=(1, wigner.m_total(L)))
         m = sample_uniform_matrices(55, 1)[0]
-        lhs = so3_nonlinearity(left_translate(x, m), grid)
-        rhs = left_translate(so3_nonlinearity(x, grid), m)
+        lhs, _ = relu.forward(left_translate(x, m))
+        rhs = left_translate(relu.forward(x)[0], m)
         num = np.linalg.norm(lhs - rhs)
         den = np.linalg.norm(rhs)
         assert num / den < 0.02
@@ -236,8 +240,7 @@ class TestNonlinearity:
 
 
 class TestBatchedLayers:
-    @pytest.mark.parametrize("layer", ["s2_conv", "so3_conv",
-                                       "so3_nonlinearity"])
+    @pytest.mark.parametrize("layer", ["s2_conv", "so3_conv", "grid_relu"])
     def test_batch_equals_per_sample(self, model, layer):
         # the trunk and head run each layer on a whole batch; every row
         # must be what the per-sample call gives, bit for bit
@@ -245,8 +248,8 @@ class TestBatchedLayers:
         fn, shape = {
             "s2_conv": (lambda x: s2_conv(x, model.s2), (3, 3, 25)),
             "so3_conv": (lambda x: so3_conv(x, model.so3), (3, 4, m)),
-            "so3_nonlinearity": (
-                lambda x: so3_nonlinearity(x, default_nonlin_grid(2)),
+            "grid_relu": (
+                lambda x: _relu_operator(default_nonlin_grid(2), L).forward(x)[0],
                 (3, 4, m)),
         }[layer]
         x = np.random.default_rng(20).normal(size=shape)
@@ -273,11 +276,11 @@ class TestBatchedLayers:
         assert_rows_close(back, ref_back)
 
     def test_nonlinearity_rows_independent_of_leading_shape(self):
-        grid = default_nonlin_grid(2)
+        relu = _relu_operator(default_nonlin_grid(2), 6)
         x = np.random.default_rng(22).normal(size=(2, 3, 8, wigner.m_total(6)))
-        rows = so3_nonlinearity(x, grid).reshape(6, 8, -1)
-        stacked = so3_nonlinearity(x.reshape(6, 8, -1), grid)
-        single = np.stack([so3_nonlinearity(xb, grid)
+        rows = relu.forward(x)[0].reshape(6, 8, -1)
+        stacked, _ = relu.forward(x.reshape(6, 8, -1))
+        single = np.stack([relu.forward(xb)[0]
                            for xb in x.reshape(6, 8, -1)])
         for got in (stacked, single):
             err = np.linalg.norm(got - rows, axis=-1)
@@ -287,8 +290,6 @@ class TestBatchedLayers:
         x = np.zeros((4, wigner.m_total(L) - 1))
         with pytest.raises(ValueError, match="band limit"):
             so3_conv(x, model.so3)
-        with pytest.raises(ValueError, match="stack size"):
-            so3_nonlinearity(x, default_nonlin_grid(2))
         with pytest.raises(ValueError, match="channel"):
             so3_conv(np.zeros((3, wigner.m_total(L))), model.so3)
 
@@ -449,11 +450,8 @@ class TestFiberRelu:
             c, s = np.cos(1e-6), np.sin(1e-6)
             mats[300] = mats[300] @ np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
             grid = grids.SO3Grid("healpix_hopf", mats, 30.0, level=1)
-        x = np.random.default_rng(23).normal(size=(4, wigner.m_total(4)))
         with pytest.raises(IllConditionedError, match="fiber structure"):
             _relu_operator(grid, 4)
-        with pytest.raises(IllConditionedError, match="fiber structure"):
-            so3_nonlinearity(x, grid)
 
     def test_training_grid_holds_no_dense_table(self, monkeypatch):
         def no_table(*args, **kwargs):
@@ -545,8 +543,8 @@ class TestForward:
     def test_zero_input_zero_output(self, model):
         grid = grids.healpix_s2(2)
         sig = synthesize(SphericalCoeffs(L, np.zeros((2, 25))), grid)
-        psi = forward(model, sig)
-        assert np.max(np.abs(psi.data)) < 1e-12
+        psi = predict(model, "spherical", sig.values[None], grid=grid)
+        assert np.max(np.abs(psi)) < 1e-12
 
     def test_output_length_455_at_L6(self):
         model6 = init_toy_model(1, 6, in_channels=1, mid_channels=2,
@@ -554,16 +552,18 @@ class TestForward:
         grid = grids.healpix_s2(2)
         rng = np.random.default_rng(6)
         sig = synthesize(SphericalCoeffs(6, rng.normal(size=(1, 49))), grid)
-        psi = forward(model6, sig)
-        assert len(psi.data) == 455
+        psi = predict(model6, "spherical", sig.values[None], grid=grid)
+        assert psi.shape == (1, 455)
 
     def test_eval_deterministic(self, model):
         grid = grids.healpix_s2(2)
         rng = np.random.default_rng(7)
         sig = synthesize(SphericalCoeffs(L, rng.normal(size=(2, 25))), grid)
-        a = forward(model, sig, mode="eval", seed=1)
-        b = forward(model, sig, mode="eval", seed=2)
-        assert np.array_equal(a.data, b.data)
+        a = predict(model, "spherical", sig.values[None], grid=grid,
+                    mode="eval", seed=1)
+        b = predict(model, "spherical", sig.values[None], grid=grid,
+                    mode="eval", seed=2)
+        assert np.array_equal(a, b)
 
     def test_complex_input_is_rejected(self, model):
         grid = grids.healpix_s2(2)
@@ -575,17 +575,18 @@ class TestForward:
         grid = grids.healpix_s2(2)
         rng = np.random.default_rng(8)
         sig = synthesize(SphericalCoeffs(L, 100.0 * rng.normal(size=(2, 25))), grid)
-        psi = forward(model, sig)
-        assert np.all(np.isfinite(psi.data))
+        psi = predict(model, "spherical", sig.values[None], grid=grid)
+        assert np.all(np.isfinite(psi))
 
     def test_image_path_runs(self, model):
         cfg = MapperConfig(grids.healpix_s2(2, "hemisphere"),
                            dropout_fraction=0.5)
-        f = FeatureMap(np.random.default_rng(9).normal(size=(2, 16, 16)))
-        psi_eval = forward(model, f, cfg, mode="eval")
-        psi_train = forward(model, f, cfg, mode="train", seed=3)
-        assert len(psi_eval.data) == wigner.m_total(L)
-        assert not np.array_equal(psi_eval.data, psi_train.data)
+        values = np.random.default_rng(9).normal(size=(1, 2, 16, 16))
+        psi_eval = predict(model, "image", values, cfg=cfg, mode="eval")
+        psi_train = predict(model, "image", values, cfg=cfg, mode="train",
+                            seed=3)
+        assert psi_eval.shape == (1, wigner.m_total(L))
+        assert not np.array_equal(psi_eval, psi_train)
 
     def test_ill_conditioned_dropout_draw_is_used_as_drawn(self):
         # the kept points of this train-mode draw (step 229 of seed 37's
@@ -620,16 +621,19 @@ class TestForward:
 
     @pytest.mark.parametrize("kind", ["spherical", "image"])
     def test_one_sample_equals_batch_row(self, model, kind):
+        # one sample is a batch of one; an unbatched array is rejected
         grid = grids.healpix_s2(2)
         cfg = MapperConfig(grids.healpix_s2(2, "hemisphere"))
         shape = (3, 2, grid.size) if kind == "spherical" else (3, 2, 16, 16)
         batch = np.random.default_rng(14).normal(size=shape)
-        one, _ = forward_trunk(model, kind, batch[0], grid=grid, cfg=cfg,
+        one, _ = forward_trunk(model, kind, batch[:1], grid=grid, cfg=cfg,
                                mode="train", seed=4)
         rows, _ = forward_trunk(model, kind, batch, grid=grid, cfg=cfg,
                                 mode="train", seed=4)
         assert one.shape == rows[:1].shape
         assert np.allclose(one[0], rows[0], rtol=1e-12, atol=1e-14)
+        with pytest.raises(ValueError, match=r"\(B, C_in, "):
+            forward_trunk(model, kind, batch[0], grid=grid, cfg=cfg)
 
     def test_end_to_end_z_spin_equivariance(self, model):
         # full-sphere spherical path: spinning the input about z rotates
@@ -640,13 +644,14 @@ class TestForward:
         angle = 0.9
         rz = np.array([[np.cos(angle), -np.sin(angle), 0],
                        [np.sin(angle), np.cos(angle), 0], [0, 0, 1]])
-        psi0 = forward(model, synthesize(base, grid))
-        psi1 = forward(model, synthesize(wigner.rotate_coeffs(base, rz), grid))
+        values = np.stack([synthesize(c, grid).values
+                           for c in (base, wigner.rotate_coeffs(base, rz))])
+        psi0, psi1 = predict(model, "spherical", values, grid=grid)
         e = matrix_to_euler(RotationMatrix(rz))
         rotated = np.concatenate(
-            [(wigner.wigner_D_real(l, e).entries @ psi0.block(l)).ravel()
-             for l in range(L + 1)])
-        rel = np.linalg.norm(psi1.data - rotated) / np.linalg.norm(rotated)
+            [(wigner.wigner_D_real(l, e).entries @ block).ravel()
+             for l, block in enumerate(_blocks(psi0, L))])
+        rel = np.linalg.norm(psi1 - rotated) / np.linalg.norm(rotated)
         assert rel < 0.05
 
 
@@ -655,52 +660,57 @@ class TestBackward:
         grid = grids.healpix_s2(2)
         rng = np.random.default_rng(11)
         sig = synthesize(SphericalCoeffs(L, rng.normal(size=(2, 25))), grid)
-        target = forward(model, sig)
-        value, g = backward(model, sig, None, target, LossConfig(L))
+        values = sig.values[None]
+        target = predict(model, "spherical", values, grid=grid)
+        value, g, _ = batch_loss_and_grads(model, "spherical", values, target,
+                                           LossConfig(L), grid=grid)
         assert value == pytest.approx(0.0, abs=1e-18)
-        assert np.max(np.abs(g.mixer)) < 1e-12
-        assert np.max(np.abs(g.so3_weights)) < 1e-12
+        assert np.max(np.abs(g["mixer"])) < 1e-12
+        assert np.max(np.abs(g["so3_weights"])) < 1e-12
 
-    def test_gradcheck_50_random_coordinates(self, model):
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_gradcheck_50_random_coordinates(self, model, batch):
+        # B = 3 also checks loss_and_grad's batch-mean reduction, which
+        # harness.train's steps rely on
         grid = grids.healpix_s2(2)
         rng = np.random.default_rng(12)
-        sig = synthesize(SphericalCoeffs(L, rng.normal(size=(2, 25))), grid)
-        gt = wigner.rotation_to_psi(
-            RotationMatrix(sample_uniform_matrices(12, 1)[0]), L)
+        sig = synthesize(SphericalCoeffs(L, rng.normal(size=(2 * batch, 25))),
+                         grid)
+        values = sig.values.reshape(batch, 2, -1)
+        gt = wigner.rotations_to_psi(sample_uniform_matrices(12, batch), L)
         cfg = LossConfig(L)
-        _, grads = backward(model, sig, None, gt, cfg)
-
-        checks = [(model.mixer, grads.mixer),
-                  (model.s2.spectra[2], grads.s2_spectra[2]),
-                  (model.so3.weights, grads.so3_weights)]
 
         def loss_and_mask():
-            value, _ = backward(model, sig, None, gt, cfg)
-            _, state = forward_trunk(model, "spherical", sig.values,
-                                     grid=sig.grid)
-            return value, state.relu_mask
+            value, _, mask = batch_loss_and_grads(model, "spherical", values,
+                                                  gt, cfg, grid=grid)
+            return value, mask
 
+        _, grads, _ = batch_loss_and_grads(model, "spherical", values, gt, cfg,
+                                           grid=grid)
+        checks = [(model.mixer, grads["mixer"]),
+                  (model.s2.spectra[2], grads["s2_spectra"][2]),
+                  (model.so3.weights, grads["so3_weights"])]
         worst, _ = kink_safe_gradcheck(loss_and_mask, checks, rng, 50)
         assert worst < 1e-4
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_image_path_gradcheck(self, model, mode):
         cfg = MapperConfig(grids.healpix_s2(2, "hemisphere"))
-        f = FeatureMap(np.random.default_rng(15).normal(size=(2, 16, 16)))
-        gt = wigner.rotation_to_psi(
-            RotationMatrix(sample_uniform_matrices(15, 1)[0]), L)
+        values = np.random.default_rng(15).normal(size=(1, 2, 16, 16))
+        gt = wigner.rotations_to_psi(sample_uniform_matrices(15, 1), L)
         loss_cfg = LossConfig(L)
-        _, grads = backward(model, f, cfg, gt, loss_cfg, mode=mode, seed=5)
-        checks = [(model.mixer, grads.mixer),
-                  (model.s2.spectra[3], grads.s2_spectra[3]),
-                  (model.so3.weights, grads.so3_weights)]
 
         def loss_and_mask():
-            value, _ = backward(model, f, cfg, gt, loss_cfg, mode=mode, seed=5)
-            _, state = forward_trunk(model, "image", f.values, cfg=cfg,
-                                     mode=mode, seed=5)
-            return value, state.relu_mask
+            value, _, mask = batch_loss_and_grads(model, "image", values, gt,
+                                                  loss_cfg, cfg=cfg, mode=mode,
+                                                  seed=5)
+            return value, mask
 
+        _, grads, _ = batch_loss_and_grads(model, "image", values, gt, loss_cfg,
+                                           cfg=cfg, mode=mode, seed=5)
+        checks = [(model.mixer, grads["mixer"]),
+                  (model.s2.spectra[3], grads["s2_spectra"][3]),
+                  (model.so3.weights, grads["so3_weights"])]
         worst, _ = kink_safe_gradcheck(loss_and_mask, checks,
                                        np.random.default_rng(16), 30)
         assert worst < 1e-4
@@ -709,8 +719,7 @@ class TestBackward:
         grid = grids.healpix_s2(2)
         rng = np.random.default_rng(13)
         sig = synthesize(SphericalCoeffs(L, rng.normal(size=(2, 25))), grid)
-        gt = wigner.rotation_to_psi(
-            RotationMatrix(sample_uniform_matrices(13, 1)[0]), L)
+        gt = wigner.rotations_to_psi(sample_uniform_matrices(13, 1), L)
         cfg = LossConfig(L)
         m = ToyModel(L, model.mixer.copy(),
                      S2FilterBank(L, tuple(s.copy() for s in model.s2.spectra)),
@@ -720,22 +729,26 @@ class TestBackward:
                      model.nonlin_level)
         losses = []
         for _ in range(200):
-            value, g = backward(m, sig, None, gt, cfg)
+            value, g, _ = batch_loss_and_grads(m, "spherical", sig.values[None],
+                                               gt, cfg, grid=grid)
             losses.append(value)
-            m.mixer -= 2e-3 * g.mixer
-            for s, ds in zip(m.s2.spectra, g.s2_spectra):
+            m.mixer -= 2e-3 * g["mixer"]
+            for s, ds in zip(m.s2.spectra, g["s2_spectra"]):
                 s -= 2e-3 * ds
-            m.so3.weights -= 2e-3 * g.so3_weights
+            m.so3.weights -= 2e-3 * g["so3_weights"]
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
 
     @pytest.mark.parametrize("kind", ["distribution_ce", "mse_plus_ce"])
     def test_ce_loss_without_grid_is_a_value_error(self, model, kind):
         grid = grids.healpix_s2(2)
         sig = synthesize(SphericalCoeffs(L, np.ones((2, 25))), grid)
+        values = sig.values[None]
+        target = predict(model, "spherical", values, grid=grid)
         with pytest.raises(ValueError, match="grid"):
-            backward(model, sig, None, forward(model, sig), LossConfig(L, kind))
+            batch_loss_and_grads(model, "spherical", values, target,
+                                 LossConfig(L, kind), grid=grid)
+
 
 class TestCheckpoint:
     def test_round_trip(self, model, tmp_path):

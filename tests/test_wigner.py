@@ -11,7 +11,7 @@ from so3harmonics.harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
                                     analyze, synthesize)
 from so3harmonics.rotations import (EulerZYZ, RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
-from so3harmonics.wigner import (m_total, rotate_coeffs, rotation_to_psi,
+from so3harmonics.wigner import (block_offsets, m_total, rotate_coeffs,
                                  rotations_to_psi, wigner_D_real)
 
 
@@ -164,37 +164,34 @@ class TestHarmonicVector:
         assert [m_total(l) for l in range(7)] == [1, 10, 35, 84, 165, 286, 455]
 
     def test_identity_vector(self):
-        psi = rotation_to_psi(RotationMatrix.identity(), 6)
-        assert len(psi.data) == 455
+        psi = rotations_to_psi(np.eye(3)[None], 6)[0]
+        assert len(psi) == 455
         # concatenated identity blocks: 49 unit entries on block diagonals
-        assert psi.data.sum() == pytest.approx(49.0, abs=1e-12)
-        assert np.count_nonzero(np.abs(psi.data) > 1e-12) == 49
+        assert psi.sum() == pytest.approx(49.0, abs=1e-12)
+        assert np.count_nonzero(np.abs(psi) > 1e-12) == 49
+        offs = block_offsets(6)
         for l in range(7):
-            assert np.allclose(psi.block(l), np.eye(2 * l + 1))
+            block = psi[offs[l]:offs[l + 1]].reshape(2 * l + 1, 2 * l + 1)
+            assert np.allclose(block, np.eye(2 * l + 1))
 
     def test_norm_squared_invariant(self):
-        for m in sample_uniform_matrices(5, 100):
-            psi = rotation_to_psi(RotationMatrix(m), 6)
-            assert psi.data @ psi.data == pytest.approx(49.0, abs=1e-9)
+        psi = rotations_to_psi(sample_uniform_matrices(5, 100), 6)
+        assert np.all(np.abs(np.sum(psi * psi, axis=1) - 49.0) <= 1e-9)
 
     def test_batch_matches_single(self):
         mats = sample_uniform_matrices(6, 10)
         batch = rotations_to_psi(mats, 4)
         for i, m in enumerate(mats):
-            single = rotation_to_psi(RotationMatrix(m), 4)
-            assert np.max(np.abs(batch[i] - single.data)) < 1e-12
+            single = rotations_to_psi(m, 4)
+            assert np.max(np.abs(batch[i] - single)) < 1e-12
 
     def test_euler_and_matrix_paths_agree(self):
         for m in sample_uniform_matrices(7, 20):
             e = matrix_to_euler(RotationMatrix(m))
-            via_euler = rotation_to_psi(e, 3).data
-            via_matrix = rotation_to_psi(RotationMatrix(m), 3).data
+            via_euler = np.concatenate([wigner_D_real(l, e).entries.ravel()
+                                        for l in range(4)])
+            via_matrix = rotations_to_psi(m, 3)
             assert np.max(np.abs(via_euler - via_matrix)) < 1e-12
-
-    def test_complex_data_is_rejected(self):
-        # a cast to float would keep only the real part, [1.]
-        with pytest.raises(ValueError, match="real"):
-            wigner.HarmonicVector(0, np.array([1 + 2j]))
 
     def test_injectivity_at_grid_scale(self):
         # distinct rotations >= 2 degrees apart score strictly below the
