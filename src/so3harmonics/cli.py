@@ -27,13 +27,14 @@ class InputError(Exception):
     """A --config file, config flag or stdin line that a command rejects."""
 
 
-def _load_config(args) -> harness.RunConfig:
+def _load_config(args, cfg: harness.RunConfig | None = None) -> harness.RunConfig:
+    """The --config file, else ``cfg``, else RunConfig(), under the flags."""
     path = getattr(args, "config", None)
     try:
         if path:
             with open(path) as fh:
                 cfg = harness.RunConfig.from_json(fh.read())
-        else:
+        elif cfg is None:
             cfg = harness.RunConfig()
     # an unknown key raises TypeError; JSONDecodeError is a ValueError
     except (TypeError, ValueError) as exc:
@@ -94,8 +95,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, cfg = harness.load_checkpoint(args.checkpoint)
-    if args.infer_level is not None:
-        cfg = dataclasses.replace(cfg, infer_level=args.infer_level)
+    cfg = _load_config(args, cfg)  # --infer-level
     ds = harness.load_dataset(args.dataset)
     result = harness.evaluate(model, ds, cfg,
                               grad_ascent=args.grad_ascent or None)
@@ -110,8 +110,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grids(args) -> int:
+    if args.level < 0:
+        raise InputError(f"--level must be >= 0, got {args.level}")
     if args.count is not None and args.count < 1:
         raise InputError(f"--count must be >= 1, got {args.count}")
+    if args.count is not None and args.kind == "healpix_hopf":
+        raise InputError("--count sizes random and super_fibonacci grids; "
+                         "a healpix_hopf grid has 72 * 8^level rotations")
+    if args.bandlimit is not None and args.bandlimit < 0:
+        raise InputError(f"--bandlimit must be >= 0, got {args.bandlimit}")
     g = grids.so3_grid(args.kind, args.level, args.count, args.data_seed,
                        args.allow_large)
     if args.bandlimit is not None:

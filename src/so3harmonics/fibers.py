@@ -23,10 +23,15 @@ The grid ReLU runs on the same factorization (``FiberRelu``):
 out = relu(x A^T) A H, with H the ridge inverse of the Gram matrix A^T A
 of the sampling A.  A = sum_j trig_j^T (x) U_j over the trig rows j, so
 A^T A = sum_{j, j'} T[j, j'] U_j^T U_j' with T = trig trig^T, built in
-closed form.  Where T is block-diagonal in the classes, so are A^T A and
-H, and per class one table U_k maps rows to fiber coefficients and one
-table G_k = U_k H_k maps the rectified coefficients back, with a small
-trig product between them.  Any other grid raises ``IllConditionedError``.
+closed form.  The F fiber angles resolve the band limit when 2L < F
+(``smallest_relu_level``): then k + k' < F and 2k < F for classes
+k != k' <= L, so the trig rows are nonzero and orthogonal across
+classes, T is block-diagonal in the classes, and so are A^T A and H.
+Per class one table U_k maps rows to fiber coefficients and one table
+G_k = U_k H_k maps the rectified coefficients back, with a small trig
+product between them.  At L = F/2 the sin(F psi / 2) row vanishes, and
+above it classes k and F - k alias: such grids, and grids without
+fibers, raise ``IllConditionedError``.
 """
 
 from __future__ import annotations
@@ -60,12 +65,7 @@ _RELU_CHUNK_BYTES = 8 << 20
 # Byte budget of the samples one trig product writes: the rectify and
 # the transposed trig product then read them from cache.
 _TRIG_CHUNK_BYTES = 256 << 10
-# Largest off-class entry of a grid's T = trig trig^T, relative to its
-# largest entry, for which the ReLU runs class by class.
-_CLASS_TOL = 1e-12
-
 fiber_table_cache = LRUCache(6)
-nonlin_operator_cache = LRUCache(8)
 
 
 def _classes(bounds: tuple[int, ...]):
@@ -301,42 +301,35 @@ def _class_grams(t: np.ndarray, table: FiberTable,
     return grams
 
 
-def _build_relu(grid: SO3Grid, bandlimit: int) -> FiberRelu:
+def smallest_relu_level(bandlimit: int) -> int:
+    """The smallest HEALPix-Hopf level whose F = 6 * 2^level fiber angles
+    resolve ``bandlimit`` (2L < F, that is L <= 3 * 2^level - 1: L <= 2,
+    5, 11 and 23 at levels 0 to 3): the smallest k with 2^k > L // 3."""
+    return (bandlimit // 3).bit_length()
+
+
+def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu:
+    """The grid ReLU's operator on a HEALPix-Hopf grid at a band limit.
+    Raises IllConditionedError, before building anything, where the
+    grid's fiber angles do not resolve the band limit; for a grid without
+    fibers (``fiber_table``); and unless the eigenvalues of the class
+    blocks of A^T A certify kappa(A), as ``ridge_solver``'s Gram route."""
+    if grid.level is not None and grid.level < smallest_relu_level(bandlimit):
+        raise IllConditionedError(
+            f"the {6 * 2 ** grid.level} fiber angles of the level-{grid.level} "
+            f"grid do not resolve band limit {bandlimit}, which needs 2L < F")
     table = fiber_table(grid, bandlimit)
     if table is None:
         raise IllConditionedError(f"the {grid.kind} grid of {grid.size} "
                                   "rotations has no Hopf fiber structure")
-    m = table.base_psi.shape[1]
-    where = f"the {grid.size}-rotation grid at M = {m}"
     t = table.trig @ table.trig.T
-    off = t.copy()
-    for h, j, _ in _classes(table.bounds):
-        off[j:j + h, j:j + h] = 0.0
-    if not np.max(np.abs(off)) <= _CLASS_TOL * np.max(np.abs(t)):
-        raise IllConditionedError(f"the Gram matrix of {where} couples "
-                                  "its |n| classes")
     u = _class_tables(table)
     h = gram_ridge_inverse(_class_grams(t, table, u))
     if h is None:
         raise IllConditionedError(
-            f"the Gram matrix of {where} does not certify kappa <= "
-            f"{GRAM_MAX_CONDITION:g}"
-            + (" (fewer samples than coefficients)" if grid.size < m else ""))
+            f"the Gram matrix of the {grid.size}-rotation grid at "
+            f"M = {table.base_psi.shape[1]} does not certify kappa <= "
+            f"{GRAM_MAX_CONDITION:g}")
     _raise_mmap_threshold()
     return FiberRelu(table.order, table.order_inverse, table.trig, table.bounds,
                      tuple(u), tuple(uk @ hk for uk, hk in zip(u, h)))
-
-
-def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu:
-    """The grid ReLU's operator at a band limit, keyed on the grid's
-    rotation content, so a new grid never receives the operator of a
-    freed one that happened to share its address.
-
-    Raises IllConditionedError for a grid without a fiber table (not
-    HEALPix-Hopf, or rotations moved off their fibers), or unless T is
-    block-diagonal in the |n| classes (to ``_CLASS_TOL``) and the
-    eigenvalues of the class blocks of A^T A certify kappa(A), as in
-    ``ridge_solver``'s Gram route.
-    """
-    return nonlin_operator_cache.get((grid.content_digest, bandlimit),
-                                     lambda: _build_relu(grid, bandlimit))

@@ -142,22 +142,14 @@ class SphericalSignal:
 # Design matrices / analysis / synthesis
 # ---------------------------------------------------------------------------
 
-design_cache = LRUCache(64)
 analysis_cache = LRUCache(64)
 
 
 def design_matrix(grid: PointSet, bandlimit: int) -> np.ndarray:
     """Evaluation matrix A with A[i, (l,m)] = Y_lm(x_i)."""
-    return design_cache.get((grid.content_digest, bandlimit),
-                            lambda: _build_design(grid, bandlimit))
-
-
-def _build_design(grid: PointSet, bandlimit: int) -> np.ndarray:
     cols = wigner_center_columns(grid.xyz, bandlimit)
-    blocks = [np.sqrt((2 * l + 1) / (4 * np.pi)) * c for l, c in enumerate(cols)]
-    out = np.concatenate(blocks, axis=1)
-    out.flags.writeable = False
-    return out
+    return np.concatenate([np.sqrt((2 * l + 1) / (4 * np.pi)) * c
+                           for l, c in enumerate(cols)], axis=1)
 
 
 def _certified_eigh(grams: list[np.ndarray]

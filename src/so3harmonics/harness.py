@@ -112,13 +112,29 @@ class RunConfig:
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        # comparisons written so that NaN fails; a zero learning rate
+        # keeps the initial parameters
+        for name, ok, span in [
+                ("learning_rate", 0 <= self.learning_rate < np.inf, "finite and >= 0"),
+                ("input_noise", 0 <= self.input_noise < np.inf, "finite and >= 0"),
+                ("grad_ascent_lr", 0 < self.grad_ascent_lr < np.inf, "finite and > 0"),
+                ("lr_decay", 0 < self.lr_decay < np.inf, "finite and > 0"),
+                ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                ("support_angle", 0 < self.support_angle <= np.pi, "in (0, pi]")]:
+            if not ok:
+                raise ValueError(f"{name} must be {span}, got {getattr(self, name)!r}")
         self.loss_config()  # rejects an unknown loss kind or bad loss setting
+        self.mapper_config()  # and a bad mapper setting
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.bandlimit, self.loss_kind,
                           huber_delta=self.huber_delta,
                           softmax_temperature=self.softmax_temperature,
                           ce_lambda=self.ce_lambda)
+
+    def mapper_config(self) -> MapperConfig:
+        return MapperConfig(grids.healpix_s2(self.mapper_level, "hemisphere"),
+                            self.dropout_fraction, self.edge_decay, self.sample_count)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -360,9 +376,7 @@ def params_to_matrices(params: np.ndarray, head_kind: str) -> np.ndarray:
 
 def _forward_batch(model, ds: SyntheticDataset, idx: np.ndarray,
                    cfg: RunConfig, mode: str, seed: int):
-    mcfg = None if ds.kind == "spherical" else MapperConfig(
-        grids.healpix_s2(cfg.mapper_level, "hemisphere"),
-        cfg.dropout_fraction, cfg.edge_decay, cfg.sample_count)
+    mcfg = None if ds.kind == "spherical" else cfg.mapper_config()
     return forward_trunk(model, ds.kind, ds.inputs[idx], grid=ds.grid,
                          cfg=mcfg, mode=mode, seed=seed)
 

@@ -22,9 +22,9 @@ the same layer functions the equivariance tests check.
   grid (dot products with the grid's harmonic vectors), applies ReLU,
   and projects back to band-limited blocks by ridge least squares,
   through the grid's Hopf fibers (``fibers.FiberRelu``).  Any other grid
-  raises ``IllConditionedError``, and so does a model whose grid cannot
-  certify at its band limit, when it is built (``nonlin_operator``):
-  level 0 certifies L <= 2, level 1 L <= 5, and levels 2 and 3 L <= 8.
+  raises ``IllConditionedError``, and so does a model whose grid's F
+  fiber angles do not resolve its band limit (2L < F), when it is built
+  (``nonlin_operator``): L <= 2, 5, 11 and 23 at levels 0 to 3.
 
 The toy network chains: lift of each input channel to harmonic
 coefficients (ridge analysis of a sphere signal, fixed adjoint
@@ -39,14 +39,13 @@ through the (almost entirely linear) stages.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._cache import LRUCache
-from .fibers import FiberRelu, _relu_operator
-from .grids import LARGE_GRID_LEVEL, SO3Grid, so3_healpix
+from .fibers import FiberRelu, _relu_operator, smallest_relu_level
+from .grids import LARGE_GRID_LEVEL, ResourceLimitError, so3_healpix
 from .harmonics import (IllConditionedError, PointSet, analysis_matrix,
                         design_matrix)
 # unused here; perfbench's tracer tests call it through this module
@@ -230,35 +229,28 @@ def so3_conv(x: np.ndarray, f: LocalSO3Filter) -> np.ndarray:
     return out
 
 
-# one entry per level so3_healpix builds without allow_large
-nonlin_grid_cache = LRUCache(LARGE_GRID_LEVEL)
-
-
-def default_nonlin_grid(level: int = 2) -> SO3Grid:
-    return nonlin_grid_cache.get(level, lambda: so3_healpix(level))
+nonlin_operator_cache = LRUCache(8)
 
 
 def nonlin_operator(level: int, bandlimit: int) -> FiberRelu:
-    """``default_nonlin_grid(level)``'s ReLU operator at ``bandlimit``.
-
-    Models call it when they are built.  Its IllConditionedError names
-    the smallest level below ``LARGE_GRID_LEVEL`` that certifies at the
-    band limit; a level outside that range raises ResourceLimitError.
-    """
+    """The grid ReLU's operator on ``so3_healpix(level)`` at ``bandlimit``,
+    cached by (level, bandlimit); models call it when they are built.
+    Its IllConditionedError names ``smallest_relu_level(bandlimit)``; a
+    level outside 0..LARGE_GRID_LEVEL - 1 raises ResourceLimitError."""
+    if not 0 <= level < LARGE_GRID_LEVEL:
+        raise ResourceLimitError(f"nonlin_level {level} is outside the "
+                                 f"supported range 0..{LARGE_GRID_LEVEL - 1}")
     try:
-        return _relu_operator(default_nonlin_grid(level), bandlimit)
+        return nonlin_operator_cache.get(
+            (level, bandlimit), lambda: _relu_operator(so3_healpix(level), bandlimit))
     except IllConditionedError as exc:
-        reason = exc
-    for k in range(LARGE_GRID_LEVEL):
-        with suppress(IllConditionedError):
-            _relu_operator(default_nonlin_grid(k), bandlimit)
-            hint = f"nonlin_level {k} is the smallest that certifies"
-            break
-    else:
-        hint = f"no nonlin_level in 0..{LARGE_GRID_LEVEL - 1} certifies"
-    raise IllConditionedError(f"nonlin_level {level} cannot run the grid "
-                              f"ReLU at band limit {bandlimit}: {reason}; "
-                              f"{hint}") from None
+        smallest = smallest_relu_level(bandlimit)
+        hint = (f"nonlin_level {smallest} is the smallest whose grid resolves it"
+                if smallest < LARGE_GRID_LEVEL else
+                f"no nonlin_level in 0..{LARGE_GRID_LEVEL - 1} resolves it")
+        raise IllConditionedError(f"nonlin_level {level} cannot run the grid "
+                                  f"ReLU at band limit {bandlimit}: {exc}; "
+                                  f"{hint}") from None
 
 
 # ---------------------------------------------------------------------------

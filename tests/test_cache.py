@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from so3harmonics import fibers, grids, harmonics, harness
+from so3harmonics import fibers, grids, harmonics, harness, specconv
 from so3harmonics._cache import LRUCache, digest
 from so3harmonics.mapper import MapperConfig
 from so3harmonics.specconv import forward_trunk, init_toy_model
@@ -44,12 +44,23 @@ def test_nbytes_counts_lists_tuples_and_fields():
 
 def test_relu_operator_bytes_are_its_arrays(monkeypatch):
     # the level-2, L = 6 training ReLU: its per-class tables are counted
-    from so3harmonics import specconv
-    monkeypatch.setattr(fibers, "nonlin_operator_cache", LRUCache(8))
-    op = fibers._relu_operator(specconv.default_nonlin_grid(2), 6)
+    monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+    op = specconv.nonlin_operator(2, 6)
     arrays = [op.order, op.order_inverse, op.trig, *op.u, *op.g]
-    assert fibers.nonlin_operator_cache.nbytes == sum(a.nbytes for a in arrays)
-    assert fibers.nonlin_operator_cache.nbytes == 2_654_768
+    assert specconv.nonlin_operator_cache.nbytes == sum(a.nbytes for a in arrays)
+    assert specconv.nonlin_operator_cache.nbytes == 2_654_768
+
+
+def test_rejected_model_build_keeps_nothing(monkeypatch):
+    # the level-2 grid's 24 fiber angles do not resolve L = 13: the model
+    # build fails before any fiber table or operator is made
+    monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+    monkeypatch.setattr(fibers, "fiber_table_cache", LRUCache(6))
+    with pytest.raises(harmonics.IllConditionedError,
+                       match="nonlin_level 3 is the smallest"):
+        init_toy_model(0, 13, 3, nonlin_level=2)
+    assert len(specconv.nonlin_operator_cache) == 0
+    assert len(fibers.fiber_table_cache) == 0
 
 
 def test_digest_covers_dtype_and_shape():

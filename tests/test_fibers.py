@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from so3harmonics import fibers, grids, wigner
-from so3harmonics.specconv import default_nonlin_grid
+from so3harmonics.specconv import nonlin_operator
 
 
 @pytest.mark.parametrize("bandlimit", [0, 1, 4, 6])
@@ -32,7 +32,7 @@ def test_classes_pair_columns_with_their_trig_rows(bandlimit):
 def test_relu_takes_any_leading_shape():
     # one sample, a batch and a stack of batches: every row bit for bit
     # what the flat (rows, M) call gives
-    op = fibers._relu_operator(default_nonlin_grid(2), 4)
+    op = nonlin_operator(2, 4)
     rng = np.random.default_rng(30)
     x = rng.normal(size=(2, 3, 4, wigner.m_total(4)))
     d_out = rng.normal(size=x.shape)

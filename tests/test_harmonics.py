@@ -207,9 +207,9 @@ class TestRidgeSolverRoutes:
             raise AssertionError("np.linalg.svd called")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        monkeypatch.setattr(fibers, "nonlin_operator_cache", LRUCache(8))
+        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
         assert ridge_solver(table).shape == (455, 4608)
-        relu = fibers._relu_operator(specconv.default_nonlin_grid(2), 6)
+        relu = specconv.nonlin_operator(2, 6)
         assert isinstance(relu, fibers.FiberRelu) and relu.size == 4608
 
     def test_block_inverse_certifies_all_blocks_together(self):

@@ -488,7 +488,25 @@ class TestCli:
                 ("inf", '{"softmax_temperature": Infinity}',
                  "softmax_temperature must be finite and > 0, got inf"),
                 ("lambda", '{"loss_kind": "mse_plus_ce", "ce_lambda": -1}',
-                 "ce_lambda must be finite and >= 0, got -1")]:
+                 "ce_lambda must be finite and >= 0, got -1"),
+                # optimizer and filter settings that ascend, never converge
+                # or fail only once training runs
+                ("momentum", '{"momentum": 1.5}',
+                 "momentum must be in [0, 1), got 1.5"),
+                ("decay", '{"lr_decay": 0}', "lr_decay must be finite and > 0, got 0"),
+                ("ga_lr", '{"grad_ascent_lr": NaN}',
+                 "grad_ascent_lr must be finite and > 0, got nan"),
+                ("support", '{"support_angle": -1.0}',
+                 "support_angle must be in (0, pi], got -1.0"),
+                # mapper settings MapperConfig rejects
+                ("dropout", '{"dropout_fraction": 1.5}',
+                 "dropout_fraction must lie in [0, 1)"),
+                ("edge", '{"edge_decay": "linear"}',
+                 "edge_decay must be 'cosine' or 'none': 'linear'"),
+                ("samples", '{"sample_count": 100000}',
+                 "sample_count must lie in 1..grid size"),
+                ("mapper_level", '{"mapper_level": 9}',
+                 "level must lie in 0..8, got 9")]:
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             cases.append((["gen-dataset", "--config", str(path), "--out",
@@ -496,15 +514,30 @@ class TestCli:
         # integer flags below 0
         gen = ["gen-dataset", "--out", str(tmp_path / "x.bin")]
         below_0 = "must be an integer >= 0, got -"
+        train_out = ["train", "--dataset", ds_path, "--out", str(tmp_path / "b.ckpt")]
         cases += [([*gen, "--n-test-views", "-1"], f"n_test_views {below_0}1"),
                   ([*gen, "--n-train-views", "-3"], f"n_train_views {below_0}3"),
-                  (["train", "--dataset", ds_path, "--out", str(tmp_path / "b.ckpt"),
-                    "--bandlimit", "-1"], f"bandlimit {below_0}1")]
+                  ([*train_out, "--bandlimit", "-1"], f"bandlimit {below_0}1"),
+                  ([*evaluate, ckpt, "--infer-level", "-1"], f"infer_level {below_0}1")]
+        # float flags: no noise below 0, no gradient ascent, no NaN rate
+        cases += [([*gen, "--input-noise", "-1"],
+                   "input_noise must be finite and >= 0, got -1.0"),
+                  ([*train_out, "--learning-rate", "-0.5"],
+                   "learning_rate must be finite and >= 0, got -0.5"),
+                  ([*train_out, "--learning-rate", "nan"],
+                   "learning_rate must be finite and >= 0, got nan")]
+        # the default level-2 ReLU grid's 24 fiber angles resolve L <= 11
+        cases.append(([*train_out, "--bandlimit", "13"],
+                      "nonlin_level 3 is the smallest"))
         # grid counts below 1: 0 must not fall back to the level's count
-        grid_out = ["grids", "--kind", "random", "--level", "1", "--out",
-                    str(tmp_path / "g.bin")]
-        cases += [([*grid_out, "--count", "0"], "--count must be >= 1, got 0"),
-                  ([*grid_out, "--count", "-5"], "--count must be >= 1, got -5")]
+        grid_out = ["grids", "--level", "1", "--out", str(tmp_path / "g.bin")]
+        random_out = [*grid_out, "--kind", "random"]
+        cases += [([*random_out, "--count", "0"], "--count must be >= 1, got 0"),
+                  ([*random_out, "--count", "-5"], "--count must be >= 1, got -5"),
+                  ([*random_out, "--level", "-1"], "--level must be >= 0, got -1"),
+                  ([*grid_out, "--bandlimit", "-2"], "--bandlimit must be >= 0, got -2"),
+                  ([*grid_out, "--kind", "healpix_hopf", "--count", "5"],
+                   "--count sizes random and super_fibonacci grids")]
         for args, *messages in cases:
             self._fails(args, messages)
         # malformed convert input, on line 2 after a good line 1

@@ -21,9 +21,9 @@ from so3harmonics.mapper import MapperConfig
 from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
                                     sample_uniform_matrices)
 from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
-                                   _blocks, default_nonlin_grid, forward_trunk,
-                                   head_wigner, init_toy_model,
-                                   local_tap_rotations, s2_conv, so3_conv)
+                                   _blocks, forward_trunk, head_wigner,
+                                   init_toy_model, local_tap_rotations,
+                                   nonlin_operator, s2_conv, so3_conv)
 
 L = 4
 
@@ -191,7 +191,7 @@ class TestNonlinearity:
         # square of a half-bandlimit signal: band-limited at L and
         # non-negative, so ReLU is the identity up to re-analysis error
         rng = np.random.default_rng(4)
-        grid = default_nonlin_grid(2)
+        grid = grids.so3_healpix(2)
         half = rng.normal(size=(2, wigner.m_total(L // 2)))
         samples = fiber_table(grid, L // 2).scores(half)
         squared = samples ** 2
@@ -204,7 +204,7 @@ class TestNonlinearity:
 
     def test_zero_input(self):
         x = np.zeros((1, wigner.m_total(L)))
-        out, _ = _relu_operator(default_nonlin_grid(2), L).forward(x)
+        out, _ = nonlin_operator(2, L).forward(x)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_freed_grids_never_share_operators(self):
@@ -228,7 +228,7 @@ class TestNonlinearity:
 
     def test_approximate_equivariance(self):
         rng = np.random.default_rng(5)
-        relu = _relu_operator(default_nonlin_grid(2), L)
+        relu = nonlin_operator(2, L)
         x = rng.normal(size=(1, wigner.m_total(L)))
         m = sample_uniform_matrices(55, 1)[0]
         lhs, _ = relu.forward(left_translate(x, m))
@@ -249,7 +249,7 @@ class TestBatchedLayers:
             "s2_conv": (lambda x: s2_conv(x, model.s2), (3, 3, 25)),
             "so3_conv": (lambda x: so3_conv(x, model.so3), (3, 4, m)),
             "grid_relu": (
-                lambda x: _relu_operator(default_nonlin_grid(2), L).forward(x)[0],
+                lambda x: nonlin_operator(2, L).forward(x)[0],
                 (3, 4, m)),
         }[layer]
         x = np.random.default_rng(20).normal(size=shape)
@@ -262,8 +262,8 @@ class TestBatchedLayers:
         # its backward run on flat (B*C, .) rows; per-sample stacked
         # products with the dense table and its ridge inverse must give
         # the same mask and the same rows up to rounding
-        grid = default_nonlin_grid(2)
-        op = _relu_operator(grid, 6)
+        grid = grids.so3_healpix(2)
+        op = nonlin_operator(2, 6)
         rng = np.random.default_rng(21)
         x = rng.normal(size=(25, 8, wigner.m_total(6)))
         d_out = rng.normal(size=x.shape)
@@ -276,7 +276,7 @@ class TestBatchedLayers:
         assert_rows_close(back, ref_back)
 
     def test_nonlinearity_rows_independent_of_leading_shape(self):
-        relu = _relu_operator(default_nonlin_grid(2), 6)
+        relu = nonlin_operator(2, 6)
         x = np.random.default_rng(22).normal(size=(2, 3, 8, wigner.m_total(6)))
         rows = relu.forward(x)[0].reshape(6, 8, -1)
         stacked, _ = relu.forward(x.reshape(6, 8, -1))
@@ -344,15 +344,15 @@ class TestFiberRelu:
     with the ridge inverse of their Gram matrix folded into the tables."""
 
     def test_class_path_needs_a_block_diagonal_gram(self, monkeypatch):
-        # at level 0 (F = 6 fiber angles) and L = 4 the trig rows of
-        # classes 2 and 4 are not orthogonal, so T = trig trig^T and the
-        # Gram matrix couple them; the check on T rejects the table
-        # before inverting
-        def no_inverse(gram):
-            raise AssertionError("Gram matrix inverted")
+        # at level 0 (F = 6 fiber angles) and L = 4 classes 2 and 4 alias,
+        # so T = trig trig^T and the Gram matrix couple them; the ReLU
+        # refuses the pair before it builds a table or inverts anything
+        def not_built(*args):
+            raise AssertionError("table built or Gram matrix inverted")
 
-        monkeypatch.setattr(fibers, "gram_ridge_inverse", no_inverse)
-        with pytest.raises(IllConditionedError, match="couples its"):
+        monkeypatch.setattr(fibers, "_build_fiber_table", not_built)
+        monkeypatch.setattr(fibers, "gram_ridge_inverse", not_built)
+        with pytest.raises(IllConditionedError, match="do not resolve"):
             _relu_operator(grids.so3_healpix(0), 4)
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -360,7 +360,8 @@ class TestFiberRelu:
     def test_closed_form_gram_matches_dense_table(self, level, bandlimit):
         # the closed-form class blocks of the ReLU build against A^T A of
         # the dense psi table, columns in class order; where the grid
-        # certifies, T and A^T A vanish off the class blocks
+        # resolves L, T and A^T A vanish off the class blocks, and
+        # elsewhere T couples two classes or has a zero trig row
         grid = grids.so3_healpix(level)
         table = fiber_table(grid, bandlimit)
         a = wigner.rotations_to_psi(grid.rotations, bandlimit)[:, table.order]
@@ -372,14 +373,17 @@ class TestFiberRelu:
         for (_, _, cols), gram in zip(fibers._classes(table.bounds), grams):
             assert np.max(np.abs(gram - dense[cols, cols])) <= 1e-13 * scale
             off[cols, cols] = 0.0
+        classes = (np.arange(len(t)) + 1) // 2
+        t_off = np.where(classes[:, None] != classes, t, 0.0)
         if bandlimit <= self.CERTIFIED_UP_TO[level]:
-            classes = (np.arange(len(t)) + 1) // 2
-            t_off = np.where(classes[:, None] != classes, t, 0.0)
             assert np.max(np.abs(t_off)) <= 1e-15 * np.max(np.abs(t))
             assert np.max(np.abs(off)) <= 1e-13 * scale
+        else:
+            assert (np.max(np.abs(t_off)) > 0.1 * np.max(np.abs(t))
+                    or np.min(np.diag(t)) < 1e-12 * np.max(np.abs(t)))
 
     def test_training_relu_has_no_m_by_m_operand(self):
-        op = _relu_operator(default_nonlin_grid(2), 6)
+        op = nonlin_operator(2, 6)
         m = wigner.m_total(6)
         assert isinstance(op, FiberRelu)
         for a in (op.trig, *op.u, *op.g):
@@ -388,7 +392,7 @@ class TestFiberRelu:
     def test_row_chunks_match_one_chunk(self, monkeypatch):
         # one row per chunk, and a last chunk shorter than the others,
         # against all rows in one chunk
-        op = _relu_operator(default_nonlin_grid(2), 4)
+        op = nonlin_operator(2, 4)
         assert isinstance(op, FiberRelu)
         rng = np.random.default_rng(26)
         x = rng.normal(size=(7, wigner.m_total(4)))
@@ -407,7 +411,7 @@ class TestFiberRelu:
     def test_memory_stays_within_the_row_chunks(self):
         # a whole split of 100 views at C_h = 8 runs through the ReLU at
         # once as 800 rows
-        op = _relu_operator(default_nonlin_grid(2), 6)
+        op = nonlin_operator(2, 6)
         rng = np.random.default_rng(25)
         x = rng.normal(size=(800, wigner.m_total(6)))
         d_out = rng.normal(size=x.shape)
@@ -427,9 +431,8 @@ class TestFiberRelu:
         rng = np.random.default_rng(10 * level + bandlimit)
         x = rng.normal(size=(2, 3, wigner.m_total(bandlimit)))
         d_out = rng.normal(size=x.shape)
-        # the wide level-0 table (Q = 72 < M) and level 1 at L = 6
-        # (kappa(A) > 100) have no certified Gram matrix
-        if (level, bandlimit) in ((0, 4), (0, 6), (1, 6)):
+        # level 0 at L = 4 and 6 and level 1 at L = 6: 2L >= F
+        if bandlimit > self.CERTIFIED_UP_TO[level]:
             with pytest.raises(IllConditionedError):
                 _relu_operator(grid, bandlimit)
             return
@@ -457,31 +460,29 @@ class TestFiberRelu:
         def no_table(*args, **kwargs):
             raise AssertionError("dense psi table built")
 
-        monkeypatch.setattr(fibers, "nonlin_operator_cache", LRUCache(8))
+        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
         monkeypatch.setattr(grids.SO3Grid, "with_psi_table", no_table)
         model6 = init_toy_model(2, 6, in_channels=2)
         sphere = grids.healpix_s2(2)
         values = np.random.default_rng(24).normal(size=(3, 2, sphere.size))
         hidden, state = forward_trunk(model6, "spherical", values, grid=sphere)
         specconv.backward_trunk(model6, state, np.ones_like(hidden))
-        grid = default_nonlin_grid(2)
-        assert grid.psi_table is None
-        op = _relu_operator(grid, 6)
+        op = nonlin_operator(2, 6)
         assert state.relu is op and isinstance(op, FiberRelu)
-        assert fibers.nonlin_operator_cache.nbytes < 8e6  # dense A and P: 33.6 MB
+        assert specconv.nonlin_operator_cache.nbytes < 8e6  # dense A and P: 33.6 MB
 
-    # the largest band limit at which each nonlin level's grid certifies
-    # (Q = 72, 576, 4,608, 36,864), over L = 0..8
-    CERTIFIED_UP_TO = {0: 2, 1: 5, 2: 8, 3: 8}
+    # the largest band limit each nonlin level's grid resolves: its
+    # F = 6 * 2^level fiber angles need 2L < F
+    CERTIFIED_UP_TO = {level: 3 * 2 ** level - 1 for level in range(4)}
 
-    @pytest.mark.parametrize("bandlimit", range(9))
+    @pytest.mark.parametrize("bandlimit", range(14))
     def test_model_construction_rejects_uncertifiable_grids(self, monkeypatch,
                                                             bandlimit):
-        monkeypatch.setattr(fibers, "nonlin_operator_cache", LRUCache(8))
+        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
         smallest = min(level for level, top in self.CERTIFIED_UP_TO.items()
                        if bandlimit <= top)
-        for level, top in self.CERTIFIED_UP_TO.items():
-            if bandlimit <= top:
+        for level in range(3):
+            if bandlimit <= self.CERTIFIED_UP_TO[level]:
                 model = init_toy_model(0, bandlimit, 1, 1, 1, 1,
                                        nonlin_level=level)
                 op = specconv.nonlin_operator(model.nonlin_level, bandlimit)
@@ -490,6 +491,22 @@ class TestFiberRelu:
                 with pytest.raises(IllConditionedError,
                                    match=f"nonlin_level {smallest} is the smallest"):
                     init_toy_model(0, bandlimit, 1, 1, 1, 1, nonlin_level=level)
+
+    def test_smallest_level_is_the_resolution_rule(self):
+        for bandlimit in range(100):
+            assert fibers.smallest_relu_level(bandlimit) == min(
+                k for k in range(10) if 2 * bandlimit < 6 * 2 ** k)
+
+    def test_levels_out_of_reach_are_named(self, monkeypatch):
+        monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
+        with pytest.raises(IllConditionedError,
+                           match="no nonlin_level in 0..4 resolves it"):
+            nonlin_operator(2, 48)
+        for level in (-1, grids.LARGE_GRID_LEVEL):
+            with pytest.raises(grids.ResourceLimitError,
+                               match=f"nonlin_level {level} is outside") as err:
+                nonlin_operator(level, 2)
+            assert "allow_large" not in str(err.value)
 
 
 # Trains on spherical L = 6 inputs (4 steps of B = 25 an epoch) and
