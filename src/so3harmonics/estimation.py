@@ -13,8 +13,9 @@ exact generator derivatives.  One private scoring function and its
 adjoint serve the distribution, the cross-entropy losses and
 ``decode_poses``.  A HEALPix-Hopf grid is scored through its fiber table
 (``fibers.fiber_table``), any other grid against its dense psi table.
-``decode_poses`` walks the batch in row chunks of a fixed byte budget
-and keeps only each row's argmax and its confidence readouts.
+``decode_poses`` scores the batch in cache-sized blocks, reads each
+block out at once and keeps only each row's argmax and its confidence
+readouts.
 Refinement takes its generator derivatives as one stacked matmul per
 step.
 """
@@ -234,16 +235,52 @@ class PoseReadout:
     manifold_distance: np.ndarray  # (B,) |p - psi(argmax rotation)|
 
 
-def _decode_chunk(rows: np.ndarray, grid: SO3Grid, temperature: float):
-    """(argmax, top-1 probability, entropy, margin) of a few rows."""
-    s = _scores(rows, grid)
+# Byte budget of one block of ``decode_poses``' scores (at least one row):
+# the block and its softmax numerators stay in a core's 2 MiB L2 while
+# the readout makes its passes over them; a 4 MB block would
+# stream every pass from L3.
+_BLOCK_BYTES = 1 << 20
+
+
+def _spans(n: int, step: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the ceil(n / step) near-equal spans of range(n).  A
+    batch of two or more rows gets no one-row span, whose GEMM rounds
+    differently from the same row's in a larger product."""
+    count = -(-n // step)
+    return [(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _score_blocks(rows: np.ndarray, grid: SO3Grid):
+    """(lo, scores of rows lo:lo + len(scores)) over the batch, in blocks
+    of ``_BLOCK_BYTES``.  A fiber grid's coefficients are computed in row
+    chunks of ``fibers._CHUNK_BYTES``, so a batch streams ``base_psi``
+    once a chunk, and synthesized block by block."""
+    block = max(1, _BLOCK_BYTES // (8 * grid.size))
+    table = fibers.fiber_table(grid, wigner.bandlimit_of(rows.shape[-1]))
+    if table is None:
+        dense = _dense_table(grid)
+        for lo, hi in _spans(len(rows), block):
+            yield lo, rows[lo:hi] @ dense.T
+        return
+    row_bytes = 8 * table.trig.shape[0] * len(table.base_psi)
+    chunk = max(1, fibers._CHUNK_BYTES // row_bytes)
+    for lo, hi in _spans(len(rows), chunk):
+        x = table.coefficients(rows[lo:hi])
+        for a, b in _spans(hi - lo, block):
+            yield lo + a, table.synthesize(x[:, a:b])
+
+
+def _read_out(s: np.ndarray, temperature: float):
+    """(argmax, top-1 probability, entropy, margin) of score rows s,
+    which it overwrites."""
     r = np.arange(len(s))
     best = np.argmax(s, axis=1)
     s -= s[r, best][:, None]
     s[r, best] = -np.inf
     margin = -s.max(axis=1)
     s[r, best] = 0.0
-    s /= temperature
+    if temperature != 1.0:  # x / 1.0 == x, and the pass is compute-bound
+        s /= temperature
     e = np.exp(s)
     z = e.sum(axis=1)
     es = (e[:, None] @ s[:, :, None])[:, 0, 0]  # sum_j e s, one BLAS dot per row
@@ -255,16 +292,18 @@ def decode_poses(pred, grid: SO3Grid, temperature: float = 1.0) -> PoseReadout:
     batch (B, M), with the readouts of ``PoseReadout``.
 
     Equals ``argmax_pose(infer_distribution(pred, grid, temperature))``
-    row by row, but scores the batch in chunks of ``fibers._CHUNK_BYTES`` and
-    keeps no (B, size) array.
+    row by row, but keeps no (B, size) array: it scores the batch in
+    blocks of ``_BLOCK_BYTES`` and reads each block out while it is still
+    in cache.  An empty batch (0, M) gives empty readouts.
     """
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     rows = np.atleast_2d(np.asarray(pred, dtype=float))
-    step = max(1, fibers._CHUNK_BYTES // (8 * grid.size))
-    idx, top1, entropy, margin = map(np.concatenate, zip(*(
-        _decode_chunk(rows[i:i + step], grid, temperature)
-        for i in range(0, len(rows), step))))
+    idx = np.empty(len(rows), dtype=np.intp)
+    top1, entropy, margin = np.empty((3, len(rows)))
+    for lo, s in _score_blocks(rows, grid):
+        hi = lo + len(s)
+        idx[lo:hi], top1[lo:hi], entropy[lo:hi], margin[lo:hi] = _read_out(s, temperature)
     rots = grid.rotations[idx]
     psi = wigner.rotations_to_psi(rots, wigner.bandlimit_of(rows.shape[-1]))
     return PoseReadout(rots, top1, entropy, margin,

@@ -46,14 +46,13 @@ from .grids import SO3Grid, so3_healpix_count
 from .harmonics import (GRAM_MAX_CONDITION, IllConditionedError,
                         gram_ridge_inverse)
 
-# Byte budget of one chunk of rows: a block of rotations checked for the
-# fiber structure, and a row chunk of ``estimation.decode_poses``'
-# (rows, grid size) score array (at least one row).  A decode chunk also
-# holds its softmax numerators, so a decode peaks near twice this on top
-# of the tables, whatever the batch: the whole (1000, 36864) level-3
-# array of a 1,000-row batch is 295 MB.  The softmax passes then run on
-# cache-sized arrays: a 40-row level-3 decode took ~14 ms at 4 MB against
-# ~26 ms at 16 MB on a 2-CPU x86 VM.
+# Byte budget of one chunk of rows (at least one row): a block of
+# rotations checked for the fiber structure, and a row chunk of the
+# (J, rows, N) fiber coefficients ``estimation.decode_poses`` computes at
+# once, 80 KB a row at level 3 and L = 6, so a 40-row batch streams
+# ``base_psi`` once.  The decode synthesizes each chunk's scores in
+# smaller blocks and keeps no (rows, grid size) array: that of a
+# 1,000-row level-3 batch is 295 MB.
 _CHUNK_BYTES = 4 << 20
 # Largest entry of |R - A_i Rz(psi_f)| a grid may show and still be
 # scored through its fibers.
@@ -94,6 +93,12 @@ class FiberTable:
 
     def scores(self, rows: np.ndarray) -> np.ndarray:
         """<psi(R), p> for every grid rotation R and row p of (B, M): (B, N F)."""
+        return self.synthesize(self.coefficients(rows))
+
+    def coefficients(self, rows: np.ndarray) -> np.ndarray:
+        """The fiber coefficients (J, B, N) of rows (B, M): per class, one
+        GEMM of the rows and their signed partners against its columns of
+        ``base_psi``."""
         b, (nbase, m) = len(rows), self.base_psi.shape
         z = np.empty((2, b, m))  # the rows in class order, then their signed partners
         z[0] = rows[:, self.order]
@@ -103,7 +108,14 @@ class FiberTable:
         for h, j, cols in _classes(self.bounds):
             np.matmul(z[:h, :, cols].reshape(h * b, -1), self.base_psi[:, cols].T,
                       out=x[j:j + h].reshape(h * b, nbase))
-        return (x.reshape(len(x), -1).T @ self.trig).reshape(b, -1)
+        return x
+
+    def synthesize(self, x: np.ndarray) -> np.ndarray:
+        """The scores (B, N F) of fiber coefficients x (J, B, N), such as a
+        row slice ``coefficients(rows)[:, lo:hi]``: one product with the
+        trig table, whose bits do not depend on how many rows x holds."""
+        j_count, b, _ = x.shape
+        return (x.reshape(j_count, -1).T @ self.trig).reshape(b, -1)
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         """sum_R g[:, R] psi(R) for weights g (B, N F): (B, M), the
@@ -186,12 +198,13 @@ def _raise_mmap_threshold() -> None:
     glibc maps a request at or above M_MMAP_THRESHOLD (128 KiB at start)
     afresh, and freeing an mmapped chunk raises M_MMAP_THRESHOLD to that
     chunk's size, up to 32 MiB, and M_TRIM_THRESHOLD to twice that size.
-    After this free the ReLU's (J, rows, N) coefficient buffers and
-    ``decode_poses``' score chunks (~4 MB each at L = 6) come from the
-    heap.  Without it they can be mapped and page-faulted afresh on every
-    call: ~2,000 minor faults a ``train_image`` step.  Other allocators
-    ignore the block.  Its size is in bytes: as many float64 entries
-    would pass the 32 MiB cap and change nothing.
+    After this free the (J, rows, N) coefficient buffers of the ReLU and
+    of ``decode_poses`` (up to ~8 and ~4 MB at L = 6) and the decode's
+    ~1 MB score blocks come from the heap.  Without it they can be mapped
+    and page-faulted afresh on every call: ~2,000 minor faults a
+    ``train_image`` step.  Other allocators ignore the block.  Its size
+    is in bytes: as many float64 entries would pass the 32 MiB cap and
+    change nothing.
     """
     # a MiB above the budget covers malloc's chunk header and page rounding
     np.empty(_RELU_CHUNK_BYTES + (1 << 20), dtype=np.uint8)

@@ -177,7 +177,12 @@ def so3_healpix(level: int, allow_large: bool = False) -> SO3Grid:
 def so3_grid(kind: str, level: int, count: int | None = None, seed: int = 0,
              allow_large: bool = False) -> SO3Grid:
     """SO(3) grid by kind name; ``count`` (default: the HEALPix count at
-    ``level``) sizes a random or super-Fibonacci grid."""
+    ``level``) sizes a random or super-Fibonacci grid.  A negative level
+    raises ResourceLimitError for every kind."""
+    if level < 0:
+        raise ResourceLimitError(
+            f"SO(3) grid level {level} is out of the supported range "
+            f"0..{LARGE_GRID_LEVEL}")
     if kind == "healpix_hopf":
         return so3_healpix(level, allow_large)
     n = count if count is not None else so3_healpix_count(level)

@@ -287,6 +287,8 @@ def init_toy_model(seed: int, bandlimit: int, in_channels: int,
                    mid_channels: int = 6, hidden_channels: int = 8,
                    tap_count: int = 32, support_angle: float = np.pi / 8,
                    nonlin_level: int = 2) -> ToyModel:
+    # the ReLU rule first: a rejected build draws no taps or spectra
+    nonlin_operator(nonlin_level, bandlimit)
     rng = np.random.default_rng(seed)
     mixer = rng.normal(scale=1.0 / np.sqrt(in_channels),
                        size=(in_channels, mid_channels))

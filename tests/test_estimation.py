@@ -333,6 +333,47 @@ class TestDecodePoses:
         assert np.max(np.abs(d.manifold_distance - dist)) <= 1e-12
         assert np.all(d.manifold_distance[4:] <= 1e-12)
 
+    @pytest.mark.parametrize("temperature", [1.0, 0.7])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_blocked_decode_matches_whole_score_readouts(self, dense, temperature):
+        # batches of one row, of one row past a score block and of one
+        # row past a coefficient chunk, read out against the whole
+        # (B, size) scores of the batch
+        if dense:
+            grid, bandlimit = grids.so3_super_fibonacci(576).with_psi_table(4), 4
+            sizes = [1, estimation._BLOCK_BYTES // (8 * grid.size) + 1]
+        else:
+            grid, bandlimit = grids.so3_healpix(3), 6
+            table = fibers.fiber_table(grid, bandlimit)
+            sizes = [1, estimation._BLOCK_BYTES // (8 * grid.size) + 1,
+                     fibers._CHUNK_BYTES
+                     // (8 * table.trig.shape[0] * len(table.base_psi)) + 1]
+        rng = np.random.default_rng(34)
+        for size in sizes:
+            mats = sample_uniform_matrices(int(rng.integers(1 << 30)), size)
+            preds = (wigner.rotations_to_psi(mats, bandlimit)
+                     + 0.3 * rng.normal(size=(size, wigner.m_total(bandlimit))))
+            d = decode_poses(preds, grid, temperature=temperature)
+            scores = estimation._scores(preds, grid)
+            best = np.argmax(scores, axis=1)
+            top2 = np.sort(scores, axis=1)[:, -2:]
+            logits = (scores - top2[:, 1:]) / temperature
+            logz = np.log(np.exp(logits).sum(axis=1))
+            probs = np.exp(logits - logz[:, None])
+            assert np.array_equal(d.rotations, grid.rotations[best])
+            assert np.max(np.abs(d.top1_prob - probs.max(axis=1))) <= 1e-12
+            assert np.max(np.abs(d.entropy - (logz - (probs * logits).sum(axis=1)))) <= 1e-12
+            assert np.max(np.abs(d.margin - (top2[:, 1] - top2[:, 0]))) <= 1e-12
+            psi = wigner.rotations_to_psi(grid.rotations[best], bandlimit)
+            assert np.max(np.abs(d.manifold_distance
+                                 - np.linalg.norm(preds - psi, axis=1))) <= 1e-12
+
+    def test_empty_batch_gives_empty_readouts(self, small_grid):
+        d = decode_poses(np.empty((0, wigner.m_total(4))), small_grid)
+        assert d.rotations.shape == (0, 3, 3)
+        for name in estimation.READOUTS:
+            assert getattr(d, name).shape == (0,)
+
     def test_single_vector_decodes_as_a_batch_of_one(self, small_grid):
         d = decode_poses(small_grid.psi_table[42], small_grid)
         assert d.rotations.shape == (1, 3, 3) and d.entropy.shape == (1,)

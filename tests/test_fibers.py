@@ -29,6 +29,19 @@ def test_classes_pair_columns_with_their_trig_rows(bandlimit):
     assert classes[-1][1] + classes[-1][0] == len(table.trig)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_synthesis_of_a_row_slice_is_that_slice_of_the_whole(level):
+    # decode_poses synthesizes each score block from a row slice of its
+    # chunk's coefficients: bit for bit that block of the whole synthesis
+    table = fibers.fiber_table(grids.so3_healpix(level), 6)
+    rows = np.random.default_rng(40 + level).normal(size=(7, wigner.m_total(6)))
+    x = table.coefficients(rows)
+    whole = table.synthesize(x)
+    assert whole.tobytes() == table.scores(rows).tobytes()
+    for lo, hi in [(0, 1), (0, 3), (2, 5), (3, 7), (6, 7)]:
+        assert table.synthesize(x[:, lo:hi]).tobytes() == whole[lo:hi].tobytes()
+
+
 def test_relu_takes_any_leading_shape():
     # one sample, a batch and a stack of batches: every row bit for bit
     # what the flat (rows, M) call gives

@@ -6,8 +6,9 @@ import pytest
 from so3harmonics import rotations
 from so3harmonics.grids import (ResourceLimitError, covering_radius,
                                 healpix_s2, load_grid, nearest_index,
-                                save_grid, so3_healpix, so3_healpix_count,
-                                so3_random, so3_super_fibonacci)
+                                save_grid, so3_grid, so3_healpix,
+                                so3_healpix_count, so3_random,
+                                so3_super_fibonacci)
 
 
 class TestS2Healpix:
@@ -102,6 +103,11 @@ class TestOtherGrids:
         eye = np.einsum("nij,nkj->nik", a.rotations, a.rotations)
         assert np.max(np.abs(eye - np.eye(3))) < 1e-12
         assert np.allclose(np.linalg.det(a.rotations), 1.0)
+
+    def test_negative_level_rejected_for_every_kind(self):
+        for kind in ("healpix_hopf", "random", "super_fibonacci"):
+            with pytest.raises(ResourceLimitError, match="level -1"):
+                so3_grid(kind, -1)
 
     def test_random_covers_worse_than_structured(self):
         # Monte Carlo covering radius: random placement needs more points

@@ -234,6 +234,11 @@ class TestEvaluate:
         assert "grad_ascent_steps" in str(err.value)
         assert "allow_large" not in str(err.value)
 
+    def test_negative_infer_level_rejected_for_every_kind(self):
+        for kind in ("healpix_hopf", "random", "super_fibonacci"):
+            with pytest.raises(grids.ResourceLimitError, match="level -1"):
+                harness.inference_grid(-1, 4, kind=kind)
+
     def test_training_and_decode_call_no_einsum(self, spherical_ds, monkeypatch):
         # the spectral layers and the decode run as BLAS products
         image_cfg = fast_cfg(dataset_kind="image", image_size=16, epochs=1,

@@ -492,6 +492,15 @@ class TestFiberRelu:
                                    match=f"nonlin_level {smallest} is the smallest"):
                     init_toy_model(0, bandlimit, 1, 1, 1, 1, nonlin_level=level)
 
+    def test_rule_checked_before_any_layer_is_built(self, monkeypatch):
+        # a rejected build draws no tap harmonic vectors or spectra
+        def no_taps(*args, **kwargs):
+            raise AssertionError("taps drawn before the ReLU rule was checked")
+
+        monkeypatch.setattr(specconv, "local_tap_rotations", no_taps)
+        with pytest.raises(IllConditionedError, match="do not resolve"):
+            init_toy_model(0, 30, 3)
+
     def test_smallest_level_is_the_resolution_rule(self):
         for bandlimit in range(100):
             assert fibers.smallest_relu_level(bandlimit) == min(
@@ -544,8 +553,9 @@ print(per_step, faults() - start)
 def test_hot_path_takes_no_page_faults():
     # a fresh process: earlier tests leave this one's malloc thresholds
     # raised.  Without fibers._raise_mmap_threshold the ReLU's
-    # coefficient buffer and the decode's score chunks are mapped afresh
-    # on every call: 300-500 faults a step and 4,000-5,600 a decode.
+    # coefficient buffer is mapped afresh on every call, 300-500 faults
+    # a step; the decode's coefficient chunk and ~1 MB score blocks took
+    # none after the training steps either way.
     src = os.path.dirname(os.path.dirname(specconv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
