@@ -135,13 +135,15 @@ def _ce_loss_and_grad(pred: np.ndarray, gt_rotation, grid: SO3Grid | None,
     target = nearest_index(grid, np.reshape(m, (-1, 3, 3)))
     rows = np.arange(len(pred))
     logits = _scores(pred, grid)
-    logits /= cfg.softmax_temperature
+    if cfg.softmax_temperature != 1.0:  # x / 1.0 == x
+        logits /= cfg.softmax_temperature
     logits -= logits.max(axis=-1, keepdims=True)
     logexp = np.log(np.sum(np.exp(logits), axis=-1))
     d_logits = np.exp(logits - logexp[:, None])
     d_logits[rows, target] -= 1.0
     grad = _scores_adjoint(d_logits, grid, wigner.bandlimit_of(pred.shape[-1]))
-    grad /= cfg.softmax_temperature
+    if cfg.softmax_temperature != 1.0:
+        grad /= cfg.softmax_temperature
     return logexp - logits[rows, target], grad
 
 
@@ -208,7 +210,8 @@ def infer_distribution(pred, grid: SO3Grid,
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     flat = np.asarray(pred, dtype=float)
     probs = _scores(np.atleast_2d(flat), grid)
-    probs /= temperature
+    if temperature != 1.0:  # x / 1.0 == x
+        probs /= temperature
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -387,7 +390,12 @@ def error_angles_deg(preds, gts) -> np.ndarray:
 def metrics(preds, gts) -> dict:
     """Median error (middle of sorted; even n averages the two middles)
     and accuracy at the standard thresholds."""
-    err = np.sort(error_angles_deg(preds, gts))
+    return _error_metrics(error_angles_deg(preds, gts))
+
+
+def _error_metrics(errors_deg: np.ndarray) -> dict:
+    """``metrics`` of the errors ``error_angles_deg`` gave."""
+    err = np.sort(errors_deg)
     n = len(err)
     median = float(err[n // 2]) if n % 2 else float(0.5 * (err[n // 2 - 1] + err[n // 2]))
     out = {"count": n, "median_error_deg": median}

@@ -10,28 +10,31 @@ therefore cos(k psi) D^l(A)[m, n] + sin(k psi) D^l(A)[m, -n] J_z[-n, n] / k,
 so a score <psi(R), p> pairs column (l, m, n) of psi(A) with p[l, m, n]
 and, through the sign J_z[n, -n] / k, with its partner p[l, m, -n].
 
-``FiberTable`` sorts the M columns into |n| classes.  Per class k, one
-GEMM of the rows (and their signed partners) against the class's slice
-of psi(A) gives each fiber's cos/sin coefficients, and one product with
-the (J, F) trig table, J = 2L + 1, gives the fiber's F scores: about
+``FiberTable`` sorts the M columns into |n| classes, each class k > 0
+as [n = -k | n = +k] with both halves in (l, m) order.  The sign is +1
+on the first half and -1 on the second (``wigner.generators_real``), so
+the signed partners of a row's class block [x_A | x_B] are its half swap
+x Pi_k = [x_B | -x_A], with Pi_k^2 = -I.  Per class, one GEMM of the rows
+and their half swaps against the class's columns U_k (N, M_k) of psi(A)
+gives each fiber's cos/sin coefficients, and one product with the
+(J, F) trig table, J = 2L + 1, gives the fiber's F scores: about
 2 M N + J N F multiply-adds a row against M N F for the dense psi table,
-exact at every level.  ``fiber_table`` caches the table (2.8 MB at level
-3 and L = 6, against 134 MB for the dense table) after checking the
-fiber structure on the rotations themselves.
+exact at every level.  ``fiber_table`` caches the table (2.8 MB at
+level 3 and L = 6, against 134 MB for the dense table) after checking
+the fiber structure on the rotations themselves.
 
 The grid ReLU runs on the same factorization (``FiberRelu``):
 out = relu(x A^T) A H, with H the ridge inverse of the Gram matrix A^T A
-of the sampling A.  A = sum_j trig_j^T (x) U_j over the trig rows j, so
-A^T A = sum_{j, j'} T[j, j'] U_j^T U_j' with T = trig trig^T, built in
-closed form.  The F fiber angles resolve the band limit when 2L < F
+of the sampling A.  The F fiber angles resolve the band limit when 2L < F
 (``smallest_relu_level``): then k + k' < F and 2k < F for classes
-k != k' <= L, so the trig rows are nonzero and orthogonal across
-classes, T is block-diagonal in the classes, and so are A^T A and H.
-Per class one table U_k maps rows to fiber coefficients and one table
-G_k = U_k H_k maps the rectified coefficients back, with a small trig
-product between them.  At L = F/2 the sin(F psi / 2) row vanishes, and
-above it classes k and F - k alias: such grids, and grids without
-fibers, raise ``IllConditionedError``.
+k != k' <= L, so the trig rows are nonzero and orthogonal, trig trig^T =
+diag(F, F/2, ..., F/2), and A^T A is block-diagonal in the classes: F S_0
+and (F/2)(S_k + Pi_k^T S_k Pi_k), with S_k = U_k^T U_k.  Each block, and
+so its ridge inverse H_k, commutes with Pi_k, so one table G_k = U_k H_k
+re-analyses the cos and the sin coefficients alike, and the ReLU runs
+the fiber table's own gather, class products and scatter.  At L = F/2
+the sin(F psi / 2) row vanishes, and above it classes k and F - k alias:
+such grids, and grids without fibers, raise ``IllConditionedError``.
 """
 
 from __future__ import annotations
@@ -69,11 +72,17 @@ fiber_table_cache = LRUCache(6)
 
 def _classes(bounds: tuple[int, ...]):
     """Per |n| class k: (h, j, cols), its h stacked row blocks (the rows
-    and, for k > 0, their signed partners), its first trig row j and its
+    and, for k > 0, their half swaps), its first trig row j and its
     column slice bounds[k]:bounds[k + 1].  Trig row 0 is the constant,
     rows 2k - 1 and 2k are cos(k psi) and sin(k psi)."""
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         yield (2 if k else 1), max(2 * k - 1, 0), slice(lo, hi)
+
+
+def _halves(bounds: tuple[int, ...]):
+    """(n = -k half, n = +k half) column slices of each class k > 0."""
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        yield slice(lo, (lo + hi) // 2), slice((lo + hi) // 2, hi)
 
 
 @dataclass(frozen=True)
@@ -84,31 +93,22 @@ class FiberTable:
 
     base_psi: np.ndarray           # (N, M) harmonic vectors of the A_i, columns in ``order``
     order: np.ndarray              # (M,) column at each class position, |n| ascending
-    partner: np.ndarray            # (M,) column (l, m, -n) of that (l, m, n)
     order_inverse: np.ndarray      # (M,) class position of each column: argsort(order)
-    partner_inverse: np.ndarray    # (M,) argsort(partner)
-    sign: np.ndarray               # (M,) its sin(k psi) coefficient in D^l(Rz(psi))
     bounds: tuple[int, ...]        # class k holds positions bounds[k]:bounds[k + 1]
     trig: np.ndarray               # (J, F) trig basis at the fiber angles
+
+    def class_tables(self) -> list[np.ndarray]:
+        """U_k (N, M_k) per class: views of its columns of ``base_psi``."""
+        return [self.base_psi[:, cols] for _, _, cols in _classes(self.bounds)]
 
     def scores(self, rows: np.ndarray) -> np.ndarray:
         """<psi(R), p> for every grid rotation R and row p of (B, M): (B, N F)."""
         return self.synthesize(self.coefficients(rows))
 
     def coefficients(self, rows: np.ndarray) -> np.ndarray:
-        """The fiber coefficients (J, B, N) of rows (B, M): per class, one
-        GEMM of the rows and their signed partners against its columns of
-        ``base_psi``."""
-        b, (nbase, m) = len(rows), self.base_psi.shape
-        z = np.empty((2, b, m))  # the rows in class order, then their signed partners
-        z[0] = rows[:, self.order]
-        z[1] = rows[:, self.partner]
-        z[1] *= self.sign
-        x = np.empty((len(self.trig), b, nbase))
-        for h, j, cols in _classes(self.bounds):
-            np.matmul(z[:h, :, cols].reshape(h * b, -1), self.base_psi[:, cols].T,
-                      out=x[j:j + h].reshape(h * b, nbase))
-        return x
+        """The fiber coefficients (J, B, N) of rows (B, M)."""
+        return self._to_fibers(rows, self.class_tables(), np.empty((2,) + rows.shape),
+                               np.empty((len(self.trig), len(rows), len(self.base_psi))))
 
     def synthesize(self, x: np.ndarray) -> np.ndarray:
         """The scores (B, N F) of fiber coefficients x (J, B, N), such as a
@@ -122,33 +122,48 @@ class FiberTable:
         adjoint of ``scores``."""
         b, (nbase, m) = len(g), self.base_psi.shape
         y = self.trig @ g.reshape(b * nbase, -1).T
-        dz = np.empty((2, b, m))
-        dz[1, :, :self.bounds[1]] = 0.0  # class 0 has no partner block
-        for h, j, cols in _classes(self.bounds):
-            np.matmul(y[j:j + h].reshape(h * b, nbase), self.base_psi[:, cols],
-                      out=dz[:h, :, cols].reshape(h * b, -1))
-        dz[1] *= self.sign
-        out = dz[0][:, self.order_inverse]
-        out += dz[1][:, self.partner_inverse]
-        return out
+        return self._from_fibers(y.reshape(-1, b, nbase), self.class_tables(),
+                                 np.empty((2, b, m)), np.empty((b, m)))
+
+    def _to_fibers(self, rows, tables, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """x (J, B, N) from rows (B, M): z (2, B, M) gets the rows in class
+        order and, for classes k > 0, their half swaps [x_B | -x_A]; then
+        x[j:j + h] = z[:h, :, cols] T_k^T per class, with T_k (N, M_k) of
+        ``tables``.  C-contiguous z and x make each stacked operand a view."""
+        b = len(rows)
+        # mode "clip" takes straight into z: "raise" would buffer
+        np.take(rows, self.order, axis=1, out=z[0], mode="clip")
+        for lo, hi in _halves(self.bounds):
+            z[1, :, lo] = z[0, :, hi]
+            np.negative(z[0, :, lo], out=z[1, :, hi])
+        for (h, j, cols), t in zip(_classes(self.bounds), tables):
+            np.matmul(z[:h, :, cols].reshape(h * b, -1), t.T,
+                      out=x[j:j + h].reshape(h * b, -1))
+        return x
+
+    def _from_fibers(self, y, tables, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The adjoint of ``_to_fibers`` into out (B, M): per class
+        z[:h, :, cols] = y[j:j + h] T_k, then z[0] plus the transposed half
+        swap [-z_B | z_A] of z[1], in column order."""
+        b = y.shape[1]
+        for (h, j, cols), t in zip(_classes(self.bounds), tables):
+            np.matmul(y[j:j + h].reshape(h * b, -1), t,
+                      out=z[:h, :, cols].reshape(h * b, -1))
+        for lo, hi in _halves(self.bounds):
+            z[0, :, lo] -= z[1, :, hi]
+            z[0, :, hi] += z[1, :, lo]
+        return np.take(z[0], self.order_inverse, axis=1, out=out, mode="clip")
 
 
 def _fiber_classes(bandlimit: int):
-    """(order, partner, sign, bounds) of ``FiberTable`` at a band limit:
-    the columns sorted by |n|, each column's partner (l, m, -n) and its
-    sign J_z[n, -n] / k (see the module docstring)."""
-    offs = np.array(wigner.block_offsets(bandlimit))
-    degree = np.repeat(np.arange(bandlimit + 1),
-                       (2 * np.arange(bandlimit + 1) + 1) ** 2)
-    n = (np.arange(offs[-1]) - offs[degree]) % (2 * degree + 1) - degree
-    sign = np.concatenate([
-        np.tile(np.fliplr(wigner.generators_real(l)[2]).diagonal()
-                / np.maximum(np.abs(np.arange(-l, l + 1)), 1), 2 * l + 1)
-        for l in range(bandlimit + 1)])
-    order = np.argsort(np.abs(n), kind="stable")
+    """(order, bounds) of ``FiberTable`` at a band limit: the columns
+    sorted by |n|, and within class k > 0 the n = -k columns before the
+    n = +k ones, both in column, that is (l, m), order."""
+    n = np.concatenate([np.tile(np.arange(-l, l + 1), 2 * l + 1)
+                        for l in range(bandlimit + 1)])  # n of each (l, m, n)
+    order = np.argsort(2 * np.abs(n) + (n > 0), kind="stable")
     bounds = np.searchsorted(np.abs(n)[order], np.arange(bandlimit + 2))
-    return (order, (np.arange(offs[-1]) - 2 * n)[order], sign[order],
-            tuple(int(i) for i in bounds))
+    return order, tuple(int(i) for i in bounds)
 
 
 def _build_fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
@@ -166,10 +181,9 @@ def _build_fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
     k = np.arange(1, bandlimit + 1)[:, None] * angles
     trig = np.concatenate([np.ones((1, nfiber)),
                            np.stack([np.cos(k), np.sin(k)], axis=1).reshape(-1, nfiber)])
-    order, partner, sign, bounds = _fiber_classes(bandlimit)
+    order, bounds = _fiber_classes(bandlimit)
     base_psi = wigner.rotations_to_psi(rots[:, 0], bandlimit)[:, order]
-    return FiberTable(base_psi, order, partner, np.argsort(order),
-                      np.argsort(partner), sign, bounds, trig)
+    return FiberTable(base_psi, order, np.argsort(order), bounds, trig)
 
 
 def fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
@@ -213,104 +227,81 @@ def _raise_mmap_threshold() -> None:
 @dataclass(frozen=True)
 class FiberRelu:
     """Grid ReLU of a HEALPix-Hopf grid run in fiber coefficients (see
-    the module docstring).  The forward is one pass, per class k:
+    the module docstring): the fiber table's gather and class products
+    with U_k, the trig product, mask and ReLU, the transposed trig
+    product, and the class products with G_k and the table's scatter.
+    The backward is the same pass with G_k^T in, the mask multiply, and
+    U_k out.  No (M, M) product or whole (rows, Q) float sample array."""
 
-        x_k U_k^T -> trig product -> mask, ReLU -> transposed trig
-        product -> y_k G_k
-
-    and the backward is the same pass with G_k^T in, the mask multiply,
-    and U_k out.  No (M, M) product, partner gather or whole (rows, Q)
-    float sample array is made.
-    """
-
-    order: np.ndarray          # (M,) column at each class position
-    order_inverse: np.ndarray  # (M,) class position of each column
-    trig: np.ndarray           # (J, F) trig basis at the fiber angles
-    bounds: tuple[int, ...]    # class k holds positions bounds[k]:bounds[k + 1]
-    u: tuple                   # per class, U_k (h, N, M_k), see ``_class_tables``
-    g: tuple                   # per class, G_k = U_k H_k (h, N, M_k)
+    table: FiberTable  # the grid's fiber table, whose class columns are U_k
+    g: tuple           # per class k, G_k = U_k H_k (N, M_k)
 
     @property
     def size(self) -> int:
-        return self.u[0].shape[1] * self.trig.shape[1]
+        return len(self.table.base_psi) * self.table.trig.shape[1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(out, mask) of group signals x (..., M): out has x's shape, and
         mask (..., Q) marks the grid samples the ReLU keeps.  The leading
         dimensions fold into rows, each pass a 2-D GEMM: a stacked
-        (B, C, M) product would run as B GEMMs of C rows."""
+        (B, C, M) product would run as B GEMMs of C rows.  A row's bits
+        can depend on its batch: at L = 6 a batch row equals the row
+        alone only up to rounding."""
         rows = x.reshape(-1, x.shape[-1])
         mask = np.empty((len(rows), self.size), dtype=bool)
-        out = self._pass(rows, mask, self.u, self.g, True)
+        out = self._pass(rows, mask, self.table.class_tables(), self.g, True)
         return out.reshape(x.shape), mask.reshape(x.shape[:-1] + (self.size,))
 
     def backward(self, d_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """d(x) (..., M) given d(out) (..., M) and ``forward``'s mask."""
         rows = d_out.reshape(-1, d_out.shape[-1])
-        back = self._pass(rows, mask.reshape(len(rows), -1), self.g, self.u, False)
+        back = self._pass(rows, mask.reshape(len(rows), -1), self.g,
+                          self.table.class_tables(), False)
         return back.reshape(d_out.shape)
 
     def _pass(self, rows, mask, first, last, forward: bool) -> np.ndarray:
-        """The rows gathered into class order once, run in row chunks of
-        ``_RELU_CHUNK_BYTES`` of their J N fiber coefficients, the result
-        written back over them and un-gathered once."""
-        x = rows[:, self.order]
-        (j_count, nfiber), nbase = self.trig.shape, self.u[0].shape[1]
+        """The rows in chunks of ``_RELU_CHUNK_BYTES`` of their J N fiber
+        coefficients, whose samples run in blocks of ``_TRIG_CHUNK_BYTES``."""
+        table = self.table
+        (j_count, nfiber), (nbase, m) = table.trig.shape, table.base_psi.shape
         chunk = max(1, _RELU_CHUNK_BYTES // (8 * j_count * nbase))
         step = max(1, _TRIG_CHUNK_BYTES // (8 * nfiber))
-        buf = np.empty((j_count, min(len(x), chunk), nbase))
-        for r in range(0, len(x), chunk):
-            xr = x[r:r + chunk]
-            c = buf[:, :len(xr)]
-            for (_, j, cols), f in zip(_classes(self.bounds), first):
-                for t, ft in enumerate(f):
-                    np.matmul(xr[:, cols], ft.T, out=c[j + t])
-            flat = c.reshape(j_count, -1)           # (J, fibers of the chunk)
-            m = mask[r:r + chunk].reshape(-1, nfiber)  # (fibers of the chunk, F)
+        n = min(len(rows), chunk)
+        pair_buf, coef_buf = np.empty(2 * n * m), np.empty(j_count * n * nbase)
+        zero = np.zeros((min(step, n * nbase), nfiber))
+        out = np.empty(rows.shape)
+        for r in range(0, len(rows), chunk):
+            b = min(chunk, len(rows) - r)
+            z = pair_buf[:2 * b * m].reshape(2, b, m)
+            c = table._to_fibers(rows[r:r + b], first, z,
+                                 coef_buf[:j_count * b * nbase].reshape(j_count, b, nbase))
+            flat = c.reshape(j_count, -1)              # (J, fibers of the chunk)
+            mk = mask[r:r + b].reshape(-1, nfiber)     # (fibers of the chunk, F)
             for i in range(0, flat.shape[1], step):
-                s = flat[:, i:i + step].T @ self.trig
+                s = flat[:, i:i + step].T @ table.trig
                 if forward:
-                    np.greater(s, 0, out=m[i:i + step])
-                    np.maximum(s, 0, out=s)
+                    np.greater(s, 0, out=mk[i:i + step])
+                    np.maximum(s, zero[:len(s)], out=s)  # faster than a scalar 0
                 else:
-                    s *= m[i:i + step]
-                np.matmul(self.trig, s.T, out=flat[:, i:i + step])
-            for (_, j, cols), f in zip(_classes(self.bounds), last):
-                np.matmul(c[j], f[0], out=xr[:, cols])
-                for t in range(1, len(f)):
-                    xr[:, cols] += c[j + t] @ f[t]
-        return x[:, self.order_inverse]
+                    s *= mk[i:i + step]
+                np.matmul(table.trig, s.T, out=flat[:, i:i + step])
+            table._from_fibers(c, last, z, out[r:r + b])
+        return out
 
 
-def _class_tables(table: FiberTable) -> list[np.ndarray]:
-    """Per class k, U_k (h, N, M_k): the class's slice of ``base_psi``
-    and, for k > 0, its copy with each column moved to its partner's
-    position and signed.  Rows x in class order then give the class's
-    cos and sin fiber coefficients as x[:, cols] @ U_k[t].T, with the
-    partner gather and sign folded into U_k."""
-    partner_pos = table.order_inverse[table.partner]
-    tables = []
-    for h, _, cols in _classes(table.bounds):
-        base = table.base_psi[:, cols]
-        u = np.zeros((h,) + base.shape)
-        u[0] = base
-        if h == 2:
-            u[1][:, partner_pos[cols] - cols.start] = base * table.sign[cols]
-        tables.append(u)
-    return tables
-
-
-def _class_grams(t: np.ndarray, table: FiberTable,
-                 tables: list[np.ndarray]) -> list[np.ndarray]:
-    """Class k's diagonal block of A^T A, columns in class order, from
-    T = trig trig^T and ``tables = _class_tables(table)``: U_j is U_k[t]
-    for the trig row j = j_k + t, so the block is sum_{t, t'}
-    T[j_k + t, j_k + t'] U_k[t]^T U_k[t']."""
+def _class_grams(table: FiberTable) -> list[np.ndarray]:
+    """Class k's diagonal block of A^T A, columns in class order, with
+    S = U_k^T U_k and T = trig trig^T: T[j, j] S for k = 0 and
+    T[j, j] S + T[j + 1, j + 1] Pi^T S Pi for k > 0 (the module docstring)."""
+    t = np.sum(table.trig * table.trig, axis=1)
     grams = []
-    for (h, j, _), u in zip(_classes(table.bounds), tables):
-        _, nbase, width = u.shape
-        tu = np.tensordot(t[j:j + h, j:j + h], u, axes=1)
-        grams.append(u.reshape(h * nbase, width).T @ tu.reshape(h * nbase, width))
+    for (h, j, _), u in zip(_classes(table.bounds), table.class_tables()):
+        s = u.T @ u
+        gram = t[j] * s
+        if h == 2:
+            a, b = slice(None, len(s) // 2), slice(len(s) // 2, None)
+            gram += t[j + 1] * np.block([[s[b, b], -s[b, a]], [-s[a, b], s[a, a]]])
+        grams.append(gram)
     return grams
 
 
@@ -335,14 +326,11 @@ def _relu_operator(grid: SO3Grid, bandlimit: int) -> FiberRelu:
     if table is None:
         raise IllConditionedError(f"the {grid.kind} grid of {grid.size} "
                                   "rotations has no Hopf fiber structure")
-    t = table.trig @ table.trig.T
-    u = _class_tables(table)
-    h = gram_ridge_inverse(_class_grams(t, table, u))
+    h = gram_ridge_inverse(_class_grams(table))
     if h is None:
         raise IllConditionedError(
             f"the Gram matrix of the {grid.size}-rotation grid at "
             f"M = {table.base_psi.shape[1]} does not certify kappa <= "
             f"{GRAM_MAX_CONDITION:g}")
     _raise_mmap_threshold()
-    return FiberRelu(table.order, table.order_inverse, table.trig, table.bounds,
-                     tuple(u), tuple(uk @ hk for uk, hk in zip(u, h)))
+    return FiberRelu(table, tuple(u @ hk for u, hk in zip(table.class_tables(), h)))

@@ -144,7 +144,9 @@ class RunConfig:
         return RunConfig(**json.loads(text))
 
     def hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True).encode()
+        """SHA-256 of ``json.dumps(asdict(self), sort_keys=True)``, without the deep copy."""
+        payload = json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                             sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
     def seed_set(self) -> dict:
@@ -547,7 +549,7 @@ def evaluate(model, ds: SyntheticDataset, cfg: RunConfig, split: str = "test",
         "split": split,
         "head": "wigner" if wigner_head else model.head_kind,
         "grad_ascent": bool(use_ga),
-        "metrics": estimation.metrics(preds, gt),
+        "metrics": estimation._error_metrics(errors),
     }
     if wigner_head:
         report["readout_medians"] = {k: float(np.median(v))

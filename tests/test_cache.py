@@ -43,12 +43,14 @@ def test_nbytes_counts_lists_tuples_and_fields():
 
 
 def test_relu_operator_bytes_are_its_arrays(monkeypatch):
-    # the level-2, L = 6 training ReLU: its per-class tables are counted
+    # the level-2, L = 6 training ReLU: its per-class tables and the
+    # fiber table it shares are counted
     monkeypatch.setattr(specconv, "nonlin_operator_cache", LRUCache(8))
     op = specconv.nonlin_operator(2, 6)
-    arrays = [op.order, op.order_inverse, op.trig, *op.u, *op.g]
+    table = op.table
+    arrays = [table.base_psi, table.order, table.order_inverse, table.trig, *op.g]
     assert specconv.nonlin_operator_cache.nbytes == sum(a.nbytes for a in arrays)
-    assert specconv.nonlin_operator_cache.nbytes == 2_654_768
+    assert specconv.nonlin_operator_cache.nbytes == 1_407_536
 
 
 def test_rejected_model_build_keeps_nothing(monkeypatch):

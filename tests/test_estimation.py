@@ -260,7 +260,9 @@ class TestFactoredScoring:
         # columns in |n| class order: a permutation of the harmonic vector
         assert np.array_equal(np.sort(table.order), np.arange(455))
         assert np.array_equal(table.order[table.order_inverse], np.arange(455))
-        assert np.array_equal(table.partner[table.partner_inverse], np.arange(455))
+        # and each class k > 0 splits into equal n = -k and n = +k halves
+        assert all((hi - lo) % 2 == 0
+                   for lo, hi in zip(table.bounds[1:], table.bounds[2:]))
         assert np.array_equal(table.base_psi,
                               wigner.rotations_to_psi(grid.rotations[::48], 6)[:, table.order])
 

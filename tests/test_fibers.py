@@ -4,7 +4,50 @@ import numpy as np
 import pytest
 
 from so3harmonics import fibers, grids, wigner
+from so3harmonics.harmonics import gram_ridge_inverse
 from so3harmonics.specconv import nonlin_operator
+
+
+def column_degrees_and_orders(bandlimit):
+    """(l, m, n) of every column of the harmonic vector at a band limit."""
+    return np.array([(l, m, n) for l in range(bandlimit + 1)
+                     for m in range(-l, l + 1) for n in range(-l, l + 1)]).T
+
+
+@pytest.mark.parametrize("bandlimit", range(14))
+def test_second_half_of_each_class_holds_the_partners(bandlimit):
+    # class k > 0 is [n = -k | n = +k] with both halves in the same (l, m)
+    # order, and the sign J_z[n, -n] / k of the generator is +1 on the
+    # first half and -1 on the second: the signed partners of a class
+    # block [x_A | x_B] are [x_B | -x_A]
+    order, bounds = fibers._fiber_classes(bandlimit)
+    l, m, n = (c[order] for c in column_degrees_and_orders(bandlimit))
+    sign = np.concatenate([
+        np.tile(np.fliplr(wigner.generators_real(d)[2]).diagonal()
+                / np.maximum(np.abs(np.arange(-d, d + 1)), 1), 2 * d + 1)
+        for d in range(bandlimit + 1)])[order]
+    assert np.all(n[:bounds[1]] == 0)
+    for k, (a, b) in enumerate(fibers._halves(bounds), start=1):
+        assert np.all(n[a] == -k) and np.all(n[b] == k)
+        assert np.array_equal(l[a], l[b]) and np.array_equal(m[a], m[b])
+        assert np.all(sign[a] == 1.0) and np.all(sign[b] == -1.0)
+
+
+@pytest.mark.parametrize("level, bandlimit", [
+    (level, bandlimit) for level in (1, 2, 3) for bandlimit in range(1, 7)
+    if 2 * bandlimit < 6 * 2 ** level])  # the fiber angles resolve L
+def test_class_ridge_inverse_commutes_with_the_half_swap(level, bandlimit):
+    # H_k Pi_k = Pi_k H_k makes G_k Pi_k^T the re-analysis table of the
+    # sin row, so the ReLU keeps one table per class
+    table = fibers.fiber_table(grids.so3_healpix(level), bandlimit)
+    grams = fibers._class_grams(table)
+    for k, h in enumerate(gram_ridge_inverse(grams)[1:], start=1):
+        half = len(h) // 2
+        eye = np.eye(half)
+        pi = np.block([[0 * eye, -eye], [eye, 0 * eye]])  # x Pi = [x_B | -x_A]
+        x = np.random.default_rng(k).normal(size=len(h))
+        assert np.array_equal(x @ pi, np.r_[x[half:], -x[:half]])
+        assert np.linalg.norm(h @ pi - pi @ h) <= 1e-13 * np.linalg.norm(h)
 
 
 @pytest.mark.parametrize("bandlimit", [0, 1, 4, 6])

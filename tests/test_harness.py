@@ -1,6 +1,8 @@
 """Dataset generation, training loop, evaluation, checkpoints, and CLI."""
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -206,6 +208,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="no training samples"):
             train(cfg, gen_dataset(cfg))
 
+@pytest.mark.parametrize("changes", [{}, dict(bandlimit=4, head="rotmat", sample_count=40,
+                                             softmax_temperature=0.5, epochs=7)])
+def test_config_hash_is_that_of_its_asdict_json(changes):
+    # hash() reads the fields without asdict's deep copy; the digest must
+    # stay that of the JSON of asdict, which saved reports carry
+    cfg = RunConfig(**changes)
+    payload = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode()
+    assert cfg.hash() == hashlib.sha256(payload).hexdigest()[:12]
+
+
 class TestEvaluate:
     def test_converged_model_metrics(self, spherical_ds):
         cfg = fast_cfg(epochs=40)
@@ -216,6 +228,18 @@ class TestEvaluate:
         assert rep["report"]["config_hash"] == cfg.hash()
         assert "data_seed" in rep["report"]["seeds"]
         assert rep["report"]["library_version"]
+
+    def test_report_metrics_are_those_of_its_errors(self, spherical_ds):
+        # the report's metrics come from the one error array it returns,
+        # and the argmax metrics from the argmax poses before refinement
+        cfg = fast_cfg(epochs=2)
+        model, _ = train(cfg, spherical_ds)
+        rep = evaluate(model, spherical_ds, cfg, grad_ascent=True)
+        gt = spherical_ds.gt[spherical_ds.test_idx]
+        assert rep["metrics"] == estimation.metrics(rep["preds"], gt)
+        assert np.array_equal(rep["errors"], estimation.error_angles_deg(rep["preds"], gt))
+        coarse = evaluate(model, spherical_ds, cfg, grad_ascent=False)
+        assert rep["argmax_metrics"] == coarse["metrics"]
 
     def test_train_split_not_worse_than_test(self, spherical_ds):
         cfg = fast_cfg(epochs=40)

@@ -367,7 +367,7 @@ class TestFiberRelu:
         a = wigner.rotations_to_psi(grid.rotations, bandlimit)[:, table.order]
         dense = a.T @ a
         t = table.trig @ table.trig.T
-        grams = fibers._class_grams(t, table, fibers._class_tables(table))
+        grams = fibers._class_grams(table)
         scale = np.max(np.abs(dense))
         off = dense.copy()
         for (_, _, cols), gram in zip(fibers._classes(table.bounds), grams):
@@ -386,7 +386,7 @@ class TestFiberRelu:
         op = nonlin_operator(2, 6)
         m = wigner.m_total(6)
         assert isinstance(op, FiberRelu)
-        for a in (op.trig, *op.u, *op.g):
+        for a in (op.table.trig, *op.table.class_tables(), *op.g):
             assert a.shape[-1] < m and a.shape[-2] < m, a.shape
 
     def test_row_chunks_match_one_chunk(self, monkeypatch):
@@ -400,7 +400,7 @@ class TestFiberRelu:
         ref_out, ref_mask = op.forward(x)
         ref_back = op.backward(d_out, ref_mask)
         for rows_per_chunk in (1, 3):
-            coefficients = len(op.trig) * op.u[0].shape[1]  # J N per row
+            coefficients = len(op.table.trig) * len(op.table.base_psi)  # J N per row
             monkeypatch.setattr(fibers, "_RELU_CHUNK_BYTES",
                                 rows_per_chunk * 8 * coefficients)
             out, mask = op.forward(x)
