@@ -9,8 +9,9 @@ Subcommands:
   ablate        run an ablation family, emit a comparison table
   check         run the quick property suite
 
-Every command is deterministic given its seed flags; all paths are
-explicit arguments.
+Every command is deterministic given its seed flags at a fixed
+numpy/BLAS build and BLAS thread count; all paths are explicit
+arguments.
 """
 
 from __future__ import annotations
@@ -134,11 +135,11 @@ def cmd_convert(args) -> int:
         if not line.strip():
             continue
         try:
-            r = rotations.rotation_from_json(line)
+            m = rotations.rotation_from_json(line)
         except (KeyError, TypeError, ValueError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise InputError(f"stdin line {number}: {what}") from None
-        print(rotations.rotation_to_json(rotations.convert(r, args.to)))
+        print(rotations.rotation_to_json(m, args.to))
     return 0
 
 
@@ -207,8 +208,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_grids)
 
     p = sub.add_parser("convert", help="convert rotations (JSON lines stdin)")
-    p.add_argument("--to", required=True,
-                   choices=["euler_zyz", "quaternion", "axis_angle", "matrix"])
+    p.add_argument("--to", required=True, choices=rotations.ROTATION_TYPES)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("ablate", help="run an ablation family")

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import fibers, rotations, wigner
 from .grids import SO3Grid, nearest_index
-from .rotations import RotationMatrix
 
 LOSS_KINDS = ("mse", "l1", "huber", "cosine", "distribution_ce", "mse_plus_ce")
 
@@ -131,8 +130,7 @@ def _ce_loss_and_grad(pred: np.ndarray, gt_rotation, grid: SO3Grid | None,
         raise ValueError(f"{cfg.kind} loss needs a grid")
     if gt_rotation is None:
         raise ValueError(f"{cfg.kind} loss needs the ground-truth rotation")
-    m = gt_rotation.m if isinstance(gt_rotation, RotationMatrix) else np.asarray(gt_rotation)
-    target = nearest_index(grid, np.reshape(m, (-1, 3, 3)))
+    target = nearest_index(grid, np.reshape(gt_rotation, (-1, 3, 3)))
     rows = np.arange(len(pred))
     logits = _scores(pred, grid)
     if cfg.softmax_temperature != 1.0:  # x / 1.0 == x
@@ -218,10 +216,11 @@ def infer_distribution(pred, grid: SO3Grid,
     return PoseDistribution(grid, probs[0] if flat.ndim == 1 else probs)
 
 
-def argmax_pose(d: PoseDistribution) -> RotationMatrix | np.ndarray:
+def argmax_pose(d: PoseDistribution) -> rotations.RotationMatrix | np.ndarray:
     """Most probable grid rotation (lowest index on ties), or a (B, 3, 3) stack."""
     idx = np.argmax(d.probs, axis=-1)
-    return RotationMatrix(d.grid.rotations[idx]) if idx.ndim == 0 else d.grid.rotations[idx]
+    return (rotations.RotationMatrix(d.grid.rotations[idx]) if idx.ndim == 0
+            else d.grid.rotations[idx])
 
 
 READOUTS = ("top1_prob", "entropy", "margin", "manifold_distance")
@@ -373,13 +372,9 @@ def gradient_ascent_pose(pred, start, steps: int = 20,
 ACCURACY_THRESHOLDS_DEG = (3.0, 5.0, 10.0, 15.0, 30.0)
 
 
-def _matrix_stack(items) -> np.ndarray:
-    return np.reshape([getattr(r, "m", r) for r in items], (-1, 3, 3))
-
-
 def error_angles_deg(preds, gts) -> np.ndarray:
-    a = _matrix_stack(preds)
-    b = _matrix_stack(gts)
+    a = np.reshape(preds, (-1, 3, 3))
+    b = np.reshape(gts, (-1, 3, 3))
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} predictions, {len(b)} truths")
     if len(a) == 0:

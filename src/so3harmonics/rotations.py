@@ -1,19 +1,26 @@
-"""3D rotation representations, conversions, Haar sampling, geodesic metric.
+"""3D rotations as batched arrays: conversions, Haar sampling, geodesic metric.
+
+A rotation is a 3x3 matrix, and many rotations are an (n, 3, 3) stack;
+every converter here works on whole stacks.  The other parametrizations
+exist only as arrays at the edges: (alpha, beta, gamma) angle arrays,
+(n, 4) quaternions and (n, 3) axes with (n,) angles, and the type-tagged
+JSON lines of the ``convert`` command.
 
 Conventions
 -----------
 - Euler angles are ZYZ with ``matrix = Rz(gamma) @ Ry(beta) @ Rz(alpha)``;
-  beta in [0, pi], alpha and gamma wrapped to [-pi, pi).  At gimbal lock
+  beta in [0, pi], alpha and gamma in [-pi, pi] (wrapped to [-pi, pi)
+  in JSON).  At gimbal lock
   (sin beta < 1e-12) the full in-plane angle is folded into alpha and
   gamma is set to 0.
 - Quaternions are (w, x, y, z) with canonical sign: w >= 0, ties broken
-  by the first nonzero component positive.  Canonicalization happens at
-  construction so round trips are deterministic.
+  by the first nonzero component positive, so round trips are
+  deterministic.
 - Axis-angle keeps angle in [0, pi] with a unit axis; the zero rotation
   maps to axis (0, 0, 1), angle 0 by convention.
 - All angles are radians.
 
-Every function here is pure; values are immutable after construction.
+Every function here is pure.
 """
 
 from __future__ import annotations
@@ -31,127 +38,43 @@ def _wrap_pi(angle: float) -> float:
     return float((angle + np.pi) % _TWO_PI - np.pi)
 
 
-@dataclass(frozen=True)
-class EulerZYZ:
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not -1e-9 <= self.beta <= np.pi + 1e-9:
-            raise ValueError(f"beta must lie in [0, pi], got {self.beta}")
-        object.__setattr__(self, "alpha", _wrap_pi(self.alpha))
-        object.__setattr__(self, "beta", float(min(max(self.beta, 0.0), np.pi)))
-        object.__setattr__(self, "gamma", _wrap_pi(self.gamma))
+def _checked_matrix(m) -> np.ndarray:
+    """``m`` as a float (3, 3) array, rejected unless it is a rotation."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
+    if not (np.isfinite(m).all() and np.allclose(m.T @ m, np.eye(3), atol=1e-8)):
+        raise ValueError("matrix is not orthogonal")
+    if abs(np.linalg.det(m) - 1.0) > 1e-8:
+        raise ValueError("matrix determinant is not +1")
+    return m
 
 
-@dataclass(frozen=True)
-class UnitQuaternion:
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        q = np.array([self.w, self.x, self.y, self.z], dtype=float)
-        norm = np.linalg.norm(q)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {norm} is not 1")
-        q /= norm
-        q = _canonical_quat(q)
-        for name, val in zip("wxyz", q):
-            object.__setattr__(self, name, float(val))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class AxisAngle:
-    axis: np.ndarray
-    angle: float
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"axis norm {norm} is not 1")
-        if not -1e-12 <= self.angle <= np.pi + 1e-9:
-            raise ValueError(f"angle must lie in [0, pi], got {self.angle}")
-        axis = axis / norm
-        axis.flags.writeable = False
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "angle", float(min(max(self.angle, 0.0), np.pi)))
+def _unit(v: np.ndarray, name: str) -> np.ndarray:
+    """``v`` divided by its norm, rejected unless the norm is 1 to 1e-6
+    (a NaN or infinite entry gives a norm that fails too)."""
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= 1e-6:
+        raise ValueError(f"{name} norm {norm} is not 1")
+    return v / norm
 
 
 @dataclass(frozen=True)
 class RotationMatrix:
+    """One validated, read-only rotation matrix: only the return type of
+    ``estimation.argmax_pose`` for one unbatched distribution, whose ``.m``
+    the benchmark's pose-decode check reads.  It goes with that form."""
+
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if not np.allclose(m.T @ m, np.eye(3), atol=1e-8):
-            raise ValueError("matrix is not orthogonal")
-        if abs(np.linalg.det(m) - 1.0) > 1e-8:
-            raise ValueError("matrix determinant is not +1")
-        m = m.copy()
+        m = _checked_matrix(self.m).copy()
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
 
-    @staticmethod
-    def identity() -> "RotationMatrix":
-        return RotationMatrix(np.eye(3))
-
-
-def _canonical_quat(q: np.ndarray) -> np.ndarray:
-    """Flip sign so w >= 0, ties broken by the first nonzero component."""
-    for v in q:
-        if v > 0:
-            return q
-        if v < 0:
-            return -q
-    return q
-
 
 # ---------------------------------------------------------------------------
-# Conversions
-# ---------------------------------------------------------------------------
-
-def euler_to_matrix(e: EulerZYZ) -> RotationMatrix:
-    """Matrix for ZYZ angles: Rz(gamma) @ Ry(beta) @ Rz(alpha)."""
-    return RotationMatrix(zyz_to_matrices(e.alpha, e.beta, e.gamma))
-
-
-def matrix_to_euler(r: RotationMatrix) -> EulerZYZ:
-    """ZYZ angles of a rotation matrix; gamma = 0 at gimbal lock."""
-    return EulerZYZ(*(float(angle) for angle in matrices_to_zyz(r.m)))
-
-
-def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
-    return RotationMatrix(quats_to_matrices(q.as_array()[None])[0])
-
-
-def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
-    """Quaternion of a matrix via the numerically stable branch method."""
-    return UnitQuaternion(*matrices_to_quats(r.m[None])[0])
-
-
-def axis_angle_to_matrix(aa: AxisAngle) -> RotationMatrix:
-    """Rodrigues' formula."""
-    return RotationMatrix(
-        axis_angles_to_matrices(aa.axis[None], np.array([aa.angle]))[0])
-
-
-def matrix_to_axis_angle(r: RotationMatrix) -> AxisAngle:
-    """Axis and angle of a matrix; angle 0 returns axis (0, 0, 1)."""
-    axes, angles = matrices_to_axis_angles(r.m[None])
-    return AxisAngle(axes[0], angles[0])
-
-
-# ---------------------------------------------------------------------------
-# Batched array helpers (hot paths work on (n, 3, 3) stacks directly)
+# Batched conversions between (n, 3, 3) stacks and the other forms
 # ---------------------------------------------------------------------------
 
 def quats_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -209,7 +132,7 @@ def matrices_to_axis_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Read from the canonical quaternions, whose w >= 0 keeps every angle
     within [0, pi]; a zero rotation gets axis (0, 0, 1).  Each axis is
-    renormalized by its own norm, as the AxisAngle constructor does.
+    renormalized by its own norm.
     """
     q = matrices_to_quats(m)
     sin_half = _row_norms(q[:, 1:])
@@ -291,63 +214,63 @@ def sample_uniform_matrices(rng_seed: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (type-tagged, radians everywhere)
+# JSON lines (type-tagged, radians everywhere)
 # ---------------------------------------------------------------------------
 
-def rotation_to_json(r) -> str:
-    if isinstance(r, EulerZYZ):
-        obj = {"type": "euler_zyz", "alpha": r.alpha, "beta": r.beta,
-               "gamma": r.gamma}
-    elif isinstance(r, UnitQuaternion):
-        obj = {"type": "quaternion", "w": r.w, "x": r.x, "y": r.y, "z": r.z}
-    elif isinstance(r, AxisAngle):
-        obj = {"type": "axis_angle", "axis": list(r.axis), "angle": r.angle}
-    elif isinstance(r, RotationMatrix):
-        obj = {"type": "matrix", "m": [list(row) for row in r.m]}
-    else:
-        raise TypeError(f"not a rotation value: {type(r)}")
-    return json.dumps(obj)
+ROTATION_TYPES = ("euler_zyz", "quaternion", "axis_angle", "matrix")
 
 
-def rotation_from_json(text: str):
+def rotation_from_json(text: str) -> np.ndarray:
+    """The (3, 3) matrix of one type-tagged JSON rotation, each value
+    checked, then clamped to [0, pi], wrapped to [-pi, pi) or divided by
+    its norm as its convention says."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "euler_zyz":
-        return EulerZYZ(obj["alpha"], obj["beta"], obj["gamma"])
+        alpha, beta, gamma = obj["alpha"], obj["beta"], obj["gamma"]
+        if not -1e-9 <= beta <= np.pi + 1e-9:
+            raise ValueError(f"beta must lie in [0, pi], got {beta}")
+        for name, angle in (("alpha", alpha), ("gamma", gamma)):
+            if not np.isfinite(angle):
+                raise ValueError(f"{name} must be finite, got {angle}")
+        return zyz_to_matrices(_wrap_pi(alpha), min(max(beta, 0.0), np.pi),
+                               _wrap_pi(gamma))
     if kind == "quaternion":
-        return UnitQuaternion(obj["w"], obj["x"], obj["y"], obj["z"])
+        q = np.array([obj["w"], obj["x"], obj["y"], obj["z"]], dtype=float)
+        return quats_to_matrices(_unit(q, "quaternion")[None])[0]
     if kind == "axis_angle":
-        return AxisAngle(np.asarray(obj["axis"], dtype=float), obj["angle"])
+        axis, angle = np.asarray(obj["axis"], dtype=float), obj["angle"]
+        if axis.shape != (3,):
+            raise ValueError(f"axis must hold 3 numbers, got shape {axis.shape}")
+        axis = _unit(axis, "axis")
+        if not -1e-12 <= angle <= np.pi + 1e-9:
+            raise ValueError(f"angle must lie in [0, pi], got {angle}")
+        return axis_angles_to_matrices(axis[None],
+                                       np.array([min(max(angle, 0.0), np.pi)]))[0]
     if kind == "matrix":
-        return RotationMatrix(np.asarray(obj["m"], dtype=float))
+        return _checked_matrix(obj["m"])
     raise ValueError(f"unknown rotation type tag: {kind!r}")
 
 
-def as_matrix(r) -> RotationMatrix:
-    """Convert any supported representation to a RotationMatrix."""
-    if isinstance(r, RotationMatrix):
-        return r
-    if isinstance(r, EulerZYZ):
-        return euler_to_matrix(r)
-    if isinstance(r, UnitQuaternion):
-        return quat_to_matrix(r)
-    if isinstance(r, AxisAngle):
-        return axis_angle_to_matrix(r)
-    raise TypeError(f"not a rotation value: {type(r)}")
-
-
-def convert(r, target: str):
-    """Convert between representations by name ('euler_zyz', 'quaternion',
-    'axis_angle', 'matrix')."""
-    m = as_matrix(r)
-    if target == "matrix":
-        return m
+def rotation_to_json(m: np.ndarray, target: str) -> str:
+    """One (3, 3) rotation matrix as a type-tagged JSON line of ``target``
+    (one of ``ROTATION_TYPES``), normalized as ``rotation_from_json``
+    normalizes its input."""
+    obj: dict = {"type": target}
     if target == "euler_zyz":
-        return matrix_to_euler(m)
-    if target == "quaternion":
-        return matrix_to_quat(m)
-    if target == "axis_angle":
-        return matrix_to_axis_angle(m)
-    raise ValueError(f"unknown target representation: {target!r}")
+        alpha, beta, gamma = matrices_to_zyz(m)
+        obj.update(alpha=_wrap_pi(alpha), beta=float(beta), gamma=_wrap_pi(gamma))
+    elif target == "quaternion":
+        q = matrices_to_quats(m[None])[0]
+        obj.update(zip("wxyz", (q / np.linalg.norm(q)).tolist()))
+    elif target == "axis_angle":
+        axes, angles = matrices_to_axis_angles(m[None])
+        obj.update(axis=(axes[0] / np.linalg.norm(axes[0])).tolist(),
+                   angle=float(angles[0]))
+    elif target == "matrix":
+        obj.update(m=m.tolist())
+    else:
+        raise ValueError(f"unknown target representation: {target!r}")
+    return json.dumps(obj)

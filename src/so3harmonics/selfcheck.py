@@ -1,9 +1,10 @@
 """Quick property suite behind the ``check`` CLI command.
 
 A fast, self-contained subset of the invariants the full pytest suite
-covers: conversion round trips, block orthogonality and composition,
-the coefficient shift law, grid counts, layer equivariance, and one
-finite-difference gradient probe.  Prints one PASS/FAIL line per check.
+covers: conversion round trips (also at gimbal lock and half turns),
+block orthogonality and composition, the coefficient shift law, grid
+counts, layer equivariance, and one finite-difference gradient probe.
+Prints one PASS/FAIL line per check.
 """
 
 from __future__ import annotations
@@ -25,25 +26,24 @@ def run_property_suite(verbose: bool = True) -> list[str]:
     rng = np.random.default_rng(0)
 
     mats = rotations.sample_uniform_matrices(123, 200)
-    err = 0.0
-    for m in mats:
-        r = rotations.RotationMatrix(m)
-        e = rotations.matrix_to_euler(r)
-        q = rotations.matrix_to_quat(r)
-        aa = rotations.matrix_to_axis_angle(r)
-        for back in (rotations.euler_to_matrix(e), rotations.quat_to_matrix(q),
-                     rotations.axis_angle_to_matrix(aa)):
-            err = max(err, float(np.max(np.abs(back.m - m))))
-    _check("rotation round trips (200 samples)", err, 1e-9, results, verbose)
+    _check("rotation round trips (200 samples)", _round_trip_error(mats), 1e-9,
+           results, verbose)
+    # gimbal lock at and next to both poles, the identity and two half turns
+    lock = rotations.zyz_to_matrices(
+        0.7, np.array([0.0, np.pi, 1e-13, np.pi - 1e-13]), -1.3)
+    half_turn = rotations.axis_angles_to_matrices(np.array([[0.0, 0.6, -0.8]]),
+                                                  np.array([np.pi]))
+    special = np.concatenate([lock, np.eye(3)[None],
+                              np.diag([-1.0, 1.0, -1.0])[None], half_turn])
+    _check("round trips at gimbal lock and half turns",
+           _round_trip_error(special), 1e-9, results, verbose)
 
     L = 4
     errs = []
     for i in range(20):
         r1, r2 = rotations.sample_uniform_matrices(i, 2)
-        for l in range(L + 1):
-            d1 = wigner.wigner_D_real(l, r1).entries
-            d2 = wigner.wigner_D_real(l, r2).entries
-            d12 = wigner.wigner_D_real(l, r1 @ r2).entries
+        blocks = wigner.wigner_block_stacks_real(np.stack([r1, r2, r1 @ r2]), L)
+        for l, (d1, d2, d12) in enumerate(blocks):
             errs.append(np.max(np.abs(d1 @ d2 - d12)))
             errs.append(np.max(np.abs(d1 @ d1.T - np.eye(2 * l + 1))))
     _check("Wigner block homomorphism + orthogonality", max(errs), 1e-9,
@@ -71,11 +71,10 @@ def run_property_suite(verbose: bool = True) -> list[str]:
     out0 = specconv._blocks(specconv.s2_conv(c.data, model.s2), L)
     out1 = specconv._blocks(
         specconv.s2_conv(wigner.rotate_coeffs(c, r).data, model.s2), L)
+    blocks = wigner.wigner_block_stacks_real(r[None], L)
     err = max(
         float(np.max(np.abs(out1[l]
-                            - np.einsum("mn,cnk->cmk",
-                                        wigner.wigner_D_real(l, r).entries,
-                                        out0[l]))))
+                            - np.einsum("mn,cnk->cmk", blocks[l][0], out0[l]))))
         for l in range(L + 1))
     _check("sphere-convolution left equivariance", err, 1e-9, results, verbose)
 
@@ -111,6 +110,16 @@ def run_property_suite(verbose: bool = True) -> list[str]:
     if verbose:
         print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     return failures
+
+
+def _round_trip_error(mats: np.ndarray) -> float:
+    """Largest entry error of the ZYZ, quaternion and axis-angle round
+    trips of an (n, 3, 3) stack."""
+    backs = (rotations.zyz_to_matrices(*rotations.matrices_to_zyz(mats)),
+             rotations.quats_to_matrices(rotations.matrices_to_quats(mats)),
+             rotations.axis_angles_to_matrices(
+                 *rotations.matrices_to_axis_angles(mats)))
+    return max(float(np.max(np.abs(back - mats))) for back in backs)
 
 
 def _pullback_angles(grid, r):

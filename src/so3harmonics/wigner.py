@@ -41,12 +41,10 @@ rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-
-from . import rotations
 
 
 def m_total(bandlimit: int) -> int:
@@ -69,19 +67,6 @@ def block_offsets(bandlimit: int) -> list[int]:
     for l in range(bandlimit + 1):
         offs.append(offs[-1] + (2 * l + 1) ** 2)
     return offs
-
-
-@dataclass(frozen=True)
-class WignerBlock:
-    l: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        dim = 2 * self.l + 1
-        entries = np.asarray(self.entries)
-        if entries.shape != (dim, dim):
-            raise ValueError(f"degree-{self.l} block must be {dim}x{dim}")
-        object.__setattr__(self, "entries", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -213,34 +198,18 @@ def rotations_to_psi(matrices: np.ndarray, bandlimit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Views of single rotations
-# ---------------------------------------------------------------------------
-
-def _matrix_of(r) -> np.ndarray:
-    """3x3 array for a raw matrix or any rotation value in ``rotations``."""
-    if isinstance(r, (np.ndarray, list, tuple)):
-        return np.asarray(r, dtype=float)
-    return rotations.as_matrix(r).m
-
-
-def wigner_D_real(l: int, r) -> WignerBlock:
-    """Orthogonal degree-l block in the real harmonic basis."""
-    d = wigner_block_stacks_real(_matrix_of(r)[None], l)[l][0]
-    return WignerBlock(l, d)
-
-
-# ---------------------------------------------------------------------------
 # Coefficient rotation (shift law)
 # ---------------------------------------------------------------------------
 
-def rotate_coeffs(coeffs, r):
+def rotate_coeffs(coeffs, r: np.ndarray):
     """Rotate a band-limited function by acting on its coefficients.
 
-    ``coeffs`` is a ``harmonics.SphericalCoeffs``; the result is a copy
-    with rotated data.  Per degree, c' = D^l(r) c; synthesizing the
-    result reproduces the input signal pulled back through r^-1.
+    ``coeffs`` is a ``harmonics.SphericalCoeffs`` and ``r`` a (3, 3)
+    rotation matrix; the result is a copy with rotated data.  Per degree,
+    c' = D^l(r) c; synthesizing the result reproduces the input signal
+    pulled back through r^-1.
     """
-    blocks = wigner_block_stacks_real(_matrix_of(r)[None], coeffs.bandlimit)
+    blocks = wigner_block_stacks_real(np.reshape(r, (1, 3, 3)), coeffs.bandlimit)
     out = np.empty_like(coeffs.data)
     for l, d in enumerate(blocks):
         out[:, l * l:(l + 1) ** 2] = coeffs.block(l) @ d[0].T

@@ -44,7 +44,7 @@ def small_d_matrix(l: int, beta: float) -> np.ndarray:
     """Small-d matrix d^l(beta) indexed [m+l, n+l]; the complex block of
     Ry(beta) is its transpose."""
     ry = zyz_to_matrices(0.0, beta, 0.0)
-    d = complex_block(l, wigner.wigner_D_real(l, ry).entries)
+    d = complex_block(l, wigner.wigner_block_stacks_real(ry[None], l)[l][0])
     return np.ascontiguousarray(d.real.T)
 
 

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from complex_basis import small_d_matrix
+from euler_route import via_euler
 from gradcheck import batch_loss_and_grads, kink_safe_gradcheck
 from so3harmonics import estimation, grids, harness, rotations, wigner
 from so3harmonics.harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
                                     analyze, synthesize)
-from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
-                                    sample_uniform_matrices)
+from so3harmonics.rotations import (matrices_to_zyz, sample_uniform_matrices,
+                                    zyz_to_matrices)
 
 RESULTS = []
 
@@ -88,8 +89,7 @@ def test_criterion_03_layer_equivariance():
     worst_lin = 0.0
     for seed in range(10):
         m = sample_uniform_matrices(200 + seed, 1)[0]
-        e = matrix_to_euler(RotationMatrix(m))
-        dmats = [wigner.wigner_D_real(l, e).entries for l in range(L + 1)]
+        dmats = [d[0] for d in wigner.wigner_block_stacks_real(via_euler(m)[None], L)]
         c = SphericalCoeffs(L, rng.normal(size=(4, 25)))
         lhs = _blocks(s2_conv(wigner.rotate_coeffs(c, m).data, model.s2), L)
         rhs = _blocks(s2_conv(c.data, model.s2), L)
@@ -122,10 +122,9 @@ def test_criterion_03_layer_equivariance():
         rz = rotations.zyz_to_matrices(angle, 0.0, 0.0)
         psi0 = predict(base)
         psi1 = predict(wigner.rotate_coeffs(base, rz))
-        e = matrix_to_euler(RotationMatrix(rz))
-        rot = np.concatenate(
-            [(wigner.wigner_D_real(l, e).entries @ block).ravel()
-             for l, block in enumerate(_blocks(psi0, L))])
+        dz = wigner.wigner_block_stacks_real(via_euler(rz)[None], L)
+        rot = np.concatenate([(dz[l][0] @ block).ravel()
+                              for l, block in enumerate(_blocks(psi0, L))])
         rel = np.linalg.norm(psi1 - rot) / np.linalg.norm(rot)
         worst_e2e = max(worst_e2e, float(rel))
     record(3, worst_lin < 1e-9 and worst_e2e < 0.05,
@@ -260,17 +259,11 @@ def test_criterion_08_ablation_directions(toy_dataset):
 
 
 def test_criterion_09_rotation_round_trips():
-    from so3harmonics.rotations import (axis_angle_to_matrix, euler_to_matrix,
-                                        matrix_to_axis_angle, matrix_to_euler,
-                                        matrix_to_quat, quat_to_matrix)
     mats = sample_uniform_matrices(9, 10_000)
-    worst = 0.0
-    for m in mats:
-        r = RotationMatrix(m)
-        for back in (euler_to_matrix(matrix_to_euler(r)),
-                     quat_to_matrix(matrix_to_quat(r)),
-                     axis_angle_to_matrix(matrix_to_axis_angle(r))):
-            worst = max(worst, float(np.max(np.abs(back.m - m))))
+    worst = max(float(np.max(np.abs(back - mats))) for back in (
+        zyz_to_matrices(*matrices_to_zyz(mats)),
+        rotations.quats_to_matrices(rotations.matrices_to_quats(mats)),
+        rotations.axis_angles_to_matrices(*rotations.matrices_to_axis_angles(mats))))
     trips_ok = worst < 1e-9
 
     trip = sample_uniform_matrices(19, 30000).reshape(10000, 3, 3, 3)

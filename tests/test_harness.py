@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -17,13 +18,15 @@ from so3harmonics.harness import (DivergenceError, RunConfig, evaluate,
                                   gen_dataset, load_checkpoint, load_dataset,
                                   params_to_matrices, save_checkpoint,
                                   save_dataset, spatial_targets, train)
-from so3harmonics.rotations import (AxisAngle, UnitQuaternion,
-                                    axis_angles_to_matrices,
+from so3harmonics.rotations import (axis_angles_to_matrices,
                                     geodesic_distances, sample_uniform_matrices)
 
+DATA = Path(__file__).parent / "data"
 
-def per_row_quat(m: np.ndarray) -> UnitQuaternion:
-    """Scalar branch method, one matrix at a time."""
+
+def per_row_quat(m: np.ndarray) -> np.ndarray:
+    """Scalar branch method, one matrix at a time: the unit wxyz
+    quaternion with canonical sign (first nonzero component positive)."""
     t = np.trace(m)
     if t > 0:
         s = np.sqrt(t + 1.0) * 2
@@ -41,19 +44,23 @@ def per_row_quat(m: np.ndarray) -> UnitQuaternion:
         s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
         w, x = (m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s
         y, z = (m[1, 2] + m[2, 1]) / s, 0.25 * s
-    return UnitQuaternion(w, x, y, z)
+    q = np.array([w, x, y, z])
+    q /= np.linalg.norm(q)
+    return q if q[q != 0][0] > 0 else -q
 
 
-def per_row_axis_angle(m: np.ndarray) -> AxisAngle:
+def per_row_axis_angle(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit axis and angle in [0, pi] of one matrix, axis (0, 0, 1) at 0."""
     q = per_row_quat(m)
-    v = np.array([q.x, q.y, q.z])
+    v = q[1:]
     sin_half = np.linalg.norm(v)
-    angle = 2.0 * np.arctan2(sin_half, q.w)
+    angle = 2.0 * np.arctan2(sin_half, q[0])
     if sin_half < 1e-12:
-        return AxisAngle(np.array([0.0, 0.0, 1.0]), 0.0)
+        return np.array([0.0, 0.0, 1.0]), 0.0
     if angle > np.pi:
         angle, v = 2.0 * np.pi - angle, -v
-    return AxisAngle(v / sin_half, min(angle, np.pi))
+    axis = v / sin_half
+    return axis / np.linalg.norm(axis), min(angle, np.pi)
 
 
 def fast_cfg(**kw):
@@ -304,13 +311,11 @@ class TestSpatialHeads:
         mats = np.concatenate([
             sample_uniform_matrices(8, 1000), np.eye(3)[None],
             axis_angles_to_matrices(np.eye(3), np.full(3, np.pi))])
-        quats = np.stack([per_row_quat(m).as_array() for m in mats])
+        quats = np.stack([per_row_quat(m) for m in mats])
         assert spatial_targets(mats, "quaternion").tobytes() == quats.tobytes()
         expect = np.empty((len(mats), 4))
         for i, m in enumerate(mats):
-            aa = per_row_axis_angle(m)
-            expect[i, :3] = aa.axis
-            expect[i, 3] = aa.angle
+            expect[i, :3], expect[i, 3] = per_row_axis_angle(m)
         assert spatial_targets(mats, "axis_angle").tobytes() == expect.tobytes()
 
     def test_rotmat_projection_handles_noise(self):
@@ -580,7 +585,17 @@ class TestCli:
                  "missing key 'gamma'"),
                 ('{"type": "quaternion", "w": 1, "x": 1, "y": 0, "z": 0}',
                  "quaternion norm"),
-                ('{"type": "matrix", "m": [[1, 0], [0, 1]]}', "3x3 matrix")]:
+                ('{"type": "matrix", "m": [[1, 0], [0, 1]]}', "3x3 matrix"),
+                # a malformed axis and non-finite values, which the
+                # converters themselves do not check
+                ('{"type": "axis_angle", "axis": [1, 0], "angle": 0.1}',
+                 "axis must hold 3 numbers, got shape (2,)"),
+                ('{"type": "axis_angle", "axis": 1, "angle": 0.1}',
+                 "axis must hold 3 numbers, got shape ()"),
+                ('{"type": "quaternion", "w": NaN, "x": 0, "y": 0, "z": 0}',
+                 "quaternion norm nan is not 1"),
+                ('{"type": "euler_zyz", "alpha": Infinity, "beta": 0.1, "gamma": 0}',
+                 "alpha must be finite, got inf")]:
             self._fails(["convert", "--to", "quaternion"],
                         ["stdin line 2: ", message], stdin=f"{good}\n{line}\n")
         # zero epochs train nothing but still write the checkpoint
@@ -626,6 +641,28 @@ class TestCli:
         obj2 = json.loads(back)
         assert obj2["alpha"] == pytest.approx(0.3, abs=1e-9)
         assert obj2["beta"] == pytest.approx(0.7, abs=1e-9)
+
+    @pytest.mark.parametrize("target", ["euler_zyz", "quaternion", "axis_angle",
+                                        "matrix"])
+    def test_convert_corpus_output_is_fixed(self, target, monkeypatch, capsys):
+        # every source type at gimbal lock, half turns, the zero rotation,
+        # wrapped angles and norms 1 +- 5e-7, to each target: the output
+        # bytes are fixed, so a changed normalization shows here
+        corpus = (DATA / "convert_corpus.jsonl").read_text()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(corpus))
+        assert cli.main(["convert", "--to", target]) == 0
+        expect = (DATA / f"convert_to_{target}.jsonl").read_text()
+        assert capsys.readouterr().out == expect
+
+    def test_convert_rejects_each_malformed_line(self, monkeypatch, capsys):
+        # [line, message] pairs; each line is rejected with exit 2
+        for row in (DATA / "convert_rejected.jsonl").read_text().splitlines():
+            line, message = json.loads(row)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+            assert cli.main(["convert", "--to", "matrix"]) == 2, line
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"so3harmonics: error: stdin line 1: {message}\n"
 
     def test_print_config(self, tmp_path):
         out = self._run("gen-dataset", "--out", str(tmp_path / "x.bin"),

@@ -6,24 +6,32 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from so3harmonics import rotations
-from so3harmonics.rotations import (AxisAngle, EulerZYZ, RotationMatrix,
-                                    UnitQuaternion, axis_angle_to_matrix,
-                                    axis_angles_to_matrices,
-                                    euler_to_matrix, geodesic_distances,
-                                    matrix_to_axis_angle, matrices_to_zyz,
-                                    matrix_to_euler, matrix_to_quat,
-                                    quat_to_matrix, rotation_from_json,
+from so3harmonics.rotations import (ROTATION_TYPES, axis_angles_to_matrices,
+                                    geodesic_distances, matrices_to_axis_angles,
+                                    matrices_to_quats, matrices_to_zyz,
+                                    quats_to_matrices, rotation_from_json,
                                     rotation_to_json, sample_uniform_matrices,
                                     zyz_to_matrices)
 
 
+def zyz_round_trip(m: np.ndarray) -> np.ndarray:
+    return zyz_to_matrices(*matrices_to_zyz(m))
+
+
+def quat_round_trip(m: np.ndarray) -> np.ndarray:
+    return quats_to_matrices(matrices_to_quats(m))
+
+
+def axis_angle_round_trip(m: np.ndarray) -> np.ndarray:
+    return axis_angles_to_matrices(*matrices_to_axis_angles(m))
+
+
 class TestEulerMatrix:
     def test_zero_angles_identity(self):
-        assert np.allclose(euler_to_matrix(EulerZYZ(0, 0, 0)).m, np.eye(3))
+        assert np.allclose(zyz_to_matrices(0, 0, 0), np.eye(3))
 
     def test_beta_pi_analytic(self):
-        assert np.allclose(euler_to_matrix(EulerZYZ(0, np.pi, 0)).m,
+        assert np.allclose(zyz_to_matrices(0, np.pi, 0),
                            np.diag([-1.0, 1.0, -1.0]))
 
     def test_matches_explicit_factor_product(self):
@@ -36,8 +44,7 @@ class TestEulerMatrix:
             return np.array([[np.cos(t), 0, np.sin(t)], [0, 1, 0],
                              [-np.sin(t), 0, np.cos(t)]])
         expected = rz(g) @ ry(b) @ rz(a)
-        assert np.allclose(euler_to_matrix(EulerZYZ(a, b, g)).m, expected,
-                           atol=1e-14)
+        assert np.allclose(zyz_to_matrices(a, b, g), expected, atol=1e-14)
 
     def test_matches_scipy_intrinsic_zyz_reversed(self):
         rng = np.random.default_rng(0)
@@ -45,47 +52,44 @@ class TestEulerMatrix:
             a = rng.uniform(-np.pi, np.pi)
             b = rng.uniform(0, np.pi)
             g = rng.uniform(-np.pi, np.pi)
-            ours = euler_to_matrix(EulerZYZ(a, b, g)).m
+            ours = zyz_to_matrices(a, b, g)
             ref = ScipyRotation.from_euler("ZYZ", [g, b, a]).as_matrix()
             assert np.allclose(ours, ref, atol=1e-12)
 
     def test_output_is_valid_rotation(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            m = euler_to_matrix(EulerZYZ(rng.uniform(-np.pi, np.pi),
-                                         rng.uniform(0, np.pi),
-                                         rng.uniform(-np.pi, np.pi))).m
+            m = zyz_to_matrices(rng.uniform(-np.pi, np.pi),
+                                rng.uniform(0, np.pi),
+                                rng.uniform(-np.pi, np.pi))
             assert np.max(np.abs(m.T @ m - np.eye(3))) < 1e-10
             assert abs(np.linalg.det(m) - 1) < 1e-10
 
 
 class TestMatrixToEuler:
     def test_identity(self):
-        e = matrix_to_euler(RotationMatrix.identity())
-        assert (e.alpha, e.beta, e.gamma) == (0.0, 0.0, 0.0)
+        assert tuple(map(float, matrices_to_zyz(np.eye(3)))) == (0.0, 0.0, 0.0)
 
     def test_round_trip_specific(self):
-        e = matrix_to_euler(euler_to_matrix(EulerZYZ(0.3, 1.1, -0.7)))
-        assert (e.alpha, e.beta, e.gamma) == pytest.approx((0.3, 1.1, -0.7))
+        e = matrices_to_zyz(zyz_to_matrices(0.3, 1.1, -0.7))
+        assert tuple(map(float, e)) == pytest.approx((0.3, 1.1, -0.7))
 
     def test_gimbal_beta_zero_folds_into_alpha(self):
-        e = matrix_to_euler(RotationMatrix(zyz_to_matrices(0.5, 0.0, 0.0)))
-        assert (e.alpha, e.beta, e.gamma) == pytest.approx((0.5, 0.0, 0.0))
+        e = matrices_to_zyz(zyz_to_matrices(0.5, 0.0, 0.0))
+        assert tuple(map(float, e)) == pytest.approx((0.5, 0.0, 0.0))
 
     def test_gimbal_beta_pi(self):
-        m = RotationMatrix(zyz_to_matrices(0.4, 0.0, 0.0)
-                           @ zyz_to_matrices(0.0, np.pi, 0.0)
-                           @ zyz_to_matrices(0.3, 0.0, 0.0))
-        e = matrix_to_euler(m)
-        assert e.gamma == 0.0
-        assert e.beta == pytest.approx(np.pi)
-        assert np.allclose(euler_to_matrix(e).m, m.m, atol=1e-9)
+        m = (zyz_to_matrices(0.4, 0.0, 0.0) @ zyz_to_matrices(0.0, np.pi, 0.0)
+             @ zyz_to_matrices(0.3, 0.0, 0.0))
+        alpha, beta, gamma = matrices_to_zyz(m)
+        assert gamma == 0.0
+        assert beta == pytest.approx(np.pi)
+        assert np.allclose(zyz_to_matrices(alpha, beta, gamma), m, atol=1e-9)
 
     def test_round_trip_random(self):
-        for m in sample_uniform_matrices(42, 500):
-            r = RotationMatrix(m)
-            back = euler_to_matrix(matrix_to_euler(r)).m
-            assert np.max(np.abs(back - m)) < 1e-9
+        mats = sample_uniform_matrices(42, 500)
+        err = np.max(np.abs(zyz_round_trip(mats) - mats), axis=(1, 2))
+        assert np.all(err < 1e-9)
 
     def test_round_trip_near_both_poles(self):
         rng = np.random.default_rng(43)
@@ -93,77 +97,66 @@ class TestMatrixToEuler:
         for beta in (offset, np.pi - offset):
             alpha, gamma = rng.uniform(-np.pi, np.pi, (2, len(beta)))
             mats = zyz_to_matrices(alpha, beta, gamma)
-            back = zyz_to_matrices(*matrices_to_zyz(mats))
-            assert np.max(np.abs(back - mats)) <= 1e-12
-            for m in mats:
-                single = euler_to_matrix(matrix_to_euler(RotationMatrix(m))).m
-                assert np.max(np.abs(single - m)) <= 1e-12
+            assert np.max(np.abs(zyz_round_trip(mats) - mats)) <= 1e-12
 
 
 class TestQuaternionAndAxisAngle:
     def test_identity_quaternion(self):
-        assert np.allclose(quat_to_matrix(UnitQuaternion(1, 0, 0, 0)).m,
+        assert np.allclose(quats_to_matrices(np.array([[1.0, 0, 0, 0]]))[0],
                            np.eye(3))
 
     def test_z_quarter_turn(self):
-        aa = AxisAngle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-        assert np.allclose(axis_angle_to_matrix(aa).m,
-                           zyz_to_matrices(np.pi / 2, 0.0, 0.0), atol=1e-15)
+        m = axis_angles_to_matrices(np.array([[0.0, 0.0, 1.0]]),
+                                    np.array([np.pi / 2]))[0]
+        assert np.allclose(m, zyz_to_matrices(np.pi / 2, 0.0, 0.0), atol=1e-15)
 
     def test_quat_round_trip_up_to_sign(self):
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            q = rng.normal(size=4)
-            q /= np.linalg.norm(q)
-            quat = UnitQuaternion(*q)
-            back = matrix_to_quat(quat_to_matrix(quat))
-            assert np.allclose(back.as_array(), quat.as_array(), atol=1e-9)
+        q = rng.normal(size=(1000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q *= np.sign(q[:, :1])  # canonical sign: w >= 0
+        back = matrices_to_quats(quats_to_matrices(q))
+        assert np.allclose(back, q, atol=1e-9)
 
     def test_axis_angle_round_trip(self):
         rng = np.random.default_rng(4)
-        for _ in range(500):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = rng.uniform(1e-5, np.pi - 1e-5)
-            aa = AxisAngle(axis, angle)
-            back = matrix_to_axis_angle(axis_angle_to_matrix(aa))
-            assert back.angle == pytest.approx(angle, abs=1e-9)
-            assert np.allclose(back.axis, axis, atol=1e-8)
+        axes = rng.normal(size=(500, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = rng.uniform(1e-5, np.pi - 1e-5, 500)
+        back_axes, back_angles = matrices_to_axis_angles(
+            axis_angles_to_matrices(axes, angles))
+        assert back_angles == pytest.approx(angles, abs=1e-9)
+        assert np.allclose(back_axes, axes, atol=1e-8)
 
     def test_batched_rodrigues_matches_per_rotation_formula(self):
         rng = np.random.default_rng(8)
         angles = np.concatenate([rng.uniform(0, np.pi, 100), [0.0, np.pi]])
-        aas = [AxisAngle(u / np.linalg.norm(u), angle)
-               for u, angle in zip(rng.normal(size=(102, 3)), angles)]
-        batched = axis_angles_to_matrices(np.array([aa.axis for aa in aas]),
-                                          np.array([aa.angle for aa in aas]))
-        for aa, m in zip(aas, batched):
-            u = aa.axis
-            c, s = np.cos(aa.angle), np.sin(aa.angle)
+        axes = np.array([u / np.linalg.norm(u) for u in rng.normal(size=(102, 3))])
+        batched = axis_angles_to_matrices(axes, angles)
+        for u, angle, m in zip(axes, angles, batched):
+            c, s = np.cos(angle), np.sin(angle)
             ux = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]],
                            [-u[1], u[0], 0]])
             expect = c * np.eye(3) + s * ux + (1 - c) * np.outer(u, u)
             assert np.array_equal(m, expect)
-            assert np.array_equal(axis_angle_to_matrix(aa).m, expect)
 
     def test_zero_angle_convention(self):
-        aa = matrix_to_axis_angle(RotationMatrix.identity())
-        assert aa.angle == 0.0
-        assert np.allclose(aa.axis, [0, 0, 1])
+        axes, angles = matrices_to_axis_angles(np.eye(3)[None])
+        assert angles[0] == 0.0
+        assert np.allclose(axes[0], [0, 0, 1])
 
     def test_all_pairwise_round_trips(self):
-        for m in sample_uniform_matrices(7, 200):
-            r = RotationMatrix(m)
-            paths = [
-                euler_to_matrix(matrix_to_euler(r)),
-                quat_to_matrix(matrix_to_quat(r)),
-                axis_angle_to_matrix(matrix_to_axis_angle(r)),
-                quat_to_matrix(matrix_to_quat(euler_to_matrix(matrix_to_euler(r)))),
-                axis_angle_to_matrix(matrix_to_axis_angle(quat_to_matrix(matrix_to_quat(r)))),
-                euler_to_matrix(matrix_to_euler(axis_angle_to_matrix(matrix_to_axis_angle(r)))),
-            ]
-            for back in paths:
-                assert np.max(np.abs(back.m - m)) < 1e-9
+        mats = sample_uniform_matrices(7, 200)
+        paths = [
+            zyz_round_trip(mats),
+            quat_round_trip(mats),
+            axis_angle_round_trip(mats),
+            quat_round_trip(zyz_round_trip(mats)),
+            axis_angle_round_trip(quat_round_trip(mats)),
+            zyz_round_trip(axis_angle_round_trip(mats)),
+        ]
+        for back in paths:
+            assert np.max(np.abs(back - mats)) < 1e-9
 
 
 class TestGeodesicDistance:
@@ -198,7 +191,8 @@ class TestGeodesicDistance:
 class TestSampleUniform:
     def test_returns_valid_rotation(self):
         (m,) = sample_uniform_matrices(0, 1)
-        RotationMatrix(m)  # raises unless orthogonal with determinant +1
+        assert np.allclose(m.T @ m, np.eye(3), atol=1e-8)
+        assert abs(np.linalg.det(m) - 1.0) <= 1e-8
 
     def test_trace_expectation_near_zero(self):
         # Haar expectation of the trace is 0
@@ -224,18 +218,11 @@ class TestSampleUniform:
 
 class TestJsonSerialization:
     def test_all_types_round_trip(self):
-        values = [
-            EulerZYZ(0.1, 0.2, 0.3),
-            UnitQuaternion(1, 0, 0, 0),
-            AxisAngle(np.array([0.0, 1.0, 0.0]), 0.5),
-            RotationMatrix(zyz_to_matrices(0.7, 0.0, 0.0)),
-        ]
-        for v in values:
-            text = rotation_to_json(v)
-            tag = json.loads(text)["type"]
-            back = rotation_from_json(text)
-            assert type(back) is type(v)
-            assert tag in ("euler_zyz", "quaternion", "axis_angle", "matrix")
+        m = zyz_to_matrices(0.1, 0.2, 0.3)
+        for target in ROTATION_TYPES:
+            text = rotation_to_json(m, target)
+            assert json.loads(text)["type"] == target
+            assert np.allclose(rotation_from_json(text), m, atol=1e-12)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
@@ -244,19 +231,22 @@ class TestJsonSerialization:
 
 class TestInvariantValidation:
     def test_quaternion_norm_enforced(self):
-        with pytest.raises(ValueError):
-            UnitQuaternion(1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="quaternion norm"):
+            rotation_from_json('{"type": "quaternion", "w": 1, "x": 1, "y": 0, "z": 0}')
 
     def test_canonical_sign(self):
-        q = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
-        assert q.w == 1.0
-        tie = UnitQuaternion(0.0, -1.0, 0.0, 0.0)
-        assert tie.x == 1.0
+        # w >= 0, ties broken by the first nonzero component positive
+        q = np.array([[-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+        assert np.array_equal(matrices_to_quats(quats_to_matrices(q)), -q)
+        text = rotation_to_json(quats_to_matrices(q[1:])[0], "quaternion")
+        assert json.loads(text)["x"] == 1.0
 
     def test_matrix_orthogonality_enforced(self):
-        with pytest.raises(ValueError):
-            RotationMatrix(np.eye(3) * 2.0)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            rotation_from_json(json.dumps({"type": "matrix",
+                                           "m": (np.eye(3) * 2.0).tolist()}))
 
     def test_beta_range_enforced(self):
-        with pytest.raises(ValueError):
-            EulerZYZ(0.0, -0.5, 0.0)
+        with pytest.raises(ValueError, match="beta must lie"):
+            rotation_from_json('{"type": "euler_zyz", "alpha": 0.0, '
+                               '"beta": -0.5, "gamma": 0.0}')

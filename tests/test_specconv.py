@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from euler_route import via_euler
 from gradcheck import batch_loss_and_grads, kink_safe_gradcheck
 from so3harmonics import fibers, grids, mapper, specconv, wigner
 from so3harmonics._cache import LRUCache
@@ -18,8 +19,7 @@ from so3harmonics.harmonics import (IllConditionedError, SphericalCoeffs,
                                     design_matrix, ridge_solver, synthesize)
 from so3harmonics.harness import RunConfig
 from so3harmonics.mapper import MapperConfig
-from so3harmonics.rotations import (RotationMatrix, matrix_to_euler,
-                                    sample_uniform_matrices)
+from so3harmonics.rotations import sample_uniform_matrices
 from so3harmonics.specconv import (LocalSO3Filter, S2FilterBank, ToyModel,
                                    _blocks, forward_trunk, head_wigner,
                                    init_toy_model, local_tap_rotations,
@@ -37,13 +37,12 @@ def model():
 def left_translate(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Group signals (..., C, M) with every degree block left-multiplied
     by the Wigner block of m."""
-    e = matrix_to_euler(RotationMatrix(m))
     bandlimit = wigner.bandlimit_of(x.shape[-1])
+    d = wigner.wigner_block_stacks_real(via_euler(m)[None], bandlimit)
     out = np.empty_like(x)
     for l, (xb, ob) in enumerate(zip(_blocks(x, bandlimit),
                                      _blocks(out, bandlimit))):
-        ob[...] = np.einsum("mn,...nk->...mk",
-                            wigner.wigner_D_real(l, e).entries, xb)
+        ob[...] = np.einsum("mn,...nk->...mk", d[l][0], xb)
     return out
 
 
@@ -674,10 +673,9 @@ class TestForward:
         values = np.stack([synthesize(c, grid).values
                            for c in (base, wigner.rotate_coeffs(base, rz))])
         psi0, psi1 = predict(model, "spherical", values, grid=grid)
-        e = matrix_to_euler(RotationMatrix(rz))
-        rotated = np.concatenate(
-            [(wigner.wigner_D_real(l, e).entries @ block).ravel()
-             for l, block in enumerate(_blocks(psi0, L))])
+        dz = wigner.wigner_block_stacks_real(via_euler(rz)[None], L)
+        rotated = np.concatenate([(dz[l][0] @ block).ravel()
+                                  for l, block in enumerate(_blocks(psi0, L))])
         rel = np.linalg.norm(psi1 - rotated) / np.linalg.norm(rotated)
         assert rel < 0.05
 

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from complex_basis import complex_block, small_d_matrix
+from euler_route import via_euler
 from so3harmonics import grids, rotations, wigner
 from so3harmonics.harmonics import (PointSet, SphericalCoeffs, SphericalSignal,
                                     analyze, synthesize)
-from so3harmonics.rotations import (EulerZYZ, RotationMatrix, matrix_to_euler,
-                                    sample_uniform_matrices)
+from so3harmonics.rotations import sample_uniform_matrices, zyz_to_matrices
 from so3harmonics.wigner import (block_offsets, m_total, rotate_coeffs,
-                                 rotations_to_psi, wigner_D_real)
+                                 rotations_to_psi, wigner_block_stacks_real)
 
 
 def random_eulers(seed, n):
-    return [matrix_to_euler(RotationMatrix(m))
-            for m in sample_uniform_matrices(seed, n)]
+    return via_euler(sample_uniform_matrices(seed, n))
+
+
+def wigner_D_real(l, m):
+    """Real degree-l block of one (3, 3) rotation."""
+    return wigner_block_stacks_real(m[None], l)[l][0]
 
 
 def small_d(l, m, n, beta):
@@ -25,7 +29,7 @@ def small_d(l, m, n, beta):
 
 
 def wigner_D_complex(l, r):
-    return complex_block(l, wigner_D_real(l, r).entries)
+    return complex_block(l, wigner_D_real(l, r))
 
 
 class TestSmallD:
@@ -77,15 +81,15 @@ class TestSmallD:
 
 class TestWignerBlocks:
     def test_scalar_block(self):
-        e = EulerZYZ(0.4, 1.0, -0.2)
+        e = zyz_to_matrices(0.4, 1.0, -0.2)
         assert wigner_D_complex(0, e)[0, 0] == pytest.approx(1.0)
-        assert wigner_D_real(0, e).entries[0, 0] == pytest.approx(1.0)
+        assert wigner_D_real(0, e)[0, 0] == pytest.approx(1.0)
 
     def test_identity_rotation(self):
-        e = EulerZYZ(0.0, 0.0, 0.0)
+        e = zyz_to_matrices(0.0, 0.0, 0.0)
         for l in range(7):
             assert np.allclose(wigner_D_complex(l, e), np.eye(2 * l + 1))
-            assert np.allclose(wigner_D_real(l, e).entries, np.eye(2 * l + 1))
+            assert np.allclose(wigner_D_real(l, e), np.eye(2 * l + 1))
 
     def test_unitarity_complex(self):
         for e in random_eulers(1, 50):
@@ -95,34 +99,28 @@ class TestWignerBlocks:
                 assert err < 1e-10
 
     def test_orthogonality_and_realness_real_basis(self):
-        # realness is asserted inside wigner_D_real at 1e-12; orthogonality here
-        for e in random_eulers(2, 1000):
-            for l in range(7):
-                d = wigner_D_real(l, e).entries
-                assert d.dtype == np.float64
-                err = np.max(np.abs(d @ d.T - np.eye(2 * l + 1)))
-                assert err < 1e-10
+        for l, d in enumerate(wigner_block_stacks_real(random_eulers(2, 1000), 6)):
+            assert d.dtype == np.float64
+            err = np.max(np.abs(d @ d.transpose(0, 2, 1) - np.eye(2 * l + 1)))
+            assert err < 1e-10
 
     def test_homomorphism_complex_and_real(self):
         mats = sample_uniform_matrices(3, 2000).reshape(1000, 2, 3, 3)
-        for m1, m2 in mats:
-            e1 = matrix_to_euler(RotationMatrix(m1))
-            e2 = matrix_to_euler(RotationMatrix(m2))
-            e12 = matrix_to_euler(RotationMatrix(m1 @ m2))
-            for l in (1, 3, 6):
-                dc = wigner_D_complex(l, e1) @ wigner_D_complex(l, e2)
-                assert np.max(np.abs(dc - wigner_D_complex(l, e12))) < 1e-9
-                dr = wigner_D_real(l, e1).entries @ wigner_D_real(l, e2).entries
-                assert np.max(np.abs(dr - wigner_D_real(l, e12).entries)) < 1e-9
+        e1, e2, e12 = (wigner_block_stacks_real(via_euler(m), 6)
+                       for m in (mats[:, 0], mats[:, 1], mats[:, 0] @ mats[:, 1]))
+        for l in (1, 3, 6):
+            for d1, d2, d12 in zip(e1[l], e2[l], e12[l]):
+                dc = complex_block(l, d1) @ complex_block(l, d2)
+                assert np.max(np.abs(dc - complex_block(l, d12))) < 1e-9
+            dr = e1[l] @ e2[l]
+            assert np.max(np.abs(dr - e12[l])) < 1e-9
 
     def test_inverse_is_transpose_real(self):
-        for m in sample_uniform_matrices(4, 200):
-            e = matrix_to_euler(RotationMatrix(m))
-            e_inv = matrix_to_euler(RotationMatrix(m.T))
-            for l in (2, 5):
-                d = wigner_D_real(l, e).entries
-                d_inv = wigner_D_real(l, e_inv).entries
-                assert np.max(np.abs(d_inv - d.T)) < 1e-10
+        mats = sample_uniform_matrices(4, 200)
+        d = wigner_block_stacks_real(via_euler(mats), 5)
+        d_inv = wigner_block_stacks_real(via_euler(mats.transpose(0, 2, 1)), 5)
+        for l in (2, 5):
+            assert np.max(np.abs(d_inv[l] - d[l].transpose(0, 2, 1))) < 1e-10
 
 
 def near_pole_matrices(seed, n):
@@ -187,11 +185,10 @@ class TestHarmonicVector:
 
     def test_euler_and_matrix_paths_agree(self):
         for m in sample_uniform_matrices(7, 20):
-            e = matrix_to_euler(RotationMatrix(m))
-            via_euler = np.concatenate([wigner_D_real(l, e).entries.ravel()
+            euler_psi = np.concatenate([wigner_D_real(l, via_euler(m)).ravel()
                                         for l in range(4)])
-            via_matrix = rotations_to_psi(m, 3)
-            assert np.max(np.abs(via_euler - via_matrix)) < 1e-12
+            matrix_psi = rotations_to_psi(m, 3)
+            assert np.max(np.abs(euler_psi - matrix_psi)) < 1e-12
 
     def test_injectivity_at_grid_scale(self):
         # distinct rotations >= 2 degrees apart score strictly below the
@@ -210,7 +207,7 @@ class TestShiftLaw:
     def test_identity_rotation_fixes_coeffs(self):
         rng = np.random.default_rng(10)
         c = SphericalCoeffs(4, rng.normal(size=(2, 25)))
-        out = rotate_coeffs(c, RotationMatrix.identity())
+        out = rotate_coeffs(c, np.eye(3))
         assert np.max(np.abs(out.data - c.data)) < 1e-12
 
     def test_constant_component_unchanged(self):
