@@ -219,8 +219,8 @@ def infer_distribution(pred, grid: SO3Grid,
 def argmax_pose(d: PoseDistribution) -> rotations.RotationMatrix | np.ndarray:
     """Most probable grid rotation (lowest index on ties), or a (B, 3, 3) stack."""
     idx = np.argmax(d.probs, axis=-1)
-    return (rotations.RotationMatrix(d.grid.rotations[idx]) if idx.ndim == 0
-            else d.grid.rotations[idx])
+    return (rotations.RotationMatrix(d.grid.rotations_at(idx)) if idx.ndim == 0
+            else d.grid.rotations_at(idx))
 
 
 READOUTS = ("top1_prob", "entropy", "margin", "manifold_distance")
@@ -306,7 +306,7 @@ def decode_poses(pred, grid: SO3Grid, temperature: float = 1.0) -> PoseReadout:
     for lo, s in _score_blocks(rows, grid):
         hi = lo + len(s)
         idx[lo:hi], top1[lo:hi], entropy[lo:hi], margin[lo:hi] = _read_out(s, temperature)
-    rots = grid.rotations[idx]
+    rots = grid.rotations_at(idx)
     psi = wigner.rotations_to_psi(rots, wigner.bandlimit_of(rows.shape[-1]))
     return PoseReadout(rots, top1, entropy, margin,
                        np.linalg.norm(rows - psi, axis=1))

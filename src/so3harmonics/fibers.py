@@ -20,8 +20,9 @@ gives each fiber's cos/sin coefficients, and one product with the
 (J, F) trig table, J = 2L + 1, gives the fiber's F scores: about
 2 M N + J N F multiply-adds a row against M N F for the dense psi table,
 exact at every level.  ``fiber_table`` caches the table (2.8 MB at
-level 3 and L = 6, against 134 MB for the dense table) after checking
-the fiber structure on the rotations themselves.
+level 3 and L = 6, against 134 MB for the dense table).  A grid built
+from its pixels and fibers gives its base rotations A_i directly; a
+supplied rotation stack is first checked for the fiber structure.
 
 The grid ReLU runs on the same factorization (``FiberRelu``):
 out = relu(x A^T) A H, with H the ridge inverse of the Gram matrix A^T A
@@ -166,35 +167,52 @@ def _fiber_classes(bandlimit: int):
     return order, tuple(int(i) for i in bounds)
 
 
-def _build_fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
-    nfiber = 6 * 2 ** grid.level
-    if grid.size != so3_healpix_count(grid.level):
-        return None
-    rots = grid.rotations.reshape(-1, nfiber, 3, 3)
+def fiber_deviation(grid: SO3Grid, nfiber: int) -> float:
+    """Largest entry of |R - A_i Rz(2 pi f / F)| over the rotations
+    R = ``grid.rotations_at(i F + f)``, with A_i = ``rotations_at(i F)``
+    and F = nfiber, read in chunks of ``_CHUNK_BYTES`` (NaN if any is)."""
     angles = 2.0 * np.pi * np.arange(nfiber) / nfiber
     spin = rotations.zyz_to_matrices(angles, 0.0, 0.0)
-    step = max(1, _CHUNK_BYTES // rots[0].nbytes)
-    for start in range(0, len(rots), step):
-        block = rots[start:start + step]
-        if not np.max(np.abs(block - block[:, :1] @ spin)) <= _FIBER_TOL:
+    step = max(1, _CHUNK_BYTES // (72 * nfiber)) * nfiber
+    worst = [0.0]
+    for start in range(0, grid.size, step):
+        block = grid.rotations_at(np.arange(start, min(start + step, grid.size)))
+        block = block.reshape(-1, nfiber, 3, 3)
+        worst.append(np.max(np.abs(block - block[:, :1] @ spin)))
+    return float(np.max(worst))
+
+
+def _build_fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
+    if grid.nfiber is not None:  # built from its fibers (``grids.so3_healpix``)
+        nfiber = grid.nfiber
+    else:  # a supplied stack: check the fiber count its level proposes
+        nfiber = 6 * 2 ** grid.level
+        if (grid.size != so3_healpix_count(grid.level)
+                or not fiber_deviation(grid, nfiber) <= _FIBER_TOL):
             return None
+    angles = 2.0 * np.pi * np.arange(nfiber) / nfiber
     k = np.arange(1, bandlimit + 1)[:, None] * angles
     trig = np.concatenate([np.ones((1, nfiber)),
                            np.stack([np.cos(k), np.sin(k)], axis=1).reshape(-1, nfiber)])
     order, bounds = _fiber_classes(bandlimit)
-    base_psi = wigner.rotations_to_psi(rots[:, 0], bandlimit)[:, order]
+    base = grid.rotations_at(np.arange(0, grid.size, nfiber))
+    base_psi = wigner.rotations_to_psi(base, bandlimit, order)
     return FiberTable(base_psi, order, np.argsort(order), bounds, trig)
 
 
 def fiber_table(grid: SO3Grid, bandlimit: int) -> FiberTable | None:
     """The factored table of a HEALPix-Hopf grid at ``bandlimit``, or None.
 
-    The kind label and level only propose the fiber count F = 6 * 2^level;
-    the table is built, and cached per rotation content, only after every
-    rotation is checked to be A_i Rz(2 pi f / F).  None means the grid
-    is scored against its dense psi table.
+    A grid built from its pixels and fibers (``grids.so3_healpix``) has
+    the fiber structure by construction; a test proves it for every
+    rotation of levels 0-5.  A supplied stack labelled ``healpix_hopf``
+    with a level that is an int >= 0 only proposes F = 6 * 2^level: its
+    table is built only after every rotation is checked to be
+    A_i Rz(2 pi f / F) at ``_FIBER_TOL``.  Tables are cached per grid
+    content.  None means the grid is scored against its dense psi table.
     """
-    if grid.kind != "healpix_hopf" or grid.level is None:
+    if grid.nfiber is None and (grid.kind != "healpix_hopf"
+                                or type(grid.level) is not int or grid.level < 0):
         return None
     return fiber_table_cache.get(
         (grid.content_digest, grid.level, bandlimit),

@@ -7,12 +7,19 @@ angles to every pixel, giving 72 * 8^level rotations with a nominal bin
 width of 60 deg / 2^level.  Random (Haar) and super-Fibonacci grids of
 arbitrary size are provided for comparison at inference time.
 
-Grids are immutable once constructed and safe to share across threads.
+A HEALPix-Hopf grid is defined by its pixel angles and fiber count: its
+size and content digest come from them, the fiber scoring in ``fibers``
+and the decode in ``estimation`` read only the rotations they need
+(``SO3Grid.rotations_at``), and the (n, 3, 3) stack is built on first
+access of ``rotations`` and kept.  The build is deterministic, so every
+thread reads the same bits.  Grids are immutable once constructed and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -102,41 +109,86 @@ def healpix_s2(level: int, subset: str = "full") -> S2Grid:
 # SO(3) grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SO3Grid:
-    kind: str
-    rotations: np.ndarray  # (n, 3, 3)
-    nominal_resolution_deg: float
-    level: int | None = None
-    psi_table: np.ndarray | None = None
-    psi_bandlimit: int | None = None
+    """A finite set of rotations.
 
-    def __post_init__(self):
-        rots = np.ascontiguousarray(self.rotations, dtype=float)
-        rots.flags.writeable = False
-        object.__setattr__(self, "rotations", rots)
-        if self.psi_table is not None:
-            if len(self.psi_table) != len(rots):
+    Either an explicit (n, 3, 3) stack ``rotations``, or the Hopf lift of
+    sphere ``pixels`` with ``nfiber`` fiber angles each (rotations=None):
+    rotation i F + f is Rz(phi_i) Ry(theta_i) Rz(2 pi f / F), F = nfiber.
+    A lifted grid builds its stack on first access only, and
+    ``rotations_at`` reads single rotations without it.  ``psi_table``
+    optionally holds the harmonic vector of every rotation at
+    ``psi_bandlimit``.  Attributes cannot be reassigned and arrays are
+    not writeable.
+    """
+
+    def __init__(self, kind: str, rotations: np.ndarray | None,
+                 nominal_resolution_deg: float, level: int | None = None,
+                 psi_table: np.ndarray | None = None,
+                 psi_bandlimit: int | None = None,
+                 pixels: PointSet | None = None, nfiber: int | None = None):
+        if (rotations is None) == (pixels is None) or (pixels is None) != (nfiber is None):
+            raise ValueError("an SO3Grid takes either a rotation stack or "
+                             "pixels and a fiber count")
+        self.__dict__.update(kind=kind, nominal_resolution_deg=nominal_resolution_deg,
+                             level=level, psi_table=None, psi_bandlimit=psi_bandlimit,
+                             pixels=pixels, nfiber=nfiber)
+        if rotations is not None:
+            self.__dict__["rotations"] = _read_only(rotations)
+        if psi_table is not None:
+            if len(psi_table) != self.size:
                 raise ValueError("psi_table length does not match grid size")
-            table = np.ascontiguousarray(self.psi_table, dtype=float)
-            table.flags.writeable = False
-            object.__setattr__(self, "psi_table", table)
+            self.__dict__["psi_table"] = _read_only(psi_table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SO3Grid attributes are read-only: {name}")
+
+    @cached_property
+    def rotations(self) -> np.ndarray:
+        """(size, 3, 3) stack, for a lifted grid ``rotations_at`` of every
+        index, built on first access and kept.  The build is deterministic:
+        threads that race to it read the same bits."""
+        return _read_only(self.rotations_at(np.arange(self.size)))
+
+    def rotations_at(self, idx) -> np.ndarray:
+        """``rotations[idx]`` for an integer index or index array.  A lifted
+        grid computes the rotations of idx = i F + f alone, with
+        ``zyz_to_matrices`` elementwise as its stack, so the same bits."""
+        if self.pixels is None:
+            return self.rotations[idx]
+        i, f = np.divmod(idx, self.nfiber)
+        fiber = 2.0 * np.pi * np.arange(self.nfiber) / self.nfiber
+        return rotations.zyz_to_matrices(fiber[f], self.pixels.theta[i],
+                                         self.pixels.phi[i])
 
     @property
     def size(self) -> int:
-        return len(self.rotations)
+        if self.pixels is None:
+            return len(self.rotations)
+        return self.pixels.size * self.nfiber
 
     @cached_property
     def content_digest(self) -> bytes:
-        """Digest of the rotation stack, computed once per grid object."""
-        return digest(self.rotations)
+        """Digest of the rotation stack, or of a lifted grid's pixel angles
+        and fiber count, computed once per grid object."""
+        if self.pixels is None:
+            return digest(self.rotations)
+        return digest(self.pixels.theta, self.pixels.phi, np.int64(self.nfiber))
 
     def with_psi_table(self, bandlimit: int) -> "SO3Grid":
         """Copy of the grid carrying precomputed harmonic vectors."""
         if self.psi_table is not None and self.psi_bandlimit == bandlimit:
             return self
-        table = wigner.rotations_to_psi(self.rotations, bandlimit)
-        return replace(self, psi_table=table, psi_bandlimit=bandlimit)
+        grid = copy.copy(self)  # shares the stack and digest if already built
+        grid.__dict__.update(psi_table=_read_only(wigner.rotations_to_psi(
+            self.rotations, bandlimit)), psi_bandlimit=bandlimit)
+        return grid
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def so3_healpix_count(level: int) -> int:
@@ -146,11 +198,13 @@ def so3_healpix_count(level: int) -> int:
 def so3_healpix(level: int, allow_large: bool = False) -> SO3Grid:
     """Hopf lift of the HEALPix sphere: 72 * 8^level rotations.
 
-    Every pixel direction (theta, phi) carries F = 6 * 2^level fiber
-    angles psi_f = 2 pi f / F (zero phase offset), composed as
-    Rz(phi) Ry(theta) Rz(psi_f).  Rotation i F + f is A_i Rz(psi_f) with
-    A_i = ``rotations[i F]``; ``estimation`` scores the grid through this
-    fiber structure.  Levels >= 5 exceed a desk-scale memory budget and
+    Every pixel direction (theta, phi) of ``healpix_s2(level)`` carries
+    F = 6 * 2^level fiber angles psi_f = 2 pi f / F (zero phase offset),
+    composed as Rz(phi) Ry(theta) Rz(psi_f).  Rotation i F + f is
+    A_i Rz(psi_f) with A_i = ``rotations_at(i F)``; ``fibers`` scores the
+    grid through this structure.  The grid holds the pixels and F, not
+    its rotations: the stack is built on first access of ``rotations``.
+    Levels >= 5 exceed a desk-scale memory budget for dense tables and
     require ``allow_large=True``.
     """
     if level < 0 or level > LARGE_GRID_LEVEL:
@@ -162,16 +216,8 @@ def so3_healpix(level: int, allow_large: bool = False) -> SO3Grid:
             f"SO(3) HEALPix level {level} has {so3_healpix_count(level):,} "
             "rotations; pass allow_large=True to build it")
     nside = 2 ** level
-    theta, phi = _healpix_ring_angles(nside)
-    nfiber = 6 * nside
-    fiber = 2.0 * np.pi * np.arange(nfiber) / nfiber
-    # alpha paired with the rightmost z-factor: R = Rz(phi) Ry(theta) Rz(psi)
-    alpha = np.repeat(fiber[None, :], len(theta), axis=0).ravel()
-    beta = np.repeat(theta, nfiber)
-    gamma = np.repeat(phi, nfiber)
-    mats = rotations.zyz_to_matrices(alpha, beta, gamma)
-    return SO3Grid(kind="healpix_hopf", rotations=mats,
-                   nominal_resolution_deg=60.0 / nside, level=level)
+    return SO3Grid("healpix_hopf", None, 60.0 / nside, level=level,
+                   pixels=healpix_s2(level), nfiber=6 * nside)
 
 
 def so3_grid(kind: str, level: int, count: int | None = None, seed: int = 0,
@@ -275,8 +321,8 @@ def _grid_file_problem(kind, level, rots: np.ndarray, table, bandlimit) -> str |
     """What makes a grid file's fields unusable, or None."""
     if kind not in GRID_KINDS:
         return f"unknown grid kind {kind!r}"
-    if level is not None and type(level) is not int:
-        return f"level {level!r} is not an integer"
+    if level is not None and (type(level) is not int or level < 0):
+        return f"level {level!r} is not a non-negative integer"
     if not (rots.ndim == 3 and rots.shape[1:] == (3, 3)
             and rots.dtype.kind in "fiu" and np.all(np.isfinite(rots))):
         return f"rotations are not a finite (n, 3, 3) array: {rots.dtype} {rots.shape}"
@@ -293,9 +339,9 @@ def _grid_file_problem(kind, level, rots: np.ndarray, table, bandlimit) -> str |
 def load_grid(path: str) -> SO3Grid:
     """The grid ``save_grid`` wrote.  A malformed file raises
     IncompatibleFileError naming ``path``: a missing field, an unknown
-    kind, a level that is not an integer, rotations that are not a finite
-    (n, 3, 3) array, or a psi table whose shape disagrees with its band
-    limit."""
+    kind, a level that is not a non-negative integer, rotations that are
+    not a finite (n, 3, 3) array, or a psi table whose shape disagrees
+    with its band limit."""
     _, meta, arrays = read_blob(path, expect_kind="so3grid")
     kind, level, bandlimit = meta["grid_kind"], meta["level"], meta.get("psi_bandlimit")
     rots, table = arrays["rotations"], arrays.get("psi_table")

@@ -3,7 +3,8 @@
 A fast, self-contained subset of the invariants the full pytest suite
 covers: conversion round trips (also at gimbal lock and half turns),
 block orthogonality and composition, the coefficient shift law, grid
-counts, layer equivariance, and one finite-difference gradient probe.
+counts, the Hopf fiber structure of the HEALPix-Hopf grids, layer
+equivariance, and one finite-difference gradient probe.
 Prints one PASS/FAIL line per check.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import estimation, grids, harmonics, rotations, specconv, wigner
+from . import estimation, fibers, grids, harmonics, rotations, specconv, wigner
 
 
 def _check(name: str, err: float, tol: float, results: list, verbose: bool):
@@ -63,6 +64,11 @@ def run_property_suite(verbose: bool = True) -> list[str]:
     counts_ok = all(grids.so3_healpix(level).size == 72 * 8 ** level
                     for level in range(3))
     _check("SO(3) grid counts r=0..2", 0.0 if counts_ok else 1.0, 0.5,
+           results, verbose)
+    # the fiber structure the grid's fiber table takes without a check
+    err = max(fibers.fiber_deviation(g, g.nfiber)
+              for g in map(grids.so3_healpix, range(5)))
+    _check("HEALPix-Hopf rotations on their fibers r=0..4", err, 1e-12,
            results, verbose)
 
     model = specconv.init_toy_model(0, L, in_channels=2, mid_channels=3,

@@ -73,10 +73,12 @@ def block_offsets(bandlimit: int) -> list[int]:
 # Real blocks by recursion over the degree
 # ---------------------------------------------------------------------------
 
-# Rows per recursion pass in rotations_to_psi: the degree-l temporaries
-# take 3 (2l-1)(2l+1) floats per row, ~3.5 MB per pass at l = 6, so a
-# pass stays cache-sized and a whole-grid pass would not.
-_CHUNK_ROWS = 1024
+# Byte budget of the widest degree temporary of one recursion pass in
+# rotations_to_psi, under 3 (2L+1)^2 floats a row: 129 rows at L = 6 and
+# 29 at L = 13, so a pass stays in a core's L2.  1,024-row passes took
+# 2-3x as long at L = 6: 127 against 37 ms for 8,192 Haar rotations
+# (2 shared x86-64 vCPUs, OpenBLAS 0.3.31).
+_CHUNK_BYTES = 512 << 10
 
 
 @lru_cache(maxsize=None)
@@ -181,19 +183,27 @@ def generators_real(l: int) -> np.ndarray:
     return j
 
 
-def rotations_to_psi(matrices: np.ndarray, bandlimit: int) -> np.ndarray:
-    """Flattened harmonic vectors for a stack of matrices, shape (n, M)."""
+def rotations_to_psi(matrices: np.ndarray, bandlimit: int,
+                     order: np.ndarray | None = None) -> np.ndarray:
+    """Flattened harmonic vectors for a stack of matrices, shape (n, M).
+
+    With ``order``, the array ``rotations_to_psi(matrices, bandlimit)[:,
+    order]``, in its Fortran layout too, with no second (n, M) copy: each
+    pass permutes its own rows.  A row's bits do not depend on the pass
+    it runs in.
+    """
     matrices = np.asarray(matrices, dtype=float)
     squeeze = matrices.ndim == 2
     if squeeze:
         matrices = matrices[None]
-    n = len(matrices)
-    flat = np.empty((n, m_total(bandlimit)))
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = matrices[start:start + _CHUNK_ROWS]
+    n, m = len(matrices), m_total(bandlimit)
+    flat = np.empty((n, m)) if order is None else np.empty((m, n)).T
+    step = max(1, _CHUNK_BYTES // (24 * (2 * bandlimit + 1) ** 2))
+    for start in range(0, n, step):
+        rows = matrices[start:start + step]
         blocks = wigner_block_stacks_real(rows, bandlimit)
-        flat[start:start + len(rows)] = np.concatenate(
-            [b.reshape(len(rows), -1) for b in blocks], axis=1)
+        psi = np.concatenate([b.reshape(len(rows), -1) for b in blocks], axis=1)
+        flat[start:start + len(rows)] = psi if order is None else psi[:, order]
     return flat[0] if squeeze else flat
 
 

@@ -275,6 +275,7 @@ TAMPERED_GRIDS = {
         "rotations", lambda a: np.where(np.arange(9).reshape(3, 3) == 4, np.nan, a)),
     "level_string": _set("level", "x"),
     "level_float": _set("level", 0.5),
+    "level_negative": _set("level", -1),
     "unknown_kind": _set("grid_kind", "hopf"),
     "psi_table_shape": _edit_array("psi_table", lambda a: a[:, :-1]),
     "psi_bandlimit_differs": _set("psi_bandlimit", 1),
@@ -291,6 +292,18 @@ def test_load_grid_tampered_field(tmp_path, case):
     TAMPERED_GRIDS[case](meta, arrays)
     write_blob(str(path), kind, meta, arrays)
     with pytest.raises(IncompatibleFileError) as err:
+        load_grid(str(path))
+    assert str(path) in str(err.value)
+
+
+def test_load_grid_rejects_a_negative_level(tmp_path):
+    # a file decode_poses would otherwise send into the fiber path with
+    # F = 6 * 2^-1
+    from so3harmonics.grids import SO3Grid, load_grid, save_grid, so3_random
+    path = tmp_path / "g.bin"
+    save_grid(str(path), SO3Grid("healpix_hopf", so3_random(1, 9).rotations, 60.0,
+                                 level=-1))
+    with pytest.raises(IncompatibleFileError, match="level -1") as err:
         load_grid(str(path))
     assert str(path) in str(err.value)
 

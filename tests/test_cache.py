@@ -141,6 +141,22 @@ def test_only_non_healpix_inference_grids_hold_a_dense_table():
 
 
 
+def test_level3_inference_grid_builds_within_its_table_and_one_pass(monkeypatch):
+    # the 2.8 MB fiber table, one rotations_to_psi pass and the 768 base
+    # rotations: no 2.65 MB rotation stack, fiber re-check or second
+    # (N, M) copy of the table (14.6 MB with them)
+    monkeypatch.setattr(harness, "inference_grid_cache", LRUCache(6))
+    monkeypatch.setattr(fibers, "fiber_table_cache", LRUCache(6))
+    tracemalloc.start()
+    try:
+        grid = harness.inference_grid(3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fibers.fiber_table(grid, 6).base_psi.nbytes == 768 * 455 * 8
+    assert peak < 8e6
+
+
 def test_ce_training_takes_its_table_from_the_inference_cache(monkeypatch):
     cache = LRUCache(6)
     monkeypatch.setattr(harness, "inference_grid_cache", cache)

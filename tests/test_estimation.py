@@ -264,6 +264,8 @@ class TestFactoredScoring:
                    for lo, hi in zip(table.bounds[1:], table.bounds[2:]))
         assert np.array_equal(table.base_psi,
                               wigner.rotations_to_psi(grid.rotations[::48], 6)[:, table.order])
+        # the layout the fancy index gives: the grid ReLU's G_k bits depend on it
+        assert table.base_psi.flags.f_contiguous
 
     def test_ce_value_and_gradient_match_dense_computation(self):
         grid = grids.so3_healpix(2)
@@ -303,6 +305,15 @@ class TestFactoredScoring:
         best = np.argmax(preds @ dense.psi_table.T, axis=1)
         assert np.array_equal(decode_poses(preds, dense).rotations,
                               dense.rotations[best])
+
+    def test_a_negative_level_grid_decodes_densely(self):
+        # 9 rotations labelled healpix_hopf at level -1: no fiber table
+        # for F = 6 * 2^-1, so its dense table scores it
+        grid = grids.SO3Grid("healpix_hopf", sample_uniform_matrices(34, 9), 60.0,
+                             level=-1).with_psi_table(2)
+        preds = np.random.default_rng(34).normal(size=(4, wigner.m_total(2)))
+        best = np.argmax(preds @ grid.psi_table.T, axis=1)
+        assert np.array_equal(decode_poses(preds, grid).rotations, grid.rotations[best])
 
     def test_one_moved_rotation_disables_the_fiber_path(self):
         grid = grids.so3_healpix(1)

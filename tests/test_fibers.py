@@ -106,3 +106,36 @@ def test_relu_takes_any_leading_shape():
     assert np.array_equal(mask, flat_mask[0])
     assert op.backward(d_out[0, 0, 0], mask).shape == x.shape[-1:]
 
+
+
+def test_every_constructed_rotation_lies_on_its_fiber():
+    # what fiber_table no longer checks on a grid built from its pixels
+    # and fibers: rotation i F + f is A_i Rz(2 pi f / F) at every level
+    # so3_healpix builds, read chunk by chunk through rotations_at
+    for level in range(grids.LARGE_GRID_LEVEL + 1):
+        grid = grids.so3_healpix(level, allow_large=True)
+        assert grid.nfiber == 6 * 2 ** level
+        assert fibers.fiber_deviation(grid, grid.nfiber) <= fibers._FIBER_TOL
+        assert "rotations" not in vars(grid)
+
+
+def test_fiber_deviation_sees_one_moved_rotation():
+    grid = grids.so3_healpix(1)
+    mats = grid.rotations.copy()
+    mats[300, 0, 0] += 1e-9
+    moved = grids.SO3Grid("healpix_hopf", mats, 30.0, level=1)
+    assert fibers.fiber_deviation(grid, 12) <= 1e-15
+    assert fibers.fiber_deviation(moved, 12) == pytest.approx(1e-9, rel=1e-6)
+    mats = mats.copy()
+    mats[5, 1, 2] = np.nan
+    assert np.isnan(fibers.fiber_deviation(grids.SO3Grid("healpix_hopf", mats, 30.0,
+                                                         level=1), 12))
+
+
+@pytest.mark.parametrize("level", [-1, -3, 1.0, "1", None])
+def test_a_level_that_is_no_int_from_zero_gets_no_fiber_table(level):
+    # a hand-built stack labelled healpix_hopf proposes F = 6 * 2^level
+    # only for an int level >= 0
+    mats = grids.so3_healpix(0).rotations[:9]
+    grid = grids.SO3Grid("healpix_hopf", mats, 60.0, level=level)
+    assert fibers.fiber_table(grid, 2) is None

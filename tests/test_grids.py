@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from so3harmonics import rotations
-from so3harmonics.grids import (ResourceLimitError, covering_radius,
+from so3harmonics.grids import (ResourceLimitError, SO3Grid, covering_radius,
                                 healpix_s2, load_grid, nearest_index,
                                 save_grid, so3_grid, so3_healpix,
                                 so3_healpix_count, so3_random,
@@ -87,6 +87,52 @@ class TestSO3Healpix:
         with pytest.raises(ResourceLimitError):
             so3_healpix(6, allow_large=True)
 
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_rotations_at_is_the_stack_bit_for_bit(self, level):
+        # read off the pixels and fibers alone, before the stack exists
+        g = so3_healpix(level)
+        idx = np.random.default_rng(level).integers(-g.size, g.size, 500)
+        picked = [g.rotations_at(idx), g.rotations_at(7), g.rotations_at(np.intp(g.size - 1)),
+                  g.rotations_at(np.arange(0))]
+        assert "rotations" not in vars(g)
+        expect = [g.rotations[idx], g.rotations[7], g.rotations[g.size - 1],
+                  g.rotations[np.arange(0)]]
+        for got, want in zip(picked, expect):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_size_and_digest_come_from_pixels_and_fibers(self):
+        g = so3_healpix(2)
+        assert g.size == 4608 and g.nfiber == 24 and g.pixels.size == 192
+        assert g.content_digest == so3_healpix(2).content_digest
+        assert g.content_digest != so3_healpix(1).content_digest
+        assert "rotations" not in vars(g)
+        assert not g.rotations.flags.writeable
+
+    def test_saved_bytes_equal_an_euler_angle_stack(self, tmp_path):
+        # the stack as a rotation list would build it: Rz(phi) Ry(theta)
+        # Rz(psi_f) for every pixel and fiber, in the order i F + f
+        for level in range(3):
+            theta, phi = healpix_s2(level).theta, healpix_s2(level).phi
+            nfiber = 6 * 2 ** level
+            fiber = 2.0 * np.pi * np.arange(nfiber) / nfiber
+            mats = rotations.zyz_to_matrices(
+                np.repeat(fiber[None, :], len(theta), axis=0).ravel(),
+                np.repeat(theta, nfiber), np.repeat(phi, nfiber))
+            lifted, stacked = tmp_path / f"lifted{level}.bin", tmp_path / f"stacked{level}.bin"
+            save_grid(str(lifted), so3_healpix(level))
+            save_grid(str(stacked), SO3Grid("healpix_hopf", mats, 60.0 / 2 ** level,
+                                            level=level))
+            assert lifted.read_bytes() == stacked.read_bytes()
+
+    def test_grid_is_read_only_and_takes_one_definition(self):
+        g = so3_healpix(0)
+        with pytest.raises(AttributeError):
+            g.level = 1
+        with pytest.raises(ValueError, match="either"):
+            SO3Grid("healpix_hopf", g.rotations, 60.0, pixels=g.pixels, nfiber=6)
+        with pytest.raises(ValueError, match="either"):
+            SO3Grid("healpix_hopf", None, 60.0, pixels=g.pixels)
+
 
 class TestOtherGrids:
     def test_random_grid_deterministic_and_valid(self):
@@ -120,7 +166,6 @@ class TestOtherGrids:
 
 class TestCoveringRadius:
     def test_single_rotation_grid(self):
-        from so3harmonics.grids import SO3Grid
         g = SO3Grid("random", np.eye(3)[None], 360.0)
         got = covering_radius(g, probes=200, seed=1)
         probes = rotations.sample_uniform_matrices(1, 200)

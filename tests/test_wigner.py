@@ -183,6 +183,21 @@ class TestHarmonicVector:
             single = rotations_to_psi(m, 4)
             assert np.max(np.abs(batch[i] - single)) < 1e-12
 
+    @pytest.mark.parametrize("bandlimit", [2, 6, 13])
+    def test_rows_keep_their_bits_in_any_pass(self, bandlimit):
+        # 300 rows take 3 passes at L = 6 and 11 at L = 13: each row has
+        # the bits it has alone, and ``order`` permutes the columns into
+        # the layout the fancy index gives
+        mats = sample_uniform_matrices(8, 300)
+        whole = rotations_to_psi(mats, bandlimit)
+        alone = np.stack([rotations_to_psi(m[None], bandlimit)[0] for m in mats[::23]])
+        assert alone.tobytes() == whole[::23].tobytes()
+        order = np.random.default_rng(bandlimit).permutation(m_total(bandlimit))
+        permuted = rotations_to_psi(mats, bandlimit, order)
+        expect = whole[:, order]
+        assert permuted.strides == expect.strides
+        assert permuted.tobytes() == expect.tobytes()
+
     def test_euler_and_matrix_paths_agree(self):
         for m in sample_uniform_matrices(7, 20):
             euler_psi = np.concatenate([wigner_D_real(l, via_euler(m)).ravel()
